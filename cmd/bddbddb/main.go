@@ -263,7 +263,7 @@ func loadTuples(s *datalog.Solver, prog *datalog.Program, dir, name string) erro
 	for i, a := range decl.Attrs {
 		sizes[i] = prog.Domain(a.Domain).Size
 	}
-	rel := s.Relation(name)
+	var rows [][]uint64
 	sc := bufio.NewScanner(f)
 	line := 0
 	for sc.Scan() {
@@ -291,9 +291,13 @@ func loadTuples(s *datalog.Solver, prog *datalog.Program, dir, name string) erro
 			}
 			vals[i] = v
 		}
-		rel.AddTuple(vals...)
+		rows = append(rows, vals)
 	}
-	return sc.Err()
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	s.Relation(name).AddTuples(rows)
+	return nil
 }
 
 func readLines(path string) ([]string, error) {

@@ -85,7 +85,11 @@ func runTop(args []string) error {
 		fmt.Printf("hottest rules (by cumulative seconds):\n")
 		fmt.Printf("%-24s %12s %10s %12s\n", "rule", "seconds", "applies", "tuples")
 		for _, rc := range rules {
-			fmt.Printf("%-24s %12.6f %10.0f %12.0f\n", rc.Key, rc.Seconds, rc.Applications, rc.Tuples)
+			tuples := "-" // not counted in this run
+			if rc.HasTuples {
+				tuples = fmt.Sprintf("%.0f", rc.Tuples)
+			}
+			fmt.Printf("%-24s %12.6f %10.0f %12s\n", rc.Key, rc.Seconds, rc.Applications, tuples)
 		}
 	}
 	ops := obs.TopOps(mf.Metrics, *k)

@@ -44,9 +44,7 @@ func RunHandCoded(f *extract.Facts) (*HandCoded, error) {
 	// Input relations on hand-picked physical instances.
 	load := func(name string, tuples []extract.Tuple, attrs ...rel.Attr) *rel.Relation {
 		r := u.NewRelation(name, attrs...)
-		for _, t := range tuples {
-			r.AddTuple(t...)
-		}
+		r.AddTuples(rows(tuples))
 		return r
 	}
 	vP0 := load("vP0", f.VP0, u.A("v", "V", 0), u.A("h", "H", 0))

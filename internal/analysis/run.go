@@ -209,45 +209,57 @@ func baseOptions(f *extract.Facts, cfg Config, order []string) datalog.Options {
 	}
 }
 
-// fill loads tuples into a declared relation.
+// fill loads tuples into a declared relation in one bulk insert.
 func fill(s *datalog.Solver, name string, tuples []extract.Tuple) {
-	r := s.Relation(name)
-	for _, t := range tuples {
-		r.AddTuple(t...)
+	s.Relation(name).AddTuples(rows(tuples))
+}
+
+// rows views extracted tuples as the plain rows rel.AddTuples takes.
+func rows(tuples []extract.Tuple) [][]uint64 {
+	out := make([][]uint64, len(tuples))
+	for i, t := range tuples {
+		out[i] = t
 	}
+	return out
 }
 
 // fillCommon loads every standard extracted relation the program
 // declares (query fragments may pull in cha, mI, mV, syncs, ...).
 func fillCommon(s *datalog.Solver, f *extract.Facts) {
-	std := map[string][]extract.Tuple{
-		"vP0":    f.VP0,
-		"store":  f.Store,
-		"load":   f.Load,
-		"vT":     f.VT,
-		"hT":     f.HT,
-		"aT":     f.AT,
-		"cha":    f.Cha,
-		"actual": f.Actual,
-		"formal": f.Formal,
-		"IE0":    f.IE0,
-		"mI":     f.MI,
-		"Mret":   f.Mret,
-		"Iret":   f.Iret,
-		"mV":     f.MV,
-		"syncs":  f.Syncs,
+	// A fixed order (not a map's) keeps node numbering, and with it
+	// every BDD counter, identical from run to run.
+	std := []struct {
+		name   string
+		tuples []extract.Tuple
+	}{
+		{"vP0", f.VP0},
+		{"store", f.Store},
+		{"load", f.Load},
+		{"vT", f.VT},
+		{"hT", f.HT},
+		{"aT", f.AT},
+		{"cha", f.Cha},
+		{"actual", f.Actual},
+		{"formal", f.Formal},
+		{"IE0", f.IE0},
+		{"mI", f.MI},
+		{"Mret", f.Mret},
+		{"Iret", f.Iret},
+		{"mV", f.MV},
+		{"syncs", f.Syncs},
 	}
-	for name, tuples := range std {
-		if s.HasRelation(name) {
-			fill(s, name, tuples)
+	for _, in := range std {
+		if s.HasRelation(in.name) {
+			fill(s, in.name, in.tuples)
 		}
 	}
 	// Equality diagonals used by negated inequality tests.
 	if s.HasRelation("eqT") {
-		r := s.Relation("eqT")
-		for t := uint64(0); t < uint64(len(f.Types)); t++ {
-			r.AddTuple(t, t)
+		diag := make([][]uint64, len(f.Types))
+		for t := range diag {
+			diag[t] = []uint64{uint64(t), uint64(t)}
 		}
+		s.Relation("eqT").AddTuples(diag)
 	}
 }
 
@@ -547,12 +559,13 @@ func runHeapCloned(f *extract.Facts, g *callgraph.Graph, cfg Config) (*Result, e
 	}
 	obs.Begin(cfg.Tracer, "analysis.fill")
 	fillCommon(s, f)
-	nhc := s.Relation("noHeapContext")
+	var nhc [][]uint64
 	for h, no := range noHeap {
 		if no {
-			nhc.AddTuple(uint64(h))
+			nhc = append(nhc, []uint64{uint64(h)})
 		}
 	}
+	s.Relation("noHeapContext").AddTuples(nhc)
 	obs.End(cfg.Tracer)
 	if err := s.Solve(); err != nil {
 		return nil, err

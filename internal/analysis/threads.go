@@ -139,10 +139,11 @@ func RunThreadEscape(f *extract.Facts, g *callgraph.Graph, cfg Config) (_ *Resul
 	fill(s, "assign", AssignEdges(f, g, true))
 
 	// eqCT diagonal for the inequality in escaped().
-	eq := s.Relation("eqCT")
-	for c := uint64(0); c < tc.NumContexts; c++ {
-		eq.AddTuple(c, c)
+	eq := make([][]uint64, tc.NumContexts)
+	for c := range eq {
+		eq[c] = []uint64{uint64(c), uint64(c)}
 	}
+	s.Relation("eqCT").AddTuples(eq)
 
 	// HT: non-thread allocation sites per context.
 	isThreadAlloc := make(map[uint64]bool)
@@ -155,22 +156,23 @@ func RunThreadEscape(f *extract.Facts, g *callgraph.Graph, cfg Config) (_ *Resul
 			allocsOf[mi] = append(allocsOf[mi], uint64(h))
 		}
 	}
-	ht := s.Relation("HT")
+	var ht [][]uint64
 	for c, methods := range tc.ContextMethods {
 		for _, mi := range methods {
 			for _, h := range allocsOf[mi] {
-				ht.AddTuple(c, h)
+				ht = append(ht, []uint64{c, h})
 			}
 		}
 	}
+	s.Relation("HT").AddTuples(ht)
 
 	// vP0T: global object, thread creation sites, and run() receivers.
 	// Every *executing* context (1..n) sees the global variable; context
 	// 0 itself is only the ownership tag of global objects, not a
 	// thread, so it must not appear as an accessing context.
-	vp0t := s.Relation("vP0T")
+	var vp0t [][]uint64
 	for c := MainContext; c < tc.NumContexts; c++ {
-		vp0t.AddTuple(c, extract.GlobalVarIdx, GlobalContext, extract.GlobalObjIdx)
+		vp0t = append(vp0t, []uint64{c, extract.GlobalVarIdx, GlobalContext, extract.GlobalObjIdx})
 	}
 	allocDst := make(map[uint64]uint64) // alloc site -> destination var
 	for _, t := range f.VP0 {
@@ -189,8 +191,8 @@ func RunThreadEscape(f *extract.Facts, g *callgraph.Graph, cfg Config) (_ *Resul
 		for c, methods := range tc.ContextMethods {
 			for _, m := range methods {
 				if m == mi {
-					vp0t.AddTuple(c, dst, pair[0], uint64(h))
-					vp0t.AddTuple(c, dst, pair[1], uint64(h))
+					vp0t = append(vp0t, []uint64{c, dst, pair[0], uint64(h)},
+						[]uint64{c, dst, pair[1], uint64(h)})
 				}
 			}
 		}
@@ -200,11 +202,12 @@ func RunThreadEscape(f *extract.Facts, g *callgraph.Graph, cfg Config) (_ *Resul
 		ty := f.Types[heapType(f, uint64(h))]
 		if m := f.Hierarchy.Dispatch(ty, "run"); m != nil {
 			if this := f.LocalRep(m.QName(), "this"); this >= 0 {
-				vp0t.AddTuple(pair[0], uint64(this), pair[0], uint64(h))
-				vp0t.AddTuple(pair[1], uint64(this), pair[1], uint64(h))
+				vp0t = append(vp0t, []uint64{pair[0], uint64(this), pair[0], uint64(h)},
+					[]uint64{pair[1], uint64(this), pair[1], uint64(h)})
 			}
 		}
 	}
+	s.Relation("vP0T").AddTuples(vp0t)
 
 	obs.End(cfg.Tracer) // analysis.fill
 

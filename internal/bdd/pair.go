@@ -6,8 +6,11 @@ import "fmt"
 // bdd_setpair. It maps source levels to destination levels; unmapped
 // levels are unchanged.
 type Pair struct {
-	m    *Manager
-	perm map[int32]int32
+	m *Manager
+	// perm is dense over levels: perm[lv] is lv's destination, and
+	// levels past its end or mapped to themselves are unchanged.
+	perm []int32
+	n    int  // number of remapped levels
 	id   Node // unique id used as a cache key
 }
 
@@ -20,7 +23,7 @@ func (m *Manager) NewPair() *Pair {
 		m.pairID = 1 << 20
 	}
 	m.pairID++
-	return &Pair{m: m, perm: make(map[int32]int32), id: m.pairID}
+	return &Pair{m: m, id: m.pairID}
 }
 
 // Set maps the variable at level from to the variable at level to.
@@ -30,15 +33,30 @@ func (p *Pair) Set(from, to int32) {
 	if from == to {
 		return
 	}
-	if old, ok := p.perm[from]; ok && old != to {
-		panic(fmt.Sprintf("bdd: pair maps level %d twice (%d and %d)", from, old, to))
+	if old := p.dest(from); old != from {
+		if old != to {
+			panic(fmt.Sprintf("bdd: pair maps level %d twice (%d and %d)", from, old, to))
+		}
+		return
 	}
 	for f, t := range p.perm {
-		if t == to && f != from {
+		if t == to && int32(f) != t {
 			panic(fmt.Sprintf("bdd: pair maps levels %d and %d to same destination %d", f, from, to))
 		}
 	}
+	for int32(len(p.perm)) <= from {
+		p.perm = append(p.perm, int32(len(p.perm)))
+	}
 	p.perm[from] = to
+	p.n++
+}
+
+// dest returns the level lv is renamed to (lv itself when unmapped).
+func (p *Pair) dest(lv int32) int32 {
+	if int(lv) < len(p.perm) {
+		return p.perm[lv]
+	}
+	return lv
 }
 
 // SetDomains maps every bit of domain from onto the corresponding bit
@@ -54,14 +72,14 @@ func (p *Pair) SetDomains(from, to *Domain) {
 }
 
 // Len reports how many levels the pair remaps.
-func (p *Pair) Len() int { return len(p.perm) }
+func (p *Pair) Len() int { return p.n }
 
 // Replace renames variables in a according to the pair. Referenced for
 // the caller. This is BuDDy's bdd_replace: the implementation recurses
 // to the children, substitutes the mapped level, and re-inserts it at
 // its proper position in the order (correctify).
 func (m *Manager) Replace(a Node, p *Pair) Node {
-	if len(p.perm) == 0 {
+	if p.n == 0 {
 		return m.Ref(a)
 	}
 	return m.Ref(m.replace(a, p))
@@ -78,11 +96,7 @@ func (m *Manager) replace(a Node, p *Pair) Node {
 	nd := m.nodes[a]
 	low := m.replace(nd.low, p)
 	high := m.replace(nd.high, p)
-	lv := nd.level
-	if to, ok := p.perm[lv]; ok {
-		lv = to
-	}
-	res := m.correctify(lv, low, high)
+	res := m.correctify(p.dest(nd.level), low, high)
 	m.replCache.insert(a, p.id, res)
 	return res
 }

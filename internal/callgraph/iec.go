@@ -120,12 +120,18 @@ func (n *Numbering) MaterializeHC(u *rel.Universe, name string, context, heap re
 	root := m.Ref(bdd.False)
 
 	// Group allocation sites by method so each method's context range is
-	// built once.
-	byMethod := make(map[int][]uint64)
+	// built once. Groups are visited in order of first appearance, not
+	// map order, so node numbering repeats from run to run.
+	var methods []int
+	byMethod := make(map[int][][]uint64)
 	for h, meth := range allocMethod {
-		byMethod[meth] = append(byMethod[meth], uint64(h))
+		if byMethod[meth] == nil {
+			methods = append(methods, meth)
+		}
+		byMethod[meth] = append(byMethod[meth], []uint64{uint64(h)})
 	}
-	for meth, heaps := range byMethod {
+	for _, meth := range methods {
+		heaps := byMethod[meth]
 		var rng bdd.Node
 		if meth < 0 {
 			// Global objects live in every context (Algorithm 7: "All
@@ -139,14 +145,7 @@ func (n *Numbering) MaterializeHC(u *rel.Universe, name string, context, heap re
 			}
 			rng = context.Phys.Range(1, k)
 		}
-		hs := m.Ref(bdd.False)
-		for _, h := range heaps {
-			eq := heap.Phys.Eq(h)
-			next := m.Or(hs, eq)
-			m.Deref(hs)
-			m.Deref(eq)
-			hs = next
-		}
+		hs := m.TupleSet([]*bdd.Domain{heap.Phys}, heaps)
 		pair := m.And(rng, hs)
 		next := m.Or(root, pair)
 		for _, nd := range []bdd.Node{rng, hs, pair, root} {
@@ -176,13 +175,18 @@ func (n *Numbering) MaterializeHeapContexts(u *rel.Universe, name string, contex
 		meth   int
 		cloned bool
 	}
-	byGroup := make(map[grp][]uint64)
+	var groups []grp // in order of first appearance, as in MaterializeHC
+	byGroup := make(map[grp][][]uint64)
 	for h, meth := range allocMethod {
 		cloned := meth >= 0 && !(h < len(noHeapContext) && noHeapContext[h])
 		g := grp{meth, cloned}
-		byGroup[g] = append(byGroup[g], uint64(h))
+		if byGroup[g] == nil {
+			groups = append(groups, g)
+		}
+		byGroup[g] = append(byGroup[g], []uint64{uint64(h)})
 	}
-	for g, heaps := range byGroup {
+	for _, g := range groups {
+		heaps := byGroup[g]
 		var pairs bdd.Node
 		if g.meth < 0 {
 			// Global objects: every context, the context-insensitive clone.
@@ -211,14 +215,7 @@ func (n *Numbering) MaterializeHeapContexts(u *rel.Universe, name string, contex
 				m.Deref(zero)
 			}
 		}
-		hs := m.Ref(bdd.False)
-		for _, h := range heaps {
-			eq := heap.Phys.Eq(h)
-			next := m.Or(hs, eq)
-			m.Deref(hs)
-			m.Deref(eq)
-			hs = next
-		}
+		hs := m.TupleSet([]*bdd.Domain{heap.Phys}, heaps)
 		tri := m.And(pairs, hs)
 		next := m.Or(root, tri)
 		for _, nd := range []bdd.Node{pairs, hs, tri, root} {

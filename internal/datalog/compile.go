@@ -43,13 +43,16 @@ type compiledRule struct {
 // universe's monotone counter: the held pointer keeps the Go object
 // alive (so its address cannot be recycled) and every content mutation
 // bumps the stamp, so an equal pair later proves the source is
-// unchanged. Unlike the previous BDD-root comparison this works for
-// any storage backend, and backend migrations — which change
-// representation, not content — correctly keep the cache valid.
+// unchanged. This works for any storage backend, and backend
+// migrations — which change representation, not content — correctly
+// keep the cache valid. When the source grows inside its stratum,
+// growHead keeps a current entry current by uniting in the pipeline
+// over the growth, instead of leaving it to be recomputed in full.
 type litCache struct {
 	src   *rel.Relation
 	stamp uint64
 	norm  *rel.Relation
+	lit   *plan.Lit // the pipeline that produced norm
 }
 
 // clear drops the cached form.
@@ -61,6 +64,7 @@ func (c *litCache) clear(m *bdd.Manager) {
 	c.norm = nil
 	c.src = nil
 	c.stamp = 0
+	c.lit = nil
 }
 
 // clearCaches drops every hoisted normalization the rule holds.

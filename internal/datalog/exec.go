@@ -150,7 +150,39 @@ func (s *Solver) evalLit(cr *compiledRule, p *plan.Plan, idx int, delta *rel.Rel
 	c.src = src
 	c.stamp = src.Stamp()
 	c.norm = norm
+	c.lit = l
 	return norm, false
+}
+
+// growHead unions fresh into head, a relation the running stratum
+// defines, and reports whether head grew. Every hoisted normalization
+// among rules' caches that read head and was current just before the
+// union stays current: its pipeline distributes over union, so
+// norm ∪= pipeline(fresh) equals the pipeline over the grown head, and
+// the entry takes head's new stamp. A self-join such as
+// hP :- store, vPC(c,v1,h1), vPC(c,v2,h2) thus renames only each
+// iteration's new vPC tuples instead of all of vPC. Entries with a
+// Complement are left stale for the next read to recompute.
+func (s *Solver) growHead(rules []*compiledRule, head, fresh *rel.Relation) bool {
+	before := head.Stamp()
+	if !head.UnionWith(fresh) {
+		return false
+	}
+	for _, cr := range rules {
+		for _, c := range cr.cache {
+			if c.norm == nil || c.src != head || c.stamp != before || !c.lit.Distributive() {
+				continue
+			}
+			grown := s.runPipeline(c.lit, fresh)
+			c.norm.UnionWith(grown)
+			grown.Free()
+			c.stamp = head.Stamp()
+		}
+	}
+	if s.afterGrow != nil {
+		s.afterGrow(rules)
+	}
+	return true
 }
 
 // runPipeline applies a literal's normalization ops (everything after

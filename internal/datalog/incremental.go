@@ -414,9 +414,7 @@ func (inc *IncrementalSolver) affectedHeads(changed map[string]bool) []string {
 // relFromTuples materializes rows as a relation with like's schema.
 func relFromTuples(u *rel.Universe, name string, like *rel.Relation, rows [][]uint64) *rel.Relation {
 	r := u.NewRelation(name, like.Attrs()...)
-	for _, vals := range rows {
-		r.AddTuple(vals...)
-	}
+	r.AddTuples(rows)
 	return r
 }
 
@@ -671,7 +669,7 @@ func (inc *IncrementalSolver) propagateStratum(st *stratum, changedAdd map[strin
 				continue
 			}
 			s.countDelta(cr.rule, fresh)
-			head.UnionWith(fresh)
+			s.growHead(rules, head, fresh)
 			if d := delta[cr.rule.Head.Pred]; d == nil {
 				delta[cr.rule.Head.Pred] = fresh
 			} else {
@@ -706,7 +704,7 @@ func (inc *IncrementalSolver) propagateStratum(st *stratum, changedAdd map[strin
 					continue
 				}
 				s.countDelta(cr.rule, fresh)
-				head.UnionWith(fresh)
+				s.growHead(rules, head, fresh)
 				if nd := newDelta[cr.rule.Head.Pred]; nd == nil {
 					newDelta[cr.rule.Head.Pred] = fresh
 				} else {
@@ -731,9 +729,7 @@ func (inc *IncrementalSolver) recomputeStratum(idx int, st *stratum) error {
 	for _, h := range st.preds {
 		old := s.rels[h]
 		base := s.u.NewRelation(h, old.Attrs()...)
-		for _, vals := range inc.factTuples[h] {
-			base.AddTuple(vals...)
-		}
+		base.AddTuples(inc.factTuples[h])
 		s.ReplaceRelation(h, base)
 	}
 	return s.solveStratum(idx, st, nil)
@@ -795,10 +791,7 @@ func ApplyDeltaToRelations(s *Solver, d Delta) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		r := s.rels[name]
-		for _, vals := range d.Add[name] {
-			r.AddTuple(vals...)
-		}
+		s.rels[name].AddTuples(d.Add[name])
 	}
 	names = names[:0]
 	for name := range d.Remove {

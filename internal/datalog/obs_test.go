@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -158,6 +159,35 @@ func TestSolveHistograms(t *testing.T) {
 	} {
 		if _, ok := snap[k]; !ok {
 			t.Errorf("external registry missing %s", k)
+		}
+	}
+}
+
+// TestRuleTuplesExportedOnlyWhenCounted checks that per-rule tuple
+// counters exist only under Options.CountRuleTuples, so reports never
+// show an unmeasured count as 0.
+func TestRuleTuplesExportedOnlyWhenCounted(t *testing.T) {
+	for _, counted := range []bool{false, true} {
+		reg := obs.New()
+		s, err := NewSolver(MustParse(tcSrc), Options{Metrics: reg, CountRuleTuples: counted})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Relation("e").AddTuples([][]uint64{{0, 1}, {1, 2}, {2, 3}})
+		if err := s.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for k := range reg.Snapshot() {
+			if strings.HasPrefix(k, "datalog.rule.") && strings.HasSuffix(k, ".tuples") {
+				keys = append(keys, k)
+			}
+		}
+		if !counted && len(keys) != 0 {
+			t.Errorf("CountRuleTuples unset, yet exported %v", keys)
+		}
+		if counted && len(keys) == 0 {
+			t.Error("CountRuleTuples set, yet no datalog.rule.*.tuples key")
 		}
 	}
 }

@@ -24,6 +24,19 @@ type Lit struct {
 // borrow it without cloning.
 func (l *Lit) Trivial() bool { return len(l.Ops) == 1 }
 
+// Distributive reports whether the pipeline distributes over union —
+// every op but Complement does — so that the normalized form of a
+// grown source is the old form united with the pipeline over the
+// growth alone.
+func (l *Lit) Distributive() bool {
+	for _, o := range l.Ops {
+		if _, ok := o.(*Complement); ok {
+			return false
+		}
+	}
+	return true
+}
+
 // Delta reports whether this literal reads the iteration delta.
 func (l *Lit) Delta() bool { return l.Ops[0].(*Load).Delta }
 

@@ -237,6 +237,10 @@ type Solver struct {
 	// O(1) proxy that avoids walking result BDDs on the hot path.
 	hRuleApply *obs.Histogram
 	hOpNodes   *obs.Histogram
+
+	// afterGrow, when a test sets it, runs after every growHead that
+	// grew its head.
+	afterGrow func(rules []*compiledRule)
 }
 
 // ruleObs bundles one rule's metric handles: the timer's count is the
@@ -245,7 +249,15 @@ type ruleObs struct {
 	text   string // the rule, for reports
 	span   string // stable trace-span name, e.g. "rule 3: vP"
 	timer  *obs.Timer
-	tuples *obs.Counter
+	tuples *obs.Counter // nil unless Options.CountRuleTuples
+}
+
+// tupleCount returns the rule's counted head tuples, 0 when uncounted.
+func (ro *ruleObs) tupleCount() int64 {
+	if ro.tuples == nil {
+		return 0
+	}
+	return ro.tuples.Value()
 }
 
 func (s *Solver) countDelta(r *Rule, fresh *rel.Relation) {
@@ -388,12 +400,18 @@ func (s *Solver) initObs() {
 			continue
 		}
 		key := fmt.Sprintf("datalog.rule.%03d", i)
-		s.ruleObs[rule] = &ruleObs{
-			text:   rule.String(),
-			span:   fmt.Sprintf("rule %d: %s", i, rule.Head.Pred),
-			timer:  s.reg.Timer(key),
-			tuples: s.reg.Counter(key + ".tuples"),
+		ro := &ruleObs{
+			text:  rule.String(),
+			span:  fmt.Sprintf("rule %d: %s", i, rule.Head.Pred),
+			timer: s.reg.Timer(key),
 		}
+		// Tuples are counted only on request; leaving the key
+		// unregistered keeps an unmeasured count out of the export
+		// instead of reading as 0.
+		if s.opts.CountRuleTuples {
+			ro.tuples = s.reg.Counter(key + ".tuples")
+		}
+		s.ruleObs[rule] = ro
 	}
 }
 
@@ -463,7 +481,7 @@ func (s *Solver) Stats() SolverStats {
 			Rule:         ro.text,
 			Applications: ro.timer.Count(),
 			Time:         ro.timer.Total(),
-			DeltaTuples:  ro.tuples.Value(),
+			DeltaTuples:  ro.tupleCount(),
 		})
 	}
 	return out
@@ -579,6 +597,8 @@ func (s *Solver) applyFacts() error {
 		s.tr.Begin("datalog.facts")
 		defer func() { s.tr.End() }()
 	}
+	rows := make(map[string][][]uint64)
+	var preds []string
 	for _, rule := range s.prog.Rules {
 		if !rule.IsFact() {
 			continue
@@ -592,7 +612,14 @@ func (s *Solver) applyFacts() error {
 			}
 			vals[i] = v
 		}
-		s.rels[rule.Head.Pred].AddTuple(vals...)
+		p := rule.Head.Pred
+		if rows[p] == nil {
+			preds = append(preds, p)
+		}
+		rows[p] = append(rows[p], vals)
+	}
+	for _, p := range preds {
+		s.rels[p].AddTuples(rows[p])
 	}
 	return nil
 }
@@ -639,17 +666,12 @@ func (s *Solver) solveStratum(idx int, st *stratum, resume *resumeState) error {
 	// explicit config keeps what it asked for (the rel-level growth
 	// valve still bounds it).
 	watchGrowth := s.opts.Plan.Backend == plan.BackendAuto && stratumBackend == rel.Explicit
-	for _, cr := range base {
-		s.planRule(cr, inStratum, card)
-	}
-	for _, cr := range recur {
+	rules := append(append([]*compiledRule(nil), base...), recur...)
+	for _, cr := range rules {
 		s.planRule(cr, inStratum, card)
 	}
 	defer func() {
-		for _, cr := range base {
-			cr.clearCaches(s.u.M)
-		}
-		for _, cr := range recur {
+		for _, cr := range rules {
 			cr.clearCaches(s.u.M)
 		}
 	}()
@@ -668,7 +690,7 @@ func (s *Solver) solveStratum(idx int, st *stratum, resume *resumeState) error {
 				s.escapeToBDD(st, preds, nil)
 				watchGrowth = false
 			}
-			head.UnionWith(fresh)
+			s.growHead(rules, head, fresh)
 			fresh.Free()
 		}
 	}
@@ -696,7 +718,7 @@ func (s *Solver) solveStratum(idx int, st *stratum, resume *resumeState) error {
 						watchGrowth = false
 					}
 					s.countDelta(cr.rule, fresh)
-					head.UnionWith(fresh)
+					s.growHead(rules, head, fresh)
 					changed = true
 				}
 				fresh.Free()
@@ -786,7 +808,7 @@ func (s *Solver) solveStratum(idx int, st *stratum, resume *resumeState) error {
 					watchGrowth = false
 				}
 				s.countDelta(cr.rule, fresh)
-				head.UnionWith(fresh)
+				s.growHead(rules, head, fresh)
 				nd := newDelta[cr.rule.Head.Pred]
 				if nd == nil {
 					newDelta[cr.rule.Head.Pred] = fresh

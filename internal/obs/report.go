@@ -45,7 +45,10 @@ type RuleCost struct {
 	Key          string // datalog.rule.NNN
 	Seconds      float64
 	Applications float64
-	Tuples       float64
+	// Tuples is the .tuples counter; HasTuples reports whether the run
+	// counted tuples at all (datalog.Options.CountRuleTuples).
+	Tuples    float64
+	HasTuples bool
 }
 
 var ruleSecRe = regexp.MustCompile(`^(datalog\.rule\.\d+)\.sec$`)
@@ -61,11 +64,13 @@ func TopRules(vals map[string]float64, k int) []RuleCost {
 			continue
 		}
 		base := m[1]
+		tuples, counted := vals[base+".tuples"]
 		out = append(out, RuleCost{
 			Key:          base,
 			Seconds:      v,
 			Applications: vals[base+".count"],
-			Tuples:       vals[base+".tuples"],
+			Tuples:       tuples,
+			HasTuples:    counted,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {

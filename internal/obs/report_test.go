@@ -8,12 +8,13 @@ import (
 
 func TestTopRules(t *testing.T) {
 	vals := map[string]float64{
-		"datalog.rule.000.sec":   0.5,
-		"datalog.rule.000.count": 3,
-		"datalog.rule.001.sec":   2.0,
-		"datalog.rule.001.count": 10,
-		"datalog.rule.002.sec":   0.1,
-		"datalog.iterations":     42,
+		"datalog.rule.000.sec":    0.5,
+		"datalog.rule.000.count":  3,
+		"datalog.rule.001.sec":    2.0,
+		"datalog.rule.001.count":  10,
+		"datalog.rule.001.tuples": 0,
+		"datalog.rule.002.sec":    0.1,
+		"datalog.iterations":      42,
 	}
 	top := TopRules(vals, 2)
 	if len(top) != 2 {
@@ -24,6 +25,10 @@ func TestTopRules(t *testing.T) {
 	}
 	if top[1].Key != "datalog.rule.000" {
 		t.Errorf("top[1] = %+v", top[1])
+	}
+	// A counted zero is a measurement; a missing key is not.
+	if !top[0].HasTuples || top[1].HasTuples {
+		t.Errorf("HasTuples = %v, %v; want true (counted 0), false (not counted)", top[0].HasTuples, top[1].HasTuples)
 	}
 	if all := TopRules(vals, 0); len(all) != 3 {
 		t.Errorf("k=0 should return all rules, got %d", len(all))

@@ -186,9 +186,11 @@ func (s *explicitStore) size(attrs []Attr, support []int32) *big.Int {
 	return big.NewInt(int64(len(s.rows) / s.arity))
 }
 
-func (s *explicitStore) addTuple(attrs []Attr, vals []uint64) {
+func (s *explicitStore) addTuples(attrs []Attr, rows [][]uint64) {
 	s.dropMemo()
-	s.pend = append(s.pend, vals...)
+	for _, vals := range rows {
+		s.pend = append(s.pend, vals...)
+	}
 }
 
 func (s *explicitStore) iterate(attrs []Attr, support []int32, fn func(vals []uint64) bool) {
@@ -209,28 +211,11 @@ func (s *explicitStore) toBDD(attrs []Attr) *bddStore {
 	s.u.bstats.BridgeToBDD++
 	s.norm()
 	k := s.arity
-	// Balanced OR tree over the sorted rows: adjacent rows share value
-	// prefixes, so sibling subtrees stay small and merge cheaply. A
-	// linear cube-by-cube chain re-walks the whole accumulated BDD for
-	// every row, which is quadratic-ish on large migrations.
-	var build func(lo, hi int) bdd.Node
-	build = func(lo, hi int) bdd.Node {
-		if hi-lo == k {
-			return tupleCube(s.u, attrs, s.rows[lo:hi])
-		}
-		mid := lo + (hi-lo)/(2*k)*k
-		l := build(lo, mid)
-		r := build(mid, hi)
-		or := m.Or(l, r)
-		m.Deref(l)
-		m.Deref(r)
-		return or
+	rows := make([][]uint64, 0, len(s.rows)/k)
+	for i := 0; i+k <= len(s.rows); i += k {
+		rows = append(rows, s.rows[i:i+k])
 	}
-	root := m.Ref(bdd.False)
-	if len(s.rows) > 0 {
-		m.Deref(root)
-		root = build(0, len(s.rows))
-	}
+	root := rowsBDD(s.u, attrs, rows)
 	s.bddMemo = m.Ref(root)
 	s.memoOK = true
 	return newBDDStore(s.u, root)

@@ -265,18 +265,30 @@ func permOf(a, b []Attr) []int {
 }
 
 // AddTuple inserts one tuple, with values listed in attribute order.
-func (r *Relation) AddTuple(vals ...uint64) {
+func (r *Relation) AddTuple(vals ...uint64) { r.AddTuples([][]uint64{vals}) }
+
+// AddTuples inserts every row, each with values listed in attribute
+// order. Rows may repeat and come in any order. The whole batch is
+// checked before any row is inserted, with the same panics as
+// AddTuple, and a BDD-backed relation builds the batch bottom-up in one
+// pass (bdd.Manager.TupleSet) rather than with one OR per row.
+func (r *Relation) AddTuples(rows [][]uint64) {
 	r.requireMutable("AddTuple")
-	if len(vals) != len(r.attrs) {
-		panic(fmt.Sprintf("rel: AddTuple(%v) into %s(%s)", vals, r.Name, r.attrNames()))
-	}
-	for i, a := range r.attrs {
-		if vals[i] >= a.Dom.Size {
-			panic(fmt.Sprintf("rel: value %d exceeds domain %s (size %d) in %s.%s",
-				vals[i], a.Dom.Name, a.Dom.Size, r.Name, a.Name))
+	for _, vals := range rows {
+		if len(vals) != len(r.attrs) {
+			panic(fmt.Sprintf("rel: AddTuple(%v) into %s(%s)", vals, r.Name, r.attrNames()))
+		}
+		for i, a := range r.attrs {
+			if vals[i] >= a.Dom.Size {
+				panic(fmt.Sprintf("rel: value %d exceeds domain %s (size %d) in %s.%s",
+					vals[i], a.Dom.Name, a.Dom.Size, r.Name, a.Name))
+			}
 		}
 	}
-	r.store.addTuple(r.attrs, vals)
+	if len(rows) == 0 {
+		return
+	}
+	r.store.addTuples(r.attrs, rows)
 	r.touch()
 }
 

@@ -74,7 +74,7 @@ type Storage interface {
 	free()
 	isEmpty() bool
 	size(attrs []Attr, support []int32) *big.Int
-	addTuple(attrs []Attr, vals []uint64)
+	addTuples(attrs []Attr, rows [][]uint64)
 	iterate(attrs []Attr, support []int32, fn func(vals []uint64) bool)
 	// toBDD and toExplicit always return a fresh storage the caller
 	// owns, even when the receiver is already the requested kind.
@@ -172,26 +172,21 @@ func (s *bddStore) size(attrs []Attr, support []int32) *big.Int {
 	return s.u.M.SatCountIn(s.root, support)
 }
 
-// tupleCube builds the conjunction selecting exactly one tuple.
-func tupleCube(u *Universe, attrs []Attr, vals []uint64) bdd.Node {
-	m := u.M
-	cube := m.Ref(bdd.True)
+// rowsBDD builds the BDD holding exactly the given rows.
+func rowsBDD(u *Universe, attrs []Attr, rows [][]uint64) bdd.Node {
+	doms := make([]*bdd.Domain, len(attrs))
 	for i, a := range attrs {
-		eq := a.Phys.Eq(vals[i])
-		next := m.And(cube, eq)
-		m.Deref(cube)
-		m.Deref(eq)
-		cube = next
+		doms[i] = a.Phys
 	}
-	return cube
+	return u.M.TupleSet(doms, rows)
 }
 
-func (s *bddStore) addTuple(attrs []Attr, vals []uint64) {
+func (s *bddStore) addTuples(attrs []Attr, rows [][]uint64) {
 	m := s.u.M
-	cube := tupleCube(s.u, attrs, vals)
-	next := m.Or(s.root, cube)
+	set := rowsBDD(s.u, attrs, rows)
+	next := m.Or(s.root, set)
 	m.Deref(s.root)
-	m.Deref(cube)
+	m.Deref(set)
 	s.root = next
 }
 

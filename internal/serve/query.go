@@ -20,17 +20,44 @@ import (
 
 // NormalizeQuery canonicalizes a query string for cache keying: strips
 // '#' comments and collapses all whitespace runs to single spaces.
-// Queries differing only in layout share a cache entry.
+// Queries differing only in layout share a cache entry. Quoted
+// constants are copied verbatim, so a '#' or a space inside a name
+// survives; as in the Datalog lexer, a quote runs to the next quote or
+// the end of its line, and a newline that ends one unterminated is kept
+// so the parser still reports it.
 func NormalizeQuery(src string) string {
 	var sb strings.Builder
-	for _, line := range strings.Split(src, "\n") {
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
+	space := false // a whitespace run or comment precedes the next token
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; c {
+		case ' ', '\t', '\r', '\n':
+			space = true
+		case '#':
+			for i+1 < len(src) && src[i+1] != '\n' {
+				i++
+			}
+			space = true
+		default:
+			if space && sb.Len() > 0 {
+				sb.WriteByte(' ')
+			}
+			space = false
+			if c != '"' {
+				sb.WriteByte(c)
+				continue
+			}
+			j := i + 1
+			for j < len(src) && src[j] != '"' && src[j] != '\n' {
+				j++
+			}
+			if j < len(src) {
+				j++ // the closing quote, or the newline that ends it early
+			}
+			sb.WriteString(src[i:j])
+			i = j - 1
 		}
-		sb.WriteString(line)
-		sb.WriteByte(' ')
 	}
-	return strings.Join(strings.Fields(sb.String()), " ")
+	return sb.String()
 }
 
 // exprName reports whether an element name can be spliced into a query

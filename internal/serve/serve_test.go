@@ -442,3 +442,23 @@ func TestNormalizeQuery(t *testing.T) {
 		t.Fatal("comment-only query not empty")
 	}
 }
+
+func TestNormalizeQueryQuotes(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"q(h) :- vP(\"a#2/$t22\", h).", "q(h) :- vP(\"a#2/$t22\", h)."},
+		{"q(h) :- vP(\"a#2\", h). # real comment\n", "q(h) :- vP(\"a#2\", h)."},
+		{"q(h) :- vP(\"a  b\",\th).", "q(h) :- vP(\"a  b\", h)."},
+		{"# \"quoted\" in a comment\nq(h) :- vP(\"#\", h).", "q(h) :- vP(\"#\", h)."},
+		{"q(h) :- vP(\"open\nq(x) :- vP(x, \"y\").", "q(h) :- vP(\"open\nq(x) :- vP(x, \"y\")."},
+		{"q(h) :- vP(\"dangling", "q(h) :- vP(\"dangling"},
+	} {
+		if got := NormalizeQuery(tc.in); got != tc.want {
+			t.Errorf("NormalizeQuery(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+	// The Transport.RoundTrip#2 shape parses after normalization.
+	q := NormalizeQuery(".relation p (heap : H) output\np(h) :- vP(\"std/net/http.Transport.RoundTrip#2/$t22\", h). # c\n")
+	if strings.Contains(q, "# c") || !strings.Contains(q, "RoundTrip#2/$t22") {
+		t.Fatalf("normalized query %q", q)
+	}
+}
