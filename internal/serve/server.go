@@ -302,6 +302,14 @@ func (s *Server) current() *pool {
 // retire drains a swapped-out generation in the background: once the
 // last request holding it finishes, the job channel closes and its
 // workers (and their BDD managers) become garbage.
+//
+// It then collects at once. The update built the new generation while
+// the old one was still live, so a collection that fell inside that
+// window marked both and set the next heap target to twice their sum;
+// until the next collection the heap could grow to it. Collecting after
+// the old generation is unreachable resets the target to twice the one
+// generation that serves, so the daemon's peak footprint no longer
+// depends on when the runtime happened to collect during an update.
 func (s *Server) retire(old *pool) {
 	s.retired.Add(1)
 	go func() {
@@ -309,6 +317,8 @@ func (s *Server) retire(old *pool) {
 		old.pending.Wait()
 		close(old.jobs)
 		old.wg.Wait()
+		old = nil
+		runtime.GC()
 	}()
 }
 
