@@ -15,7 +15,6 @@ package bdd
 
 import (
 	"fmt"
-	"math/big"
 	"time"
 
 	"bddbddb/internal/obs"
@@ -31,21 +30,33 @@ const (
 	True  Node = 1
 )
 
-// terminalLevel orders terminals below every variable.
-const terminalLevel int32 = int32(1)<<30 - 1
+// A node's first word packs, from the low bit up, its 21-bit level, the
+// GC mark bit and a 10-bit saturating reference count: BuDDy's
+// refcou/level word. A count that reaches refMax sticks there, and the
+// node stays live for good.
+const (
+	levelBits = 21
+	levelMask = 1<<levelBits - 1
+	markBit   = 1 << levelBits
+	refShift  = levelBits + 1
+	refOne    = 1 << refShift
+	refMax    = 1<<(32-refShift) - 1
+)
 
-// node is one arena slot. A free slot has low == -1 and its next field
-// links the free list. The hash field of slot i holds the head of the
-// bucket chain for bucket i (BuDDy's trick of storing the hash table
-// inside the node array so table size tracks arena size).
+// terminalLevel orders terminals below every variable. It is the largest
+// value the level field holds, so at most terminalLevel variables fit.
+const terminalLevel int32 = levelMask
+
+// node is one arena slot, 12 bytes. A free slot has low == freeMark and
+// its high field links the free list.
 type node struct {
-	level int32
-	low   Node
-	high  Node
-	hash  int32 // head of chain for bucket == this slot index
-	next  int32 // next node in this node's bucket chain, or free-list link
-	ref   int32 // external reference count
+	word uint32 // level | markBit | ref<<refShift
+	low  Node
+	high Node
 }
+
+func (nd *node) level() int32 { return int32(nd.word & levelMask) }
+func (nd *node) ref() uint32  { return nd.word >> refShift }
 
 const freeMark Node = -1
 
@@ -91,6 +102,17 @@ type Manager struct {
 	freeList int32
 	freeNum  int
 
+	// unique is the hash-cons table: open addressing with linear probing
+	// over 2 slots per arena slot, so it is at most half full. A nonzero
+	// entry is a live node's index in the bits below uniqFP plus the
+	// fingerprint bits of its hash above them. An index needs no offset
+	// for emptiness: the terminals 0 and 1 never enter the table.
+	unique   []uint32
+	uniqMask uint64 // len(unique)-1
+	uniqFP   uint32 // fingerprint bits: ^(len(nodes)-1)
+
+	markStack []Node // GC's explicit mark stack, reused across collections
+
 	nvars int32
 
 	applyCache cache3
@@ -98,7 +120,6 @@ type Manager struct {
 	quantCache cache3
 	appexCache cache4
 	replCache  cache2
-	countCache map[Node]*big.Int
 
 	domains []*Domain
 	varSets map[string]Node // interned varsets by key, kept referenced
@@ -143,21 +164,19 @@ func ceilPow2(n int) int {
 
 func (m *Manager) initTable(n int) {
 	m.nodes = make([]node, n)
-	for i := range m.nodes {
-		m.nodes[i].hash = -1
-	}
 	// Terminals.
-	m.nodes[0] = node{level: terminalLevel, low: 0, high: 0, hash: m.nodes[0].hash, next: -1, ref: 1}
-	m.nodes[1] = node{level: terminalLevel, low: 1, high: 1, hash: m.nodes[1].hash, next: -1, ref: 1}
+	m.nodes[0] = node{word: uint32(terminalLevel) | refOne, low: 0, high: 0}
+	m.nodes[1] = node{word: uint32(terminalLevel) | refOne, low: 1, high: 1}
 	// Free list over the rest.
 	m.freeList = -1
 	m.freeNum = 0
 	for i := n - 1; i >= 2; i-- {
 		m.nodes[i].low = freeMark
-		m.nodes[i].next = m.freeList
+		m.nodes[i].high = Node(m.freeList)
 		m.freeList = int32(i)
 		m.freeNum++
 	}
+	m.rehash()
 	m.stats.TableSize = n
 }
 
@@ -166,6 +185,10 @@ func (m *Manager) initTable(n int) {
 func (m *Manager) AddVars(n int) int32 {
 	if n < 0 {
 		panic(fmt.Sprintf("bdd: AddVars with negative count %d (have %d vars)", n, m.nvars))
+	}
+	if n > int(terminalLevel-m.nvars) {
+		panic(fmt.Sprintf("bdd: AddVars(%d) with %d vars exceeds the %d variables a node's %d-bit level field holds",
+			n, m.nvars, terminalLevel, levelBits))
 	}
 	first := m.nvars
 	m.nvars += int32(n)
@@ -249,7 +272,7 @@ func (m *Manager) notePeak() {
 	}
 }
 
-func (m *Manager) level(n Node) int32 { return m.nodes[n].level }
+func (m *Manager) level(n Node) int32 { return m.nodes[n].level() }
 
 // Low returns the low (variable=0) child of n. n must not be a terminal.
 func (m *Manager) Low(n Node) Node { return m.nodes[n].low }
@@ -259,28 +282,37 @@ func (m *Manager) High(n Node) Node { return m.nodes[n].high }
 
 // Level returns the variable level of node n, or a value >= NumVars()
 // for terminals.
-func (m *Manager) Level(n Node) int32 { return m.nodes[n].level }
+func (m *Manager) Level(n Node) int32 { return m.nodes[n].level() }
 
 // IsTerminal reports whether n is False or True.
 func (m *Manager) IsTerminal(n Node) bool { return n <= 1 }
 
-// Ref increments n's external reference count and returns n.
+// Ref increments n's external reference count and returns n. The count
+// saturates at refMax; a saturated node is never collected.
 func (m *Manager) Ref(n Node) Node {
-	m.nodes[n].ref++
+	if nd := &m.nodes[n]; nd.ref() != refMax {
+		nd.word += refOne
+	}
 	return n
 }
 
 // Deref decrements n's external reference count. The node (and any
 // children reachable only through it) becomes collectible when the
-// count reaches zero.
+// count reaches zero. A saturated count stays saturated.
 func (m *Manager) Deref(n Node) {
-	if m.nodes[n].ref <= 0 {
+	nd := &m.nodes[n]
+	switch nd.ref() {
+	case 0:
 		panic(fmt.Sprintf("bdd: Deref of unreferenced node %d", n))
+	case refMax:
+		return
 	}
-	m.nodes[n].ref--
+	nd.word -= refOne
 }
 
-func bucketHash(level int32, low, high Node) uint64 {
+// nodeHash hashes a node's key. Its low bits pick the probe start in the
+// unique table; its high 32 bits supply the fingerprint.
+func nodeHash(level int32, low, high Node) uint64 {
 	h := uint64(level)*0x9e3779b97f4a7c15 ^ uint64(low)*0xbf58476d1ce4e5b9 ^ uint64(high)*0x94d049bb133111eb
 	h ^= h >> 29
 	h *= 0xbf58476d1ce4e5b9
@@ -297,33 +329,65 @@ func (m *Manager) makeNode(level int32, low, high Node) Node {
 	if level >= m.nvars || level < 0 {
 		panic(fmt.Sprintf("bdd: makeNode level %d out of range [0,%d)", level, m.nvars))
 	}
-	if m.nodes[low].level <= level || m.nodes[high].level <= level {
+	if ll, lh := m.nodes[low].level(), m.nodes[high].level(); ll <= level || lh <= level {
 		panic(fmt.Sprintf("bdd: makeNode order violation: parent level %d, children at levels %d (low) and %d (high)",
-			level, m.nodes[low].level, m.nodes[high].level))
+			level, ll, lh))
 	}
-	b := int32(bucketHash(level, low, high) & uint64(len(m.nodes)-1))
-	for i := m.nodes[b].hash; i != -1; i = m.nodes[i].next {
-		nd := &m.nodes[i]
-		if nd.level == level && nd.low == low && nd.high == high {
-			return Node(i)
+	// Probe until the node or an empty slot turns up. A slot whose
+	// fingerprint differs is skipped without touching the arena.
+	h := nodeHash(level, low, high)
+	fp := uint32(h>>32) & m.uniqFP
+	s := h & m.uniqMask
+	for e := m.unique[s]; e != 0; e = m.unique[s] {
+		if e&m.uniqFP == fp {
+			i := e &^ m.uniqFP
+			if nd := &m.nodes[i]; nd.low == low && nd.high == high && nd.level() == level {
+				return Node(i)
+			}
 		}
+		s = (s + 1) & m.uniqMask
 	}
 	if m.freeList == -1 {
+		// grow rebuilds the table at twice the size, which moves the
+		// empty slot and narrows the fingerprint: probe the new table.
 		m.grow()
-		// grow rehashes; recompute the bucket.
-		b = int32(bucketHash(level, low, high) & uint64(len(m.nodes)-1))
+		return m.makeNode(level, low, high)
 	}
 	i := m.freeList
-	m.freeList = m.nodes[i].next
+	m.freeList = int32(m.nodes[i].high)
 	m.freeNum--
 	m.stats.Produced++
-	m.nodes[i] = node{level: level, low: low, high: high, hash: m.nodes[i].hash, next: m.nodes[b].hash, ref: 0}
-	m.nodes[b].hash = i
+	m.nodes[i] = node{word: uint32(level), low: low, high: high}
+	m.unique[s] = fp | uint32(i)
 	return Node(i)
 }
 
-// grow doubles the arena and rehashes every live node. Node indices are
-// stable across growth, so operation caches stay valid.
+// rehash rebuilds the unique table for the current arena size and
+// enters every live node in it.
+func (m *Manager) rehash() {
+	if n := 2 * len(m.nodes); len(m.unique) != n {
+		m.unique = make([]uint32, n)
+	} else {
+		clear(m.unique)
+	}
+	m.uniqMask = uint64(len(m.unique) - 1)
+	m.uniqFP = ^uint32(len(m.nodes) - 1)
+	for i := 2; i < len(m.nodes); i++ {
+		nd := &m.nodes[i]
+		if nd.low == freeMark {
+			continue
+		}
+		h := nodeHash(nd.level(), nd.low, nd.high)
+		s := h & m.uniqMask
+		for m.unique[s] != 0 {
+			s = (s + 1) & m.uniqMask
+		}
+		m.unique[s] = uint32(h>>32)&m.uniqFP | uint32(i)
+	}
+}
+
+// grow doubles the arena and rebuilds the unique table. Node indices
+// are stable across growth, so operation caches stay valid.
 //
 // This is also the node-budget enforcement point: grow only runs when
 // every slot is live, so the live count here is the table size, and
@@ -339,31 +403,18 @@ func (m *Manager) grow() {
 	nn := make([]node, old*2)
 	copy(nn, m.nodes)
 	m.nodes = nn
-	for i := range m.nodes {
-		m.nodes[i].hash = -1
-	}
 	// Free list over the new half plus any previously free slots.
 	m.freeList = -1
 	m.freeNum = 0
 	for i := len(m.nodes) - 1; i >= 2; i-- {
 		if i >= old || m.nodes[i].low == freeMark {
 			m.nodes[i].low = freeMark
-			m.nodes[i].next = m.freeList
+			m.nodes[i].high = Node(m.freeList)
 			m.freeList = int32(i)
 			m.freeNum++
-			continue
 		}
 	}
-	// Rehash live nodes.
-	for i := 2; i < old; i++ {
-		nd := &m.nodes[i]
-		if nd.low == freeMark {
-			continue
-		}
-		b := int32(bucketHash(nd.level, nd.low, nd.high) & uint64(len(m.nodes)-1))
-		nd.next = m.nodes[b].hash
-		m.nodes[b].hash = int32(i)
-	}
+	m.rehash()
 	m.stats.TableSize = len(m.nodes)
 }
 
@@ -378,50 +429,46 @@ func (m *Manager) GC() int {
 	if t := m.tracer; t != nil {
 		t.Begin("bdd.gc", obs.A("live_before", liveBefore))
 	}
-	// Mark phase: from every externally referenced node.
-	marked := make([]bool, len(m.nodes))
-	var mark func(n Node)
-	mark = func(n Node) {
-		if marked[n] {
-			return
+	// Mark phase: depth first from every externally referenced node, on
+	// a stack that holds at most one pending child per level. Terminals
+	// are never marked.
+	stack := m.markStack[:0]
+	for i := 2; i < len(m.nodes); i++ {
+		nd := &m.nodes[i]
+		if nd.low == freeMark || nd.ref() == 0 || nd.word&markBit != 0 {
+			continue
 		}
-		marked[n] = true
-		if n > 1 {
-			mark(m.nodes[n].low)
-			mark(m.nodes[n].high)
+		nd.word |= markBit
+		stack = append(stack, Node(i))
+		for len(stack) > 0 {
+			n := &m.nodes[stack[len(stack)-1]]
+			stack = stack[:len(stack)-1]
+			for _, c := range [2]Node{n.low, n.high} {
+				if cn := &m.nodes[c]; c > 1 && cn.word&markBit == 0 {
+					cn.word |= markBit
+					stack = append(stack, c)
+				}
+			}
 		}
 	}
-	for i := range m.nodes {
-		if m.nodes[i].low != freeMark && m.nodes[i].ref > 0 {
-			mark(Node(i))
-		}
-	}
-	// Sweep: rebuild hash chains and the free list.
-	for i := range m.nodes {
-		m.nodes[i].hash = -1
-	}
+	m.markStack = stack
+	// Sweep: clear the marks, rebuild the free list, then the table.
 	m.freeList = -1
 	m.freeNum = 0
 	live := 0
 	for i := len(m.nodes) - 1; i >= 2; i-- {
-		if !marked[i] {
-			m.nodes[i].low = freeMark
-			m.nodes[i].next = m.freeList
-			m.freeList = int32(i)
-			m.freeNum++
-			continue
-		}
-		live++
-	}
-	for i := 2; i < len(m.nodes); i++ {
-		if !marked[i] {
-			continue
-		}
 		nd := &m.nodes[i]
-		b := int32(bucketHash(nd.level, nd.low, nd.high) & uint64(len(m.nodes)-1))
-		nd.next = m.nodes[b].hash
-		m.nodes[b].hash = int32(i)
+		if nd.word&markBit != 0 {
+			nd.word &^= markBit
+			live++
+			continue
+		}
+		nd.low = freeMark
+		nd.high = Node(m.freeList)
+		m.freeList = int32(i)
+		m.freeNum++
 	}
+	m.rehash()
 	m.clearCaches()
 	m.stats.GCTime += time.Since(start)
 	if t := m.tracer; t != nil {
@@ -443,7 +490,6 @@ func (m *Manager) clearCaches() {
 	m.quantCache.clear()
 	m.appexCache.clear()
 	m.replCache.clear()
-	m.countCache = nil
 }
 
 // Var returns the BDD for the single variable at the given level
@@ -462,7 +508,7 @@ func (m *Manager) NVar(level int32) Node {
 // support. This is the brute-force oracle used by the test suite.
 func (m *Manager) Eval(n Node, assignment []bool) bool {
 	for n > 1 {
-		lv := m.nodes[n].level
+		lv := m.nodes[n].level()
 		if int(lv) >= len(assignment) {
 			panic(fmt.Sprintf("bdd: Eval assignment has %d values but node depends on level %d", len(assignment), lv))
 		}
@@ -505,7 +551,7 @@ func (m *Manager) Support(n Node) []int32 {
 			return
 		}
 		seen[x] = true
-		levels[m.nodes[x].level] = true
+		levels[m.nodes[x].level()] = true
 		walk(m.nodes[x].low)
 		walk(m.nodes[x].high)
 	}

@@ -141,3 +141,39 @@ func BenchmarkAddConstConstruction(b *testing.B) {
 		m.Deref(r)
 	}
 }
+
+// BenchmarkAndExistOutOfCache joins two random relations R(A,B) and
+// S(B,C) on B. The operands and the result's construction fill a table
+// of several million nodes (over 100 MB with the unique table), far past
+// a last-level cache, so every makeNode probe and op-cache lookup pays
+// memory latency. The benchmarks above use a 2^18-node table and stay
+// in cache. Each iteration starts from cold op caches.
+func BenchmarkAndExistOutOfCache(b *testing.B) {
+	m := New(1<<22, 1<<19)
+	da := m.DeclareDomain("A", 1<<20)
+	db := m.DeclareDomain("B", 1<<12)
+	dc := m.DeclareDomain("C", 1<<20)
+	if err := m.FinalizeOrder("B_A_C"); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	rows := func(n int, x, y *Domain) [][]uint64 {
+		out := make([][]uint64, n)
+		for i := range out {
+			out[i] = []uint64{uint64(rng.Int63n(int64(x.Size))), uint64(rng.Int63n(int64(y.Size)))}
+		}
+		return out
+	}
+	r := m.TupleSet([]*Domain{da, db}, rows(1<<17, da, db))
+	s := m.TupleSet([]*Domain{db, dc}, rows(1<<17, db, dc))
+	vs := db.Set()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x := m.AndExist(r, s, vs)
+		b.StopTimer()
+		b.ReportMetric(float64(m.LiveNodes()), "live-nodes")
+		m.Deref(x)
+		m.GC()
+		b.StartTimer()
+	}
+}

@@ -4,8 +4,28 @@ package bdd
 // power-of-two array of entries; a lookup hashes the operands to a slot
 // and verifies the stored operands. Caches are cleared on GC (node
 // indices may be reused) but survive arena growth (indices are stable).
+//
+// A lookup hashes once and returns the entry's slot either way: on a
+// miss the caller computes the result and writes the whole entry back
+// into that slot. No GC runs mid-operation and the tables never move, so
+// the pointer stays valid across the recursion in between.
 
 const cacheEmpty Node = -1
+
+// mixStep folds one operand into a running hash. mix1..mix4 chain it
+// over a fixed number of operands.
+func mixStep(h, x uint64) uint64 {
+	h ^= x
+	h *= 0xff51afd7ed558ccd
+	return h ^ h>>33
+}
+
+const mixSeed uint64 = 0x9e3779b97f4a7c15
+
+func mix1(a uint64) uint64          { return mixStep(mixSeed, a) }
+func mix2(a, b uint64) uint64       { return mixStep(mix1(a), b) }
+func mix3(a, b, c uint64) uint64    { return mixStep(mix2(a, b), c) }
+func mix4(a, b, c, d uint64) uint64 { return mixStep(mix3(a, b, c), d) }
 
 type entry1 struct {
 	a   Node
@@ -31,29 +51,14 @@ func (c *cache1) clear() {
 	}
 }
 
-func mix(xs ...uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, x := range xs {
-		h ^= x
-		h *= 0xff51afd7ed558ccd
-		h ^= h >> 33
-	}
-	return h
-}
-
-func (c *cache1) lookup(a Node) (Node, bool) {
-	e := &c.tab[mix(uint64(a))&c.mask]
+func (c *cache1) lookup(a Node) (*entry1, bool) {
+	e := &c.tab[mix1(uint64(a))&c.mask]
 	if e.a == a {
 		c.hits++
-		return e.res, true
+		return e, true
 	}
 	c.misses++
-	return 0, false
-}
-
-func (c *cache1) insert(a, res Node) {
-	e := &c.tab[mix(uint64(a))&c.mask]
-	e.a, e.res = a, res
+	return e, false
 }
 
 type entry2 struct {
@@ -80,19 +85,14 @@ func (c *cache2) clear() {
 	}
 }
 
-func (c *cache2) lookup(a, b Node) (Node, bool) {
-	e := &c.tab[mix(uint64(a), uint64(b))&c.mask]
+func (c *cache2) lookup(a, b Node) (*entry2, bool) {
+	e := &c.tab[mix2(uint64(a), uint64(b))&c.mask]
 	if e.a == a && e.b == b {
 		c.hits++
-		return e.res, true
+		return e, true
 	}
 	c.misses++
-	return 0, false
-}
-
-func (c *cache2) insert(a, b, res Node) {
-	e := &c.tab[mix(uint64(a), uint64(b))&c.mask]
-	e.a, e.b, e.res = a, b, res
+	return e, false
 }
 
 type entry3 struct {
@@ -120,19 +120,14 @@ func (c *cache3) clear() {
 	}
 }
 
-func (c *cache3) lookup(a, b Node, op int32) (Node, bool) {
-	e := &c.tab[mix(uint64(a), uint64(b), uint64(op))&c.mask]
+func (c *cache3) lookup(a, b Node, op int32) (*entry3, bool) {
+	e := &c.tab[mix3(uint64(a), uint64(b), uint64(op))&c.mask]
 	if e.a == a && e.b == b && e.op == op {
 		c.hits++
-		return e.res, true
+		return e, true
 	}
 	c.misses++
-	return 0, false
-}
-
-func (c *cache3) insert(a, b Node, op int32, res Node) {
-	e := &c.tab[mix(uint64(a), uint64(b), uint64(op))&c.mask]
-	e.a, e.b, e.op, e.res = a, b, op, res
+	return e, false
 }
 
 type entry4 struct {
@@ -160,17 +155,12 @@ func (c *cache4) clear() {
 	}
 }
 
-func (c *cache4) lookup(a, b, v Node, op int32) (Node, bool) {
-	e := &c.tab[mix(uint64(a), uint64(b), uint64(v), uint64(op))&c.mask]
+func (c *cache4) lookup(a, b, v Node, op int32) (*entry4, bool) {
+	e := &c.tab[mix4(uint64(a), uint64(b), uint64(v), uint64(op))&c.mask]
 	if e.a == a && e.b == b && e.v == v && e.op == op {
 		c.hits++
-		return e.res, true
+		return e, true
 	}
 	c.misses++
-	return 0, false
-}
-
-func (c *cache4) insert(a, b, v Node, op int32, res Node) {
-	e := &c.tab[mix(uint64(a), uint64(b), uint64(v), uint64(op))&c.mask]
-	e.a, e.b, e.v, e.op, e.res = a, b, v, op, res
+	return e, false
 }

@@ -62,7 +62,7 @@ func (m *Manager) WriteDAG(w io.Writer, roots []Node) error {
 	}
 	for _, n := range order {
 		nd := m.nodes[n]
-		binary.LittleEndian.PutUint32(buf[0:4], uint32(nd.level))
+		binary.LittleEndian.PutUint32(buf[0:4], uint32(nd.level()))
 		binary.LittleEndian.PutUint32(buf[4:8], ids[nd.low])
 		binary.LittleEndian.PutUint32(buf[8:12], ids[nd.high])
 		if _, err := bw.Write(buf[:12]); err != nil {

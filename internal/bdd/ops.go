@@ -148,10 +148,11 @@ func (m *Manager) apply(a, b Node, op int32) Node {
 			a, b = b, a
 		}
 	}
-	if r, ok := m.applyCache.lookup(a, b, op); ok {
-		return r
+	e, ok := m.applyCache.lookup(a, b, op)
+	if ok {
+		return e.res
 	}
-	la, lb := m.nodes[a].level, m.nodes[b].level
+	la, lb := m.nodes[a].level(), m.nodes[b].level()
 	var lv int32
 	var a0, a1, b0, b1 Node
 	switch {
@@ -171,7 +172,7 @@ func (m *Manager) apply(a, b Node, op int32) Node {
 	low := m.apply(a0, b0, op)
 	high := m.apply(a1, b1, op)
 	res := m.makeNode(lv, low, high)
-	m.applyCache.insert(a, b, op, res)
+	*e = entry3{a, b, op, res}
 	return res
 }
 
@@ -182,13 +183,14 @@ func (m *Manager) not(a Node) Node {
 	if a == True {
 		return False
 	}
-	if r, ok := m.notCache.lookup(a); ok {
-		return r
+	e, ok := m.notCache.lookup(a)
+	if ok {
+		return e.res
 	}
 	low := m.not(m.nodes[a].low)
 	high := m.not(m.nodes[a].high)
-	res := m.makeNode(m.nodes[a].level, low, high)
-	m.notCache.insert(a, res)
+	res := m.makeNode(m.nodes[a].level(), low, high)
+	*e = entry1{a, res}
 	return res
 }
 
@@ -205,18 +207,19 @@ func (m *Manager) ite(f, g, h Node) Node {
 	case g == False && h == True:
 		return m.not(f)
 	}
-	if r, ok := m.appexCache.lookup(f, g, h, opITE); ok {
-		return r
+	e, ok := m.appexCache.lookup(f, g, h, opITE)
+	if ok {
+		return e.res
 	}
-	lv := m.nodes[f].level
-	if l := m.nodes[g].level; l < lv {
+	lv := m.nodes[f].level()
+	if l := m.nodes[g].level(); l < lv {
 		lv = l
 	}
-	if l := m.nodes[h].level; l < lv {
+	if l := m.nodes[h].level(); l < lv {
 		lv = l
 	}
 	cof := func(n Node, high bool) Node {
-		if m.nodes[n].level != lv {
+		if m.nodes[n].level() != lv {
 			return n
 		}
 		if high {
@@ -227,7 +230,7 @@ func (m *Manager) ite(f, g, h Node) Node {
 	low := m.ite(cof(f, false), cof(g, false), cof(h, false))
 	high := m.ite(cof(f, true), cof(g, true), cof(h, true))
 	res := m.makeNode(lv, low, high)
-	m.appexCache.insert(f, g, h, opITE, res)
+	*e = entry4{f, g, h, opITE, res}
 	return res
 }
 
@@ -256,18 +259,19 @@ func (m *Manager) exist(a, vs Node) Node {
 	if a <= 1 || vs == True {
 		return a
 	}
-	la := m.nodes[a].level
-	for vs != True && m.nodes[vs].level < la {
+	la := m.nodes[a].level()
+	for vs != True && m.nodes[vs].level() < la {
 		vs = m.nodes[vs].high
 	}
 	if vs == True {
 		return a
 	}
-	if r, ok := m.quantCache.lookup(a, vs, opExist); ok {
-		return r
+	e, ok := m.quantCache.lookup(a, vs, opExist)
+	if ok {
+		return e.res
 	}
 	var res Node
-	if m.nodes[vs].level == la {
+	if m.nodes[vs].level() == la {
 		low := m.exist(m.nodes[a].low, m.nodes[vs].high)
 		high := m.exist(m.nodes[a].high, m.nodes[vs].high)
 		res = m.apply(low, high, opOr)
@@ -276,7 +280,7 @@ func (m *Manager) exist(a, vs Node) Node {
 		high := m.exist(m.nodes[a].high, vs)
 		res = m.makeNode(la, low, high)
 	}
-	m.quantCache.insert(a, vs, opExist, res)
+	*e = entry3{a, vs, opExist, res}
 	return res
 }
 
@@ -306,21 +310,22 @@ func (m *Manager) andExist(a, b, vs Node) Node {
 	if a > b {
 		a, b = b, a
 	}
-	lv := m.nodes[a].level
-	if l := m.nodes[b].level; l < lv {
+	lv := m.nodes[a].level()
+	if l := m.nodes[b].level(); l < lv {
 		lv = l
 	}
-	for vs != True && m.nodes[vs].level < lv {
+	for vs != True && m.nodes[vs].level() < lv {
 		vs = m.nodes[vs].high
 	}
 	if vs == True {
 		return m.apply(a, b, opAnd)
 	}
-	if r, ok := m.appexCache.lookup(a, b, vs, opAppexAnd); ok {
-		return r
+	e, ok := m.appexCache.lookup(a, b, vs, opAppexAnd)
+	if ok {
+		return e.res
 	}
 	cof := func(n Node, high bool) Node {
-		if m.nodes[n].level != lv {
+		if m.nodes[n].level() != lv {
 			return n
 		}
 		if high {
@@ -329,7 +334,7 @@ func (m *Manager) andExist(a, b, vs Node) Node {
 		return m.nodes[n].low
 	}
 	var res Node
-	if m.nodes[vs].level == lv {
+	if m.nodes[vs].level() == lv {
 		low := m.andExist(cof(a, false), cof(b, false), m.nodes[vs].high)
 		high := m.andExist(cof(a, true), cof(b, true), m.nodes[vs].high)
 		res = m.apply(low, high, opOr)
@@ -338,7 +343,7 @@ func (m *Manager) andExist(a, b, vs Node) Node {
 		high := m.andExist(cof(a, true), cof(b, true), vs)
 		res = m.makeNode(lv, low, high)
 	}
-	m.appexCache.insert(a, b, vs, opAppexAnd, res)
+	*e = entry4{a, b, vs, opAppexAnd, res}
 	return res
 }
 
@@ -356,7 +361,7 @@ func (m *Manager) SatCount(a Node) *big.Int {
 		if x <= 1 {
 			return total
 		}
-		return m.nodes[x].level
+		return m.nodes[x].level()
 	}
 	memo := make(map[Node]*big.Int)
 	var rec func(n Node) *big.Int
@@ -371,13 +376,13 @@ func (m *Manager) SatCount(a Node) *big.Int {
 			return c
 		}
 		nd := m.nodes[n]
-		lo := new(big.Int).Lsh(rec(nd.low), uint(levelOf(nd.low)-nd.level-1))
-		hi := new(big.Int).Lsh(rec(nd.high), uint(levelOf(nd.high)-nd.level-1))
+		lo := new(big.Int).Lsh(rec(nd.low), uint(levelOf(nd.low)-nd.level()-1))
+		hi := new(big.Int).Lsh(rec(nd.high), uint(levelOf(nd.high)-nd.level()-1))
 		c := new(big.Int).Add(lo, hi)
 		memo[n] = c
 		return c
 	}
-	return new(big.Int).Lsh(rec(a), uint(m.nodes[a].level))
+	return new(big.Int).Lsh(rec(a), uint(m.nodes[a].level()))
 }
 
 // SatCountIn returns the number of satisfying assignments of a counted
@@ -397,9 +402,9 @@ func (m *Manager) SatCountIn(a Node, vars []int32) *big.Int {
 		if x <= 1 {
 			return n
 		}
-		p, ok := pos[m.nodes[x].level]
+		p, ok := pos[m.nodes[x].level()]
 		if !ok {
-			panic(fmt.Sprintf("bdd: SatCountIn: node depends on level %d outside vars", m.nodes[x].level))
+			panic(fmt.Sprintf("bdd: SatCountIn: node depends on level %d outside vars", m.nodes[x].level()))
 		}
 		return p
 	}
@@ -447,12 +452,12 @@ func (m *Manager) AllSat(a Node, vars []int32, fn func(values []bool) bool) {
 		if idx == len(vars) {
 			if n != True {
 				panic(fmt.Sprintf("bdd: AllSat: node at level %d depends on a level outside the %d given vars",
-					m.nodes[n].level, len(vars)))
+					m.nodes[n].level(), len(vars)))
 			}
 			return fn(values)
 		}
 		lv := vars[idx]
-		nl := m.nodes[n].level
+		nl := m.nodes[n].level()
 		if n <= 1 || nl > lv {
 			values[idx] = false
 			if !rec(idx+1, n) {

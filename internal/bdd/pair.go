@@ -90,21 +90,22 @@ func (m *Manager) replace(a Node, p *Pair) Node {
 	if a <= 1 {
 		return a
 	}
-	if r, ok := m.replCache.lookup(a, p.id); ok {
-		return r
+	e, ok := m.replCache.lookup(a, p.id)
+	if ok {
+		return e.res
 	}
 	nd := m.nodes[a]
 	low := m.replace(nd.low, p)
 	high := m.replace(nd.high, p)
-	res := m.correctify(p.dest(nd.level), low, high)
-	m.replCache.insert(a, p.id, res)
+	res := m.correctify(p.dest(nd.level()), low, high)
+	*e = entry2{a, p.id, res}
 	return res
 }
 
 // correctify builds the function "if var(level) then high else low" when
 // level may sit below the roots of low/high in the variable order.
 func (m *Manager) correctify(level int32, low, high Node) Node {
-	ll, lh := m.nodes[low].level, m.nodes[high].level
+	ll, lh := m.nodes[low].level(), m.nodes[high].level()
 	if level < ll && level < lh {
 		return m.makeNode(level, low, high)
 	}
