@@ -22,12 +22,6 @@
 // push-down, dead-op elimination, normalization hoisting) and exits
 // without solving; -noopt pins the legacy textual-order execution.
 //
-// -backend picks the relation storage backend: auto (the default)
-// chooses per relation per stratum from observed cardinality, bdd pins
-// the paper's pure-BDD representation, explicit forces sorted tuple
-// rows wherever representable. Results are identical in every mode;
-// -explain shows the per-relation decisions.
-//
 // Observability: -trace writes a Chrome trace-event file of the solve
 // (stratum → iteration → rule → op spans), -metrics a flat metrics JSON,
 // -v logs solver progress to stderr, and -cpuprofile/-memprofile write
@@ -53,7 +47,6 @@ import (
 
 	"bddbddb/internal/datalog"
 	"bddbddb/internal/datalog/check"
-	"bddbddb/internal/datalog/plan"
 	"bddbddb/internal/obs"
 	"bddbddb/internal/resilience"
 )
@@ -69,8 +62,6 @@ func main() {
 	ruleStats := flag.Bool("rulestats", false, "print per-rule applications, time, and derived tuples")
 	explain := flag.Bool("explain", false, "print each rule's execution plan before/after optimization and exit without solving")
 	noOpt := flag.Bool("noopt", false, "disable the plan optimizer (pinned textual-order execution)")
-	backend := datalog.BackendFlag{Mode: datalog.BackendAuto}
-	flag.Var(&backend, "backend", "relation storage backend: auto, bdd, or explicit")
 	var oflags obs.Flags
 	oflags.Register(flag.CommandLine)
 	var rflags resilience.Flags
@@ -87,7 +78,7 @@ func main() {
 		os.Exit(1)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	status := run(ctx, sess, rflags, flag.Arg(0), *checkOnly, *wError, *explain, *noOpt, backend.Mode, *orderFlag, *printFlag, *factsDir, *nodes, *cache, *ruleStats)
+	status := run(ctx, sess, rflags, flag.Arg(0), *checkOnly, *wError, *explain, *noOpt, *orderFlag, *printFlag, *factsDir, *nodes, *cache, *ruleStats)
 	stop()
 	if err := sess.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "bddbddb:", err)
@@ -102,7 +93,7 @@ func main() {
 // success, 1 when the program is rejected or evaluation fails, 3 when a
 // -timeout/-max-nodes budget is exhausted, 4 on Ctrl-C, 5 on an
 // internal solver failure.
-func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, path string, checkOnly, wError, explain, noOpt bool, backend plan.BackendMode, order, printRels, factsDir string, nodes, cache int, ruleStats bool) int {
+func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, path string, checkOnly, wError, explain, noOpt bool, order, printRels, factsDir string, nodes, cache int, ruleStats bool) int {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return fail(err)
@@ -159,9 +150,6 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, path s
 	if noOpt {
 		opts.Plan = datalog.LegacyPlan()
 	}
-	// -backend composes with -noopt: storage choice is orthogonal to the
-	// plan rewrite passes.
-	opts.Plan.Backend = backend
 	if order != "" {
 		opts.Order = strings.Split(order, "_")
 	}
@@ -218,8 +206,7 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, path s
 		r := s.Relation(rd.Name)
 		fmt.Printf("%s: %s tuples\n", rd.Name, r.Size())
 		if toPrint[rd.Name] {
-			// Tuples() sorts, so dumps read identically whichever
-			// storage backend produced the relation.
+			// Tuples() sorts, so dumps list tuples in value order.
 			for _, vals := range r.Tuples() {
 				parts := make([]string, len(vals))
 				for i, v := range vals {

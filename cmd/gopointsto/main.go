@@ -52,7 +52,6 @@ import (
 	"bddbddb/internal/analysis"
 	"bddbddb/internal/callgraph"
 	"bddbddb/internal/datalog"
-	"bddbddb/internal/datalog/plan"
 	"bddbddb/internal/extract"
 	"bddbddb/internal/frontend/gofront"
 	"bddbddb/internal/obs"
@@ -69,8 +68,6 @@ func main() {
 	report := flag.String("report", "", "comma-separated reports: nil,escape,precision")
 	varName := flag.String("var", "", "print the points-to set of this variable (Class.method/v)")
 	noOpt := flag.Bool("noopt", false, "disable the Datalog plan optimizer (pinned textual-order execution)")
-	backend := datalog.BackendFlag{Mode: datalog.BackendAuto}
-	flag.Var(&backend, "backend", "relation storage backend: auto, bdd, or explicit")
 	benchOut := flag.String("bench-out", "", "write lowering+solve metrics JSON to this file")
 	var oflags obs.Flags
 	oflags.Register(flag.CommandLine)
@@ -88,7 +85,7 @@ func main() {
 		os.Exit(1)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	runErr := run(ctx, sess, rflags, flag.Args(), *algo, *entries, *report, *varName, *noOpt, backend.Mode, *benchOut)
+	runErr := run(ctx, sess, rflags, flag.Args(), *algo, *entries, *report, *varName, *noOpt, *benchOut)
 	stop()
 	if err := sess.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "gopointsto:", err)
@@ -100,7 +97,7 @@ func main() {
 }
 
 func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags,
-	patterns []string, algo, entries, report, varName string, noOpt bool, backend plan.BackendMode, benchOut string) error {
+	patterns []string, algo, entries, report, varName string, noOpt bool, benchOut string) error {
 	tr := sess.Tracer
 	reports := make(map[string]bool)
 	for _, r := range strings.Split(report, ",") {
@@ -146,7 +143,6 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags,
 	if noOpt {
 		cfg.Plan = datalog.LegacyPlan()
 	}
-	cfg.Plan.Backend = backend
 	var r *analysis.Result
 	obs.Begin(tr, "gopointsto.analyze", obs.A("algo", algo))
 	switch algo {

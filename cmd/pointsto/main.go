@@ -33,7 +33,6 @@ import (
 	"bddbddb/internal/analysis"
 	"bddbddb/internal/callgraph"
 	"bddbddb/internal/datalog"
-	"bddbddb/internal/datalog/plan"
 	"bddbddb/internal/extract"
 	"bddbddb/internal/obs"
 	"bddbddb/internal/program"
@@ -44,8 +43,6 @@ func main() {
 	algo := flag.String("algo", "otf", "analysis: ci|cif|otf|cs|type|threads")
 	varName := flag.String("var", "", "print the points-to set of this variable (Class.method/v)")
 	noOpt := flag.Bool("noopt", false, "disable the Datalog plan optimizer (pinned textual-order execution)")
-	backend := datalog.BackendFlag{Mode: datalog.BackendAuto}
-	flag.Var(&backend, "backend", "relation storage backend: auto, bdd, or explicit")
 	var oflags obs.Flags
 	oflags.Register(flag.CommandLine)
 	var rflags resilience.Flags
@@ -62,7 +59,7 @@ func main() {
 		os.Exit(1)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	runErr := run(ctx, sess, rflags, flag.Arg(0), *algo, *varName, *noOpt, backend.Mode)
+	runErr := run(ctx, sess, rflags, flag.Arg(0), *algo, *varName, *noOpt)
 	stop()
 	if err := sess.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "pointsto:", err)
@@ -73,7 +70,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, path, algo, varName string, noOpt bool, backend plan.BackendMode) error {
+func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, path, algo, varName string, noOpt bool) error {
 	tr := sess.Tracer
 	src, err := os.ReadFile(path)
 	if err != nil {
@@ -99,7 +96,6 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, path, 
 	if noOpt {
 		cfg.Plan = datalog.LegacyPlan()
 	}
-	cfg.Plan.Backend = backend
 	var res *analysis.Result
 	obs.Begin(tr, "pointsto.analyze", obs.A("algo", algo))
 	switch algo {

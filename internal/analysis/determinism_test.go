@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"bddbddb/internal/bdd"
-	"bddbddb/internal/datalog"
 )
 
 // TestSolveCountersRepeat solves the same facts twice in one process
@@ -14,13 +13,11 @@ import (
 // produced nodes, peak live nodes or cache hits between the runs.
 func TestSolveCountersRepeat(t *testing.T) {
 	f := synthFacts(t, "jetty")
-	auto := Config{Plan: datalog.PlanConfig{Backend: datalog.BackendAuto}}
 	for _, tc := range []struct {
 		name string
 		run  func() (*Result, error)
 	}{
 		{"cs", func() (*Result, error) { return RunContextSensitive(f, nil, Config{}) }},
-		{"cs-auto", func() (*Result, error) { return RunContextSensitive(f, nil, auto) }},
 		{"heap-cs", func() (*Result, error) { return RunHeapCloned(f, nil, Config{}) }},
 	} {
 		stats := func() bdd.Stats {

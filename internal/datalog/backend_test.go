@@ -1,27 +1,16 @@
 package datalog
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
-	"reflect"
+	"strings"
 	"testing"
-
-	"bddbddb/internal/datalog/plan"
-	"bddbddb/internal/resilience"
 )
 
-// backendModes are the storage-backend settings the differential runs
-// sweep. The pure-BDD default is the oracle the others must match.
-func backendModes() []plan.BackendMode {
-	return []plan.BackendMode{plan.BackendBDD, plan.BackendExplicit, plan.BackendAuto}
-}
-
-// TestBackendDifferential solves every corpus program under every
-// backend mode crossed with a spread of planner configurations and
-// demands bit-identical tuple sets for every declared relation. This
-// is the package-level guarantee behind -backend: representation
-// choice never changes results.
+// TestBackendDifferential solves every corpus program under a spread of
+// planner configurations and demands that the BDD solver match the
+// explicit tuple-set evaluator (NaiveSolver) on every output relation.
+// NaiveSolver shares only the parser and stratifier with the BDD
+// solver, so it is an independent oracle for storage and planning
+// alike.
 func TestBackendDifferential(t *testing.T) {
 	programs := []struct {
 		name   string
@@ -33,177 +22,37 @@ func TestBackendDifferential(t *testing.T) {
 		{"negation", negSrc, negInputs},
 		{"features", featSrc, featInputs},
 	}
-	cfgs := map[string]PlanConfig{
-		"default": {},
-		"legacy":  LegacyPlan(),
-		"all-off": {NoReorder: true, NoPushdown: true, NoHoist: true, NoDeadOps: true},
+	cfgs := []struct {
+		name string
+		cfg  PlanConfig
+	}{
+		{"default", PlanConfig{}},
+		{"legacy", LegacyPlan()},
+		{"all-off", PlanConfig{NoReorder: true, NoPushdown: true, NoHoist: true, NoDeadOps: true}},
 	}
 	for _, pr := range programs {
 		t.Run(pr.name, func(t *testing.T) {
-			base := solveWithPlan(t, pr.src, PlanConfig{}, pr.inputs)
-			for cfgName, cfg := range cfgs {
-				for _, mode := range backendModes() {
-					if mode == plan.BackendBDD && cfgName == "default" {
-						continue // that is base itself
-					}
-					c := cfg
-					c.Backend = mode
-					s := solveWithPlan(t, pr.src, c, pr.inputs)
-					for _, rn := range s.RelationNames() {
-						want := base.Relation(rn)
-						got := s.Relation(rn)
-						if want.Size().Cmp(got.Size()) != 0 {
-							t.Errorf("%s/%s/%s: %s tuples, want %s",
-								cfgName, mode, rn, got.Size(), want.Size())
-							continue
-						}
-						if !reflect.DeepEqual(sortedTuples(got.Tuples()), sortedTuples(want.Tuples())) {
-							t.Errorf("%s/%s/%s: tuple sets differ", cfgName, mode, rn)
-						}
-					}
-				}
+			for _, c := range cfgs {
+				t.Run(c.name, func(t *testing.T) {
+					solveBoth(t, pr.src, Options{Plan: c.cfg}, pr.inputs)
+				})
 			}
 		})
 	}
 }
 
-// TestBackendMetrics asserts the datalog.backend.* gauges: forced
-// explicit mode migrates relations off BDD and runs explicit ops; the
-// pure-BDD default reports zero explicit activity.
+// TestBackendMetrics pins the datalog.backend.* gauges: a solve reports
+// how many relational ops ran on its BDDs, and no other backend gauge
+// exists to export a constant zero.
 func TestBackendMetrics(t *testing.T) {
-	s := solveWithPlan(t, ptSrc, PlanConfig{Backend: plan.BackendExplicit}, ptInputs)
+	s := solveWithPlan(t, ptSrc, PlanConfig{}, ptInputs)
 	snap := s.Metrics().Snapshot()
-	keys := []string{
-		"datalog.backend.bdd.ops",
-		"datalog.backend.explicit.ops",
-		"datalog.backend.bridge_to_bdd",
-		"datalog.backend.bridge_to_explicit",
-		"datalog.backend.migrations_to_bdd",
-		"datalog.backend.migrations_to_explicit",
+	if snap["datalog.backend.bdd.ops"] <= 0 {
+		t.Errorf("datalog.backend.bdd.ops = %v, want > 0", snap["datalog.backend.bdd.ops"])
 	}
-	for _, k := range keys {
-		if _, ok := snap[k]; !ok {
-			t.Errorf("metric %s missing from snapshot", k)
-		}
-	}
-	if snap["datalog.backend.migrations_to_explicit"] <= 0 {
-		t.Errorf("migrations_to_explicit = %v, want > 0 under -backend explicit",
-			snap["datalog.backend.migrations_to_explicit"])
-	}
-	if snap["datalog.backend.explicit.ops"] <= 0 {
-		t.Errorf("explicit.ops = %v, want > 0 under -backend explicit",
-			snap["datalog.backend.explicit.ops"])
-	}
-
-	s2 := solveWithPlan(t, ptSrc, PlanConfig{}, ptInputs)
-	snap2 := s2.Metrics().Snapshot()
-	for _, k := range keys[1:] {
-		if snap2[k] != 0 {
-			t.Errorf("pure-BDD run: %s = %v, want 0", k, snap2[k])
-		}
-	}
-}
-
-// TestExplainBackendGolden pins the per-relation backend decisions the
-// auto policy prints for the Algorithm 1 program. Regenerate after
-// intended policy changes:
-//
-//	go test ./internal/datalog -run TestExplainBackendGolden -update
-func TestExplainBackendGolden(t *testing.T) {
-	s, err := NewSolver(MustParse(ptSrc), Options{Plan: PlanConfig{Backend: plan.BackendAuto}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, rows := range ptInputs {
-		for _, row := range rows {
-			s.Relation(name).AddTuple(row...)
-		}
-	}
-	var buf bytes.Buffer
-	s.Explain(&buf)
-	got := buf.Bytes()
-	if !bytes.Contains(got, []byte("backends (auto):")) {
-		t.Fatalf("explain output lacks backend section:\n%s", got)
-	}
-	golden := filepath.Join("testdata", "explain_backend_golden.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("explain output differs from %s (rerun with -update after intended changes)\ngot:\n%s", golden, got)
-	}
-}
-
-// TestExplainBackendDeterministic guards the decision-listing paths:
-// stratumPreds iterates maps and must sort before printing.
-func TestExplainBackendDeterministic(t *testing.T) {
-	render := func() string {
-		s, err := NewSolver(MustParse(negSrc), Options{Plan: PlanConfig{Backend: plan.BackendAuto}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, rows := range negInputs {
-			for _, row := range rows {
-				s.Relation(name).AddTuple(row...)
-			}
-		}
-		var buf bytes.Buffer
-		s.Explain(&buf)
-		return buf.String()
-	}
-	first := render()
-	for i := 0; i < 5; i++ {
-		if render() != first {
-			t.Fatal("Explain backend output is not deterministic")
-		}
-	}
-}
-
-// TestBackendCheckpointResume writes a checkpoint under one backend
-// mode and resumes it under another: the checkpoint format is BDD DAGs
-// regardless of live backends, so the cross should be seamless and the
-// fixpoint identical.
-func TestBackendCheckpointResume(t *testing.T) {
-	dir := t.TempDir()
-
-	s1, err := NewSolver(MustParse(ptSrc), Options{
-		Plan:       PlanConfig{Backend: plan.BackendExplicit},
-		Checkpoint: &resilience.CheckpointConfig{Dir: dir},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, rows := range ptInputs {
-		for _, row := range rows {
-			s1.Relation(name).AddTuple(row...)
-		}
-	}
-	if err := s1.Solve(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := NewSolver(MustParse(ptSrc), Options{
-		Plan:       PlanConfig{Backend: plan.BackendBDD},
-		ResumeFrom: dir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	for _, rn := range s1.RelationNames() {
-		if !reflect.DeepEqual(sortedTuples(s1.Relation(rn).Tuples()), sortedTuples(s2.Relation(rn).Tuples())) {
-			t.Errorf("%s: tuples differ after cross-backend resume", rn)
+	for k := range snap {
+		if strings.HasPrefix(k, "datalog.backend.") && k != "datalog.backend.bdd.ops" {
+			t.Errorf("unexpected metric %s = %v", k, snap[k])
 		}
 	}
 }

@@ -66,24 +66,13 @@ func (s *Solver) fingerprint() string {
 func (s *Solver) writeCheckpoint(idx int, iter int64, delta map[string]*rel.Relation) error {
 	resilience.FaultPoint(resilience.FaultCheckpointWrite)
 	dir := s.opts.Checkpoint.Dir
-	// Checkpoints are BDD DAGs regardless of each relation's live
-	// backend: explicit-backed relations bridge through a temporary
-	// root (released after the dump), so the checkpoint format — and
-	// its fingerprint — is backend-independent and a run may resume
-	// under a different -backend mode.
+	// The checkpoint is one BDD DAG over the relations' live roots
+	// followed by the frontier's, in sorted name order.
 	names := make([]string, 0, len(s.prog.Relations))
 	roots := make([]bdd.Node, 0, len(s.prog.Relations)+len(delta))
-	var releases []func()
-	defer func() {
-		for _, f := range releases {
-			f()
-		}
-	}()
 	for _, rd := range s.prog.Relations {
 		names = append(names, rd.Name)
-		root, release := s.rels[rd.Name].BDDRoot()
-		releases = append(releases, release)
-		roots = append(roots, root)
+		roots = append(roots, s.rels[rd.Name].Root())
 	}
 	dnames := make([]string, 0, len(delta))
 	for n := range delta {
@@ -91,9 +80,7 @@ func (s *Solver) writeCheckpoint(idx int, iter int64, delta map[string]*rel.Rela
 	}
 	sort.Strings(dnames)
 	for _, n := range dnames {
-		root, release := delta[n].BDDRoot()
-		releases = append(releases, release)
-		roots = append(roots, root)
+		roots = append(roots, delta[n].Root())
 	}
 	var buf bytes.Buffer
 	if err := s.u.M.WriteDAG(&buf, roots); err != nil {

@@ -43,9 +43,7 @@ type compiledRule struct {
 // universe's monotone counter: the held pointer keeps the Go object
 // alive (so its address cannot be recycled) and every content mutation
 // bumps the stamp, so an equal pair later proves the source is
-// unchanged. This works for any storage backend, and backend
-// migrations — which change representation, not content — correctly
-// keep the cache valid. When the source grows inside its stratum,
+// unchanged. When the source grows inside its stratum,
 // growHead keeps a current entry current by uniting in the pipeline
 // over the growth, instead of leaving it to be recomputed in full.
 type litCache struct {

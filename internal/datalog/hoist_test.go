@@ -1,10 +1,6 @@
 package datalog
 
-import (
-	"testing"
-
-	"bddbddb/internal/datalog/plan"
-)
+import "testing"
 
 // selfJoinSrc is the paper's Algorithm 1. Rule (16)'s two vP literals
 // rename vP to different physical instances, so each delta variant
@@ -36,72 +32,72 @@ var selfJoinInputs = map[string][][]uint64{
 // hoisted normalizations: after every head growth, each cache entry
 // that is current for its source must equal the pipeline recomputed
 // over the whole source. It runs the batch solve and an incremental
-// update under every backend mode, and requires the fixpoint to match
-// a solve with hoisting off.
+// update on the BDD store, and requires the fixpoint to match a solve
+// with hoisting off.
 func TestHoistMaintenanceMatchesRecompute(t *testing.T) {
-	for _, mode := range []plan.BackendMode{plan.BackendAuto, plan.BackendBDD, plan.BackendExplicit} {
-		t.Run(mode.String(), func(t *testing.T) {
-			s, err := NewSolver(MustParse(selfJoinSrc), Options{Plan: PlanConfig{Backend: mode}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			maintained := 0
-			s.afterGrow = func(rules []*compiledRule) {
-				for _, cr := range rules {
-					for _, c := range cr.cache {
-						if c.norm == nil || c.stamp != c.src.Stamp() {
-							continue
-						}
-						if c.src.Name == "vP" {
-							maintained++
-						}
-						want := s.runPipeline(c.lit, c.src)
-						if !want.SameTuples(c.norm) {
-							t.Errorf("%s: hoisted %s differs from its recomputed pipeline", cr.rule, c.lit.Pred)
-						}
-						want.Free()
-					}
-				}
-			}
-			for name, rows := range selfJoinInputs {
-				s.Relation(name).AddTuples(rows)
-			}
-			if err := s.Solve(); err != nil {
-				t.Fatal(err)
-			}
-			inc, err := NewIncrementalSolver(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			add := map[string][][]uint64{"vP0": {{8, 4}, {14, 5}}, "store": {{11, 3, 10}}}
-			txn, err := inc.Update(nil, Delta{Add: add})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if txn.Stats.StrataFast == 0 {
-				t.Fatal("the update took no fast (delta) path")
-			}
-			txn.Commit()
-			if maintained == 0 {
-				t.Fatal("no hoisted normalization of vP was current after a growth: the test exercises nothing")
-			}
+	t.Run("bdd", testHoistMaintenanceMatchesRecompute)
+}
 
-			inputs := map[string][][]uint64{}
-			for name, rows := range selfJoinInputs {
-				inputs[name] = append(append([][]uint64(nil), rows...), add[name]...)
+func testHoistMaintenanceMatchesRecompute(t *testing.T) {
+	s, err := NewSolver(MustParse(selfJoinSrc), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	maintained := 0
+	s.afterGrow = func(rules []*compiledRule) {
+		for _, cr := range rules {
+			for _, c := range cr.cache {
+				if c.norm == nil || c.stamp != c.src.Stamp() {
+					continue
+				}
+				if c.src.Name == "vP" {
+					maintained++
+				}
+				want := s.runPipeline(c.lit, c.src)
+				if !want.SameTuples(c.norm) {
+					t.Errorf("%s: hoisted %s differs from its recomputed pipeline", cr.rule, c.lit.Pred)
+				}
+				want.Free()
 			}
-			ref := solveWithPlan(t, selfJoinSrc, PlanConfig{Backend: mode, NoHoist: true}, inputs)
-			got, err := s.ContentFingerprint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := ref.ContentFingerprint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Errorf("maintained solve + update fingerprint %s, unhoisted from-scratch %s", got, want)
-			}
-		})
+		}
+	}
+	for name, rows := range selfJoinInputs {
+		s.Relation(name).AddTuples(rows)
+	}
+	if err := s.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	inc, err := NewIncrementalSolver(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := map[string][][]uint64{"vP0": {{8, 4}, {14, 5}}, "store": {{11, 3, 10}}}
+	txn, err := inc.Update(nil, Delta{Add: add})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if txn.Stats.StrataFast == 0 {
+		t.Fatal("the update took no fast (delta) path")
+	}
+	txn.Commit()
+	if maintained == 0 {
+		t.Fatal("no hoisted normalization of vP was current after a growth: the test exercises nothing")
+	}
+
+	inputs := map[string][][]uint64{}
+	for name, rows := range selfJoinInputs {
+		inputs[name] = append(append([][]uint64(nil), rows...), add[name]...)
+	}
+	ref := solveWithPlan(t, selfJoinSrc, PlanConfig{NoHoist: true}, inputs)
+	got, err := s.ContentFingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.ContentFingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("maintained solve + update fingerprint %s, unhoisted from-scratch %s", got, want)
 	}
 }

@@ -754,16 +754,8 @@ func (inc *IncrementalSolver) inputNames() []string {
 // the same invariant checkpoint resume relies on.
 func copyRelations(src, dst *Solver, names []string) error {
 	roots := make([]bdd.Node, 0, len(names))
-	var releases []func()
-	defer func() {
-		for _, f := range releases {
-			f()
-		}
-	}()
 	for _, n := range names {
-		root, release := src.rels[n].BDDRoot()
-		releases = append(releases, release)
-		roots = append(roots, root)
+		roots = append(roots, src.rels[n].Root())
 	}
 	var buf bytes.Buffer
 	if err := src.u.M.WriteDAG(&buf, roots); err != nil {
@@ -846,22 +838,14 @@ func (inc *IncrementalSolver) Rebase(ctl *resilience.Controller, d Delta) (*Solv
 
 // ContentFingerprint hashes every declared relation's contents into a
 // 16-hex-digit digest via one shared BDD DAG dump. BDDs are canonical
-// under a fixed variable layout and explicit relations bridge through
-// BDD form, so two solvers built from the same program and options
-// have equal fingerprints exactly when every relation holds the same
-// tuple set — the differential suites' bit-identity check.
+// under a fixed variable layout, so two solvers built from the same
+// program and options have equal fingerprints exactly when every
+// relation holds the same tuple set — the differential suites'
+// bit-identity check.
 func (s *Solver) ContentFingerprint() (string, error) {
 	roots := make([]bdd.Node, 0, len(s.prog.Relations))
-	var releases []func()
-	defer func() {
-		for _, f := range releases {
-			f()
-		}
-	}()
 	for _, rd := range s.prog.Relations {
-		root, release := s.rels[rd.Name].BDDRoot()
-		releases = append(releases, release)
-		roots = append(roots, root)
+		roots = append(roots, s.rels[rd.Name].Root())
 	}
 	var buf bytes.Buffer
 	if err := s.u.M.WriteDAG(&buf, roots); err != nil {

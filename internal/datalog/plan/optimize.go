@@ -23,10 +23,24 @@ type Config struct {
 	NoHoist bool
 	// NoDeadOps keeps identity Reshape entries and other no-op work.
 	NoDeadOps bool
-	// Backend selects the tuple-storage assignment policy the solver
-	// applies per stratum (see BackendMode). Zero = pure BDD.
+	// Backend is read by nothing: relations are always stored as BDDs.
+	//
+	// Deprecated: kept only so existing callers that set it still
+	// compile; it is removed with the next benchmark change.
 	Backend BackendMode
 }
+
+// BackendMode is the type of the unused Config.Backend field.
+//
+// Deprecated: relations are always stored as BDDs; it is removed with
+// the next benchmark change, together with Config.Backend.
+type BackendMode int
+
+// BackendAuto is the one remaining BackendMode value. It is the zero
+// value, so setting it leaves a Config unchanged.
+//
+// Deprecated: see BackendMode.
+const BackendAuto BackendMode = 0
 
 // Legacy is the pinned pre-refactor execution path: textual order, no
 // hoisting, no dead-op pruning — but early projection, which the old

@@ -25,12 +25,10 @@ type PlanConfig = plan.Config
 // elimination) — the "optimizer off" side of differential tests.
 func LegacyPlan() PlanConfig { return plan.Legacy() }
 
-// BackendFlag re-exports plan.BackendFlag: the shared flag.Value behind
-// the commands' -backend auto|bdd|explicit flag. Commands default to
-// BackendAuto; the library zero value stays pure BDD.
-type BackendFlag = plan.BackendFlag
-
-// BackendAuto is the commands' default backend mode.
+// BackendAuto re-exports plan.BackendAuto.
+//
+// Deprecated: relations are always stored as BDDs, and nothing reads
+// PlanConfig.Backend; it is removed with the next benchmark change.
 const BackendAuto = plan.BackendAuto
 
 // Options configures a Solver.
@@ -161,28 +159,6 @@ const (
 // replanning across the board; the toggle stays as the documented
 // experiment knob.
 const replanEveryIteration = false
-
-// Backend-selection tuning (plan.BackendAuto). The crossover threshold
-// is the measured point where explicit sorted-tuple ops stop beating
-// BDD ops on this codebase's workloads (see DESIGN.md §13 and
-// BENCH_backend.json); the hysteresis factor keeps a relation that
-// drifted just past the threshold from flapping between backends on
-// consecutive strata. Relations with a context-scale domain
-// (≥ backendCtxPinDomain elements) are pinned to BDD — the paper's
-// whole bet is that context-cloned relations compress there — and
-// forced-explicit configs still refuse relations past the hard cap.
-const (
-	backendExplicitThreshold = 4096
-	backendHysteresisFactor  = 4
-	backendCtxPinDomain      = 1 << 16
-	backendExplicitHardCap   = 1 << 20
-	// backendEscapeRows is the mid-stratum escape hatch for auto mode:
-	// the entry decision only sees the cardinalities a stratum starts
-	// with, and a recursive stratum can outgrow them by orders of
-	// magnitude. When any explicit relation passes the hysteresis band
-	// during iteration, the whole stratum migrates back to BDD — once.
-	backendEscapeRows = backendExplicitThreshold * backendHysteresisFactor
-)
 
 // opMetricKeys maps plan op kinds to their datalog.op.* counter keys.
 var opMetricKeys = map[string]string{
@@ -566,7 +542,7 @@ func (s *Solver) Solve() (err error) {
 	}
 	s.reg.Timer(keySolve).Observe(time.Since(start))
 	s.u.M.Stats().AddTo(s.reg)
-	s.addBackendStats()
+	s.reg.Set("datalog.backend.bdd.ops", float64(s.u.Ops()))
 	s.collectRelationCards()
 	if s.opts.Metrics != nil {
 		for k, v := range s.reg.Snapshot() {
@@ -652,20 +628,13 @@ func (s *Solver) solveStratum(idx int, st *stratum, resume *resumeState) error {
 			base = append(base, cr)
 		}
 	}
-	// Assign storage backends for the relations this stratum touches,
-	// then plan every rule of the stratum against the cardinalities its
+	// Plan every rule of the stratum against the cardinalities its
 	// sources have right now (lower strata are final, recursive
 	// relations hold their seed values). Each rule gets a base variant
 	// and one delta variant per recursive position. Hoisted
 	// normalizations are dropped when the stratum finishes — every rule
 	// belongs to exactly one stratum, so this covers all cache entries.
 	card := s.cardFn()
-	preds := s.stratumPreds(st, inStratum)
-	stratumBackend := s.selectBackends(st, preds, card)
-	// Watch for runaway growth only when auto chose explicit; a forced
-	// explicit config keeps what it asked for (the rel-level growth
-	// valve still bounds it).
-	watchGrowth := s.opts.Plan.Backend == plan.BackendAuto && stratumBackend == rel.Explicit
 	rules := append(append([]*compiledRule(nil), base...), recur...)
 	for _, cr := range rules {
 		s.planRule(cr, inStratum, card)
@@ -682,14 +651,6 @@ func (s *Solver) solveStratum(idx int, st *stratum, resume *resumeState) error {
 			fresh := res.Minus("fresh", head)
 			res.Free()
 			s.countDelta(cr.rule, fresh)
-			// A single base rule can blow a head past the band (dense
-			// products like the type filter, which the explicit join
-			// already bailed on); escape before the union so the heads
-			// migrate while they are still small.
-			if watchGrowth && head.SizeFloat()+fresh.SizeFloat() > backendEscapeRows {
-				s.escapeToBDD(st, preds, nil)
-				watchGrowth = false
-			}
 			s.growHead(rules, head, fresh)
 			fresh.Free()
 		}
@@ -713,10 +674,6 @@ func (s *Solver) solveStratum(idx int, st *stratum, resume *resumeState) error {
 				fresh := res.Minus("fresh", head)
 				res.Free()
 				if !fresh.IsEmpty() {
-					if watchGrowth && head.SizeFloat()+fresh.SizeFloat() > backendEscapeRows {
-						s.escapeToBDD(st, preds, nil)
-						watchGrowth = false
-					}
 					s.countDelta(cr.rule, fresh)
 					s.growHead(rules, head, fresh)
 					changed = true
@@ -803,10 +760,6 @@ func (s *Solver) solveStratum(idx int, st *stratum, resume *resumeState) error {
 					fresh.Free()
 					continue
 				}
-				if watchGrowth && head.SizeFloat()+fresh.SizeFloat() > backendEscapeRows {
-					s.escapeToBDD(st, preds, delta)
-					watchGrowth = false
-				}
 				s.countDelta(cr.rule, fresh)
 				s.growHead(rules, head, fresh)
 				nd := newDelta[cr.rule.Head.Pred]
@@ -870,190 +823,6 @@ func (s *Solver) cardFn() func(pred string) float64 {
 	}
 }
 
-// stratumPreds returns the sorted set of predicates the stratum
-// touches: every head defined in it plus every predicate its rule
-// bodies read.
-func (s *Solver) stratumPreds(st *stratum, inStratum map[string]bool) []string {
-	set := make(map[string]bool, len(st.preds))
-	for p := range inStratum {
-		set[p] = true
-	}
-	for _, rule := range st.rules {
-		if rule.IsFact() {
-			continue
-		}
-		for _, l := range rule.Body {
-			set[l.Atom.Pred] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// stratumExplicitEligible reports whether every relation the stratum
-// touches can run in explicit storage, and (when not) which relation
-// blocks it. The auto policy is homogeneous per stratum: either the
-// whole stratum — heads included — evaluates on sorted tuple rows, or
-// everything it touches runs as BDDs. A split assignment would force a
-// representation bridge inside every mixed join, which profiling shows
-// costs more than either pure mode saves. The hysteresis band keeps a
-// relation that drifted just past the threshold from bouncing strata
-// between backends.
-func (s *Solver) stratumExplicitEligible(st *stratum, preds []string, card func(string) float64) (bool, string) {
-	// Complement results are dense — close to the schema volume — which
-	// is exactly the shape BDDs compress and row storage does not, so
-	// strata with negation stay BDD.
-	for _, rule := range st.rules {
-		for _, l := range rule.Body {
-			if l.Negated {
-				return false, "rule negates " + l.Atom.Pred
-			}
-		}
-	}
-	for _, pred := range preds {
-		r := s.rels[pred]
-		if r == nil || len(r.Attrs()) == 0 {
-			return false, pred + " is nullary"
-		}
-		if r.Frozen() || s.queryBase[pred] {
-			return false, pred + " is a frozen snapshot"
-		}
-		for _, a := range r.Attrs() {
-			if a.Dom.Size >= backendCtxPinDomain {
-				return false, pred + " spans context-scale domain " + a.Dom.Name
-			}
-		}
-		limit := float64(backendExplicitThreshold)
-		if r.Backend() == rel.Explicit {
-			limit *= backendHysteresisFactor
-		}
-		if n := card(pred); n > limit {
-			return false, fmt.Sprintf("%s has %.0f rows", pred, n)
-		}
-	}
-	return true, ""
-}
-
-// backendChoice decides which storage backend pred should use while
-// the stratum evaluates, and why (the reason string feeds -explain).
-// eligible/blocked carry the stratum-wide explicit eligibility from
-// stratumExplicitEligible; they only matter in auto mode.
-func (s *Solver) backendChoice(pred string, eligible bool, blocked string, card func(string) float64) (rel.Backend, string) {
-	r := s.rels[pred]
-	if r == nil {
-		return rel.BDD, "pinned: undeclared"
-	}
-	if len(r.Attrs()) == 0 {
-		return rel.BDD, "pinned: nullary"
-	}
-	if r.Frozen() || s.queryBase[pred] {
-		return rel.BDD, "pinned: frozen snapshot"
-	}
-	switch s.opts.Plan.Backend {
-	case plan.BackendBDD:
-		return rel.BDD, "config: bdd"
-	case plan.BackendExplicit:
-		if n := card(pred); n > backendExplicitHardCap {
-			return rel.BDD, fmt.Sprintf("cap: %.0f rows > %d", n, backendExplicitHardCap)
-		}
-		return rel.Explicit, "config: explicit"
-	}
-	if eligible {
-		return rel.Explicit, fmt.Sprintf("stratum explicit: every relation ≤ %d rows", backendExplicitThreshold)
-	}
-	return rel.BDD, "stratum bdd: " + blocked
-}
-
-// selectBackends applies backendChoice to every relation the stratum
-// touches, plus the compiled rules' helper relations (FullDomain /
-// Singleton / Equals) so head ops stay homogeneous too. It runs once
-// per stratum — so adaptive selection migrates a relation at most once
-// per stratum; the only other migration path is rel's growth valve,
-// which promotes an explicit relation that is mutated past its row cap
-// back to BDD mid-stratum.
-func (s *Solver) selectBackends(st *stratum, preds []string, card func(string) float64) rel.Backend {
-	if s.opts.Plan.Backend == plan.BackendBDD {
-		return rel.BDD // pure BDD is the resting state; nothing to move
-	}
-	eligible, blocked := s.stratumExplicitEligible(st, preds, card)
-	for _, pred := range preds {
-		r := s.rels[pred]
-		if r == nil {
-			continue
-		}
-		want, _ := s.backendChoice(pred, eligible, blocked, card)
-		r.SetBackend(want)
-	}
-	// Helper relations join into accumulators mid-rule; keep them on
-	// the stratum's backend so head ops never bridge.
-	want := rel.BDD
-	if s.opts.Plan.Backend == plan.BackendExplicit {
-		want = rel.Explicit
-	} else if eligible {
-		want = rel.Explicit
-	}
-	for _, rule := range st.rules {
-		cr := s.compiled[rule]
-		if cr == nil {
-			continue
-		}
-		for _, m := range []map[string]*rel.Relation{cr.full, cr.singles, cr.dups} {
-			for _, hr := range m {
-				if want == rel.Explicit && hr.SizeFloat() > backendExplicitHardCap {
-					continue
-				}
-				hr.SetBackend(want)
-			}
-		}
-	}
-	return want
-}
-
-// escapeToBDD migrates everything the stratum touches — heads, helper
-// relations, and the semi-naive frontier — back to BDD storage. Called
-// when adaptive selection's entry guess turns out wrong mid-stratum; it
-// runs at most once per stratum, so together with the entry migration a
-// relation moves at most twice while a stratum evaluates.
-func (s *Solver) escapeToBDD(st *stratum, preds []string, delta map[string]*rel.Relation) {
-	for _, p := range preds {
-		if r := s.rels[p]; r != nil && !r.Frozen() {
-			r.SetBackend(rel.BDD)
-		}
-	}
-	for _, d := range delta {
-		if d != nil {
-			d.SetBackend(rel.BDD)
-		}
-	}
-	for _, rule := range st.rules {
-		cr := s.compiled[rule]
-		if cr == nil {
-			continue
-		}
-		for _, m := range []map[string]*rel.Relation{cr.full, cr.singles, cr.dups} {
-			for _, hr := range m {
-				hr.SetBackend(rel.BDD)
-			}
-		}
-	}
-}
-
-// addBackendStats flattens the universe's backend counters into the
-// registry as datalog.backend.* gauges.
-func (s *Solver) addBackendStats() {
-	bs := s.u.BackendStats()
-	s.reg.Set("datalog.backend.bdd.ops", float64(bs.OpsBDD))
-	s.reg.Set("datalog.backend.explicit.ops", float64(bs.OpsExplicit))
-	s.reg.Set("datalog.backend.bridge_to_bdd", float64(bs.BridgeToBDD))
-	s.reg.Set("datalog.backend.bridge_to_explicit", float64(bs.BridgeToExplicit))
-	s.reg.Set("datalog.backend.migrations_to_bdd", float64(bs.MigrationsToBDD))
-	s.reg.Set("datalog.backend.migrations_to_explicit", float64(bs.MigrationsToExplicit))
-}
-
 // RelationNames lists the program's declared relations in declaration
 // order.
 func (s *Solver) RelationNames() []string {
@@ -1112,22 +881,6 @@ func (s *Solver) Explain(w io.Writer) {
 			if len(hoisted) > 0 {
 				sort.Strings(hoisted)
 				fmt.Fprintf(w, " hoisted per stratum: %s\n", strings.Join(hoisted, ", "))
-			}
-		}
-		// Per-relation backend decisions for this stratum, against the
-		// cardinalities visible now (for cmd -explain: the loaded base
-		// facts). The pure-BDD default prints nothing — there is no
-		// decision to explain and pre-existing goldens stay stable.
-		if s.opts.Plan.Backend != plan.BackendBDD {
-			fmt.Fprintf(w, " backends (%s):\n", s.opts.Plan.Backend)
-			preds := s.stratumPreds(st, inStratum)
-			eligible, blocked := s.stratumExplicitEligible(st, preds, card)
-			for _, pred := range preds {
-				if s.rels[pred] == nil {
-					continue
-				}
-				want, reason := s.backendChoice(pred, eligible, blocked, card)
-				fmt.Fprintf(w, "  %s → %s (%s)\n", pred, want, reason)
 			}
 		}
 	}

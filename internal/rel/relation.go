@@ -27,18 +27,17 @@ func (u *Universe) A(attrName, domName string, inst int) Attr {
 	return Attr{Name: attrName, Dom: d, Phys: u.Phys(domName, inst)}
 }
 
-// Relation is a set of tuples over named attributes — a thin
-// schema-carrying facade over a Storage backend (BDD by default,
-// explicit rows via SetBackend). The facade validates schemas, owns
-// the mixed-backend coercion policy, and keeps a per-universe
-// modification stamp so caches can revalidate without relying on BDD
-// root canonicity. All deriving operations keep their backing storage
-// referenced; call Free when a relation is no longer needed.
+// Relation is a set of tuples over named attributes, stored as one
+// referenced BDD root over the attributes' physical domains — the
+// paper's representation. It validates schemas and keeps a
+// per-universe modification stamp so caches can revalidate without
+// relying on BDD root canonicity. All deriving operations keep their
+// root referenced; call Free when a relation is no longer needed.
 type Relation struct {
 	u      *Universe
 	Name   string
 	attrs  []Attr
-	store  Storage
+	root   bdd.Node
 	frozen bool
 
 	// stamp is bumped (from the universe's monotone counter) on every
@@ -49,14 +48,9 @@ type Relation struct {
 	support []int32
 }
 
-// explicitPromoteRows caps how many rows an explicit relation may hold:
-// mutating past it promotes the relation back to BDD storage. This is
-// the safety valve that keeps forced-explicit configs from
-// materializing context-cloned relations (10^10+ tuples) row by row.
-var explicitPromoteRows = big.NewInt(1 << 20)
-
-func newRel(u *Universe, name string, attrs []Attr, st Storage) *Relation {
-	return &Relation{u: u, Name: name, attrs: attrs, store: st, stamp: u.nextStamp()}
+// newRel wraps root, whose reference the relation takes over.
+func newRel(u *Universe, name string, attrs []Attr, root bdd.Node) *Relation {
+	return &Relation{u: u, Name: name, attrs: attrs, root: root, stamp: u.nextStamp()}
 }
 
 // NewRelation creates an empty relation. Attribute names must be unique
@@ -66,14 +60,14 @@ func (u *Universe) NewRelation(name string, attrs ...Attr) *Relation {
 		panic("rel: NewRelation before Finalize")
 	}
 	checkAttrs(name, attrs)
-	return newRel(u, name, append([]Attr(nil), attrs...), newBDDStore(u, u.M.Ref(bdd.False)))
+	return newRel(u, name, append([]Attr(nil), attrs...), u.M.Ref(bdd.False))
 }
 
 // NewRelationFromBDD wraps an already-referenced BDD node as a relation;
 // the relation takes ownership of the caller's reference.
 func (u *Universe) NewRelationFromBDD(name string, root bdd.Node, attrs ...Attr) *Relation {
 	checkAttrs(name, attrs)
-	return newRel(u, name, append([]Attr(nil), attrs...), newBDDStore(u, root))
+	return newRel(u, name, append([]Attr(nil), attrs...), root)
 }
 
 func checkAttrs(name string, attrs []Attr) {
@@ -130,77 +124,24 @@ func (r *Relation) attrNames() string {
 	return strings.Join(names, ",")
 }
 
-// Backend reports which storage backend currently holds the tuples.
-func (r *Relation) Backend() Backend { return r.store.kind() }
-
 // Stamp returns the relation's modification stamp. Stamps come from a
 // per-universe monotone counter: a (relation pointer, stamp) pair seen
 // equal later proves the content is unchanged, because every mutation
-// bumps the stamp and counters are never reused. Backend migrations do
-// NOT bump the stamp — they change representation, not content.
+// bumps the stamp and counters are never reused.
 func (r *Relation) Stamp() uint64 { return r.stamp }
 
 func (r *Relation) touch() { r.stamp = r.u.nextStamp() }
 
-// SetBackend converts the relation's tuple storage in place and
-// reports whether a conversion happened. Frozen relations (pinned to
-// BDD for the serving layer) and nullary schemas never migrate.
-func (r *Relation) SetBackend(b Backend) bool {
-	if r.frozen || len(r.attrs) == 0 || r.store.kind() == b {
-		return false
-	}
-	var ns Storage
-	switch b {
-	case BDD:
-		ns = r.store.toBDD(r.attrs)
-		r.u.bstats.MigrationsToBDD++
-	case Explicit:
-		ns = r.store.toExplicit(r.attrs, r.supportVars())
-		r.u.bstats.MigrationsToExplicit++
-	default:
-		panic(fmt.Sprintf("rel: SetBackend(%v)", b))
-	}
-	r.store.free()
-	r.store = ns
-	return true
-}
-
 // Root exposes the underlying BDD node (still owned by the relation).
-// It panics for explicit-backed relations; use BDDRoot to materialize.
-func (r *Relation) Root() bdd.Node {
-	bs, ok := r.store.(*bddStore)
-	if !ok {
-		panic(fmt.Sprintf("rel: Root of %s: stored in %s backend (use BDDRoot)", r.Name, r.store.kind()))
-	}
-	return bs.root
-}
-
-// BDDRoot returns the relation's tuples as a BDD root plus a release
-// function. BDD-backed relations return their live root (still owned
-// by the relation) with a no-op release; explicit-backed relations
-// materialize a temporary that the release frees. Checkpointing uses
-// this to dump mixed-backend solver state as plain BDD DAGs.
-func (r *Relation) BDDRoot() (bdd.Node, func()) {
-	if bs, ok := r.store.(*bddStore); ok {
-		return bs.root, func() {}
-	}
-	t := r.store.toBDD(r.attrs)
-	return t.root, func() { t.free() }
-}
+func (r *Relation) Root() bdd.Node { return r.root }
 
 // Freeze marks the relation immutable: AddTuple, UnionWith, and Free
 // panic afterwards. Deriving operations (Join, SelectEq, ...) stay
 // legal — they allocate new relations and never touch the receiver.
 // The serving layer freezes solved relations before handing them to
-// concurrent query evaluation and snapshots them by BDD root, so
-// Freeze first pins the relation to the BDD backend; frozen relations
-// never migrate. There is no Unfreeze.
-func (r *Relation) Freeze() {
-	if r.store.kind() != BDD {
-		r.SetBackend(BDD)
-	}
-	r.frozen = true
-}
+// concurrent query evaluation and snapshots them by BDD root. There is
+// no Unfreeze.
+func (r *Relation) Freeze() { r.frozen = true }
 
 // Frozen reports whether Freeze was called.
 func (r *Relation) Frozen() bool { return r.frozen }
@@ -211,57 +152,21 @@ func (r *Relation) requireMutable(op string) {
 	}
 }
 
-// Free releases the relation's storage. The relation must not be used
+// Free releases the relation's BDD root. The relation must not be used
 // afterwards.
 func (r *Relation) Free() {
 	r.requireMutable("Free")
-	r.store.free()
+	r.u.M.Deref(r.root)
+	r.root = bdd.False
 	r.attrs = nil
 	r.support = nil
 }
 
 // Clone returns an independent copy sharing the same tuples.
 func (r *Relation) Clone(name string) *Relation {
-	c := newRel(r.u, name, append([]Attr(nil), r.attrs...), r.store.clone())
+	c := newRel(r.u, name, append([]Attr(nil), r.attrs...), r.u.M.Ref(r.root))
 	c.support = r.support
 	return c
-}
-
-// coerced returns r's tuple storage in kind b plus a release function
-// for any temporary the bridge materialized. Same-kind calls borrow
-// the live storage with a no-op release.
-func (r *Relation) coerced(b Backend) (Storage, func()) {
-	if r.store.kind() == b {
-		return r.store, func() {}
-	}
-	var t Storage
-	if b == BDD {
-		t = r.store.toBDD(r.attrs)
-	} else {
-		t = r.store.toExplicit(r.attrs, r.supportVars())
-	}
-	return t, t.free
-}
-
-// binKind picks the backend a mixed binary op runs on: both-explicit
-// stays explicit, otherwise BDD. The adaptive selection keeps explicit
-// relations small, so the explicit side is always the cheap one to
-// bridge.
-func binKind(r, o *Relation) Backend {
-	if r.store.kind() == Explicit && o.store.kind() == Explicit {
-		return Explicit
-	}
-	return BDD
-}
-
-// permOf maps a's attribute positions to b's: perm[i] is the index in
-// b of a[i]'s attribute. Schemas must already be validated equal.
-func permOf(a, b []Attr) []int {
-	perm := make([]int, len(a))
-	for i := range a {
-		perm[i] = attrIndex(b, a[i].Name)
-	}
-	return perm
 }
 
 // AddTuple inserts one tuple, with values listed in attribute order.
@@ -270,8 +175,8 @@ func (r *Relation) AddTuple(vals ...uint64) { r.AddTuples([][]uint64{vals}) }
 // AddTuples inserts every row, each with values listed in attribute
 // order. Rows may repeat and come in any order. The whole batch is
 // checked before any row is inserted, with the same panics as
-// AddTuple, and a BDD-backed relation builds the batch bottom-up in one
-// pass (bdd.Manager.TupleSet) rather than with one OR per row.
+// AddTuple, and the batch is built bottom-up in one pass
+// (bdd.Manager.TupleSet) rather than with one OR per row.
 func (r *Relation) AddTuples(rows [][]uint64) {
 	r.requireMutable("AddTuple")
 	for _, vals := range rows {
@@ -288,7 +193,16 @@ func (r *Relation) AddTuples(rows [][]uint64) {
 	if len(rows) == 0 {
 		return
 	}
-	r.store.addTuples(r.attrs, rows)
+	m := r.u.M
+	doms := make([]*bdd.Domain, len(r.attrs))
+	for i, a := range r.attrs {
+		doms[i] = a.Phys
+	}
+	set := m.TupleSet(doms, rows)
+	next := m.Or(r.root, set)
+	m.Deref(r.root)
+	m.Deref(set)
+	r.root = next
 	r.touch()
 }
 
@@ -317,22 +231,15 @@ func (r *Relation) requireSameSchema(o *Relation, op string) {
 func (r *Relation) UnionWith(o *Relation) bool {
 	r.requireMutable("UnionWith")
 	r.requireSameSchema(o, "union")
-	if o.store.isEmpty() {
+	if o.root == bdd.False {
 		return false
 	}
-	if r.store.kind() == Explicit {
-		// Growth valve: rather than materialize a huge operand into
-		// rows, promote the receiver back to BDD past the cap.
-		n := new(big.Int).Add(r.Size(), o.Size())
-		if n.Cmp(explicitPromoteRows) > 0 {
-			r.SetBackend(BDD)
-		}
-	}
-	k := r.store.kind()
-	os, release := o.coerced(k)
-	changed := r.store.unionWith(os, permOf(r.attrs, o.attrs))
-	release()
-	r.u.noteOp(k)
+	m := r.u.M
+	next := m.Or(r.root, o.root)
+	changed := next != r.root
+	m.Deref(r.root)
+	r.root = next
+	r.u.noteOp()
 	if changed {
 		r.touch()
 	}
@@ -342,45 +249,31 @@ func (r *Relation) UnionWith(o *Relation) bool {
 // Union returns a new relation with the tuples of both operands.
 func (r *Relation) Union(name string, o *Relation) *Relation {
 	r.requireSameSchema(o, "union")
-	if o.store.isEmpty() {
+	if o.root == bdd.False {
 		return r.Clone(name)
 	}
-	k := binKind(r, o)
-	rs, rrel := r.coerced(k)
-	os, orel := o.coerced(k)
-	st := rs.union(os, permOf(r.attrs, o.attrs))
-	rrel()
-	orel()
-	r.u.noteOp(k)
-	return newRel(r.u, name, append([]Attr(nil), r.attrs...), st)
+	r.u.noteOp()
+	return newRel(r.u, name, append([]Attr(nil), r.attrs...), r.u.M.Or(r.root, o.root))
 }
 
 // Minus returns the tuples of r that are not in o.
 func (r *Relation) Minus(name string, o *Relation) *Relation {
 	r.requireSameSchema(o, "difference")
 	// Empty operands make the result r itself (or empty, which a clone
-	// of empty r also is) — skip the cross-backend coercion a mixed
-	// pair would otherwise pay. Empty rule results against large heads
-	// are the common case in converging fixpoint iterations.
-	if r.store.isEmpty() || o.store.isEmpty() {
-		c := r.Clone(name)
-		return c
+	// of empty r also is). Empty rule results against large heads are
+	// the common case in converging fixpoint iterations.
+	if r.root == bdd.False || o.root == bdd.False {
+		return r.Clone(name)
 	}
-	k := binKind(r, o)
-	rs, rrel := r.coerced(k)
-	os, orel := o.coerced(k)
-	st := rs.minus(os, permOf(r.attrs, o.attrs))
-	rrel()
-	orel()
-	r.u.noteOp(k)
-	return newRel(r.u, name, append([]Attr(nil), r.attrs...), st)
+	r.u.noteOp()
+	return newRel(r.u, name, append([]Attr(nil), r.attrs...), r.u.M.Diff(r.root, o.root))
 }
 
-// joinAttrs computes the result schema of a natural join and validates
+// joinAttrs returns the result schema of a natural join and validates
 // physical alignment: shared attribute names must share a physical
 // domain; attributes private to one side must not collide physically.
-func joinAttrs(a, b *Relation, op string) (shared []string, result []Attr) {
-	result = append(result, a.attrs...)
+func joinAttrs(a, b *Relation, op string) []Attr {
+	result := append([]Attr(nil), a.attrs...)
 	for _, battr := range b.attrs {
 		if a.HasAttr(battr.Name) {
 			aattr := a.Attr(battr.Name)
@@ -388,7 +281,6 @@ func joinAttrs(a, b *Relation, op string) (shared []string, result []Attr) {
 				panic(fmt.Sprintf("rel: %s of %s and %s: attribute %q on %s vs %s (rename first)",
 					op, a.Name, b.Name, battr.Name, aattr.Phys.Name, battr.Phys.Name))
 			}
-			shared = append(shared, battr.Name)
 			continue
 		}
 		for _, aattr := range a.attrs {
@@ -399,7 +291,7 @@ func joinAttrs(a, b *Relation, op string) (shared []string, result []Attr) {
 		}
 		result = append(result, battr)
 	}
-	return shared, result
+	return result
 }
 
 // Join returns the natural join of r and o on their shared attribute
@@ -409,22 +301,36 @@ func (r *Relation) Join(name string, o *Relation) *Relation {
 }
 
 // JoinProject joins r and o and projects away the named attributes in
-// one pass (a BDD relprod, or an explicit hash join) — the workhorse
-// of rule application.
+// one pass (a BDD relprod) — the workhorse of rule application.
 func (r *Relation) JoinProject(name string, o *Relation, drop ...string) *Relation {
 	return r.joinProjectOp(name, o, drop)
 }
 
 func (r *Relation) joinProjectOp(name string, o *Relation, drop []string) *Relation {
-	_, attrs := joinAttrs(r, o, "join")
+	attrs := joinAttrs(r, o, "join")
 	for _, d := range drop {
 		if attrIndex(attrs, d) < 0 {
 			panic(fmt.Sprintf("rel: JoinProject drops unknown attribute %q", d))
 		}
 	}
-	spec := &joinSpec{lArity: len(r.attrs), rArity: len(o.attrs)}
-	var keep []Attr
-	for pos, a := range attrs {
+	keep, dropLevels := splitAttrs(attrs, drop)
+	m := r.u.M
+	var root bdd.Node
+	if len(dropLevels) == 0 {
+		root = m.And(r.root, o.root)
+	} else {
+		vs := m.MakeSet(dropLevels)
+		root = m.AndExist(r.root, o.root, vs)
+		m.Deref(vs)
+	}
+	r.u.noteOp()
+	return newRel(r.u, name, keep, root)
+}
+
+// splitAttrs partitions attrs into the ones kept (in order) and the BDD
+// levels of the ones named in drop.
+func splitAttrs(attrs []Attr, drop []string) (keep []Attr, dropLevels []int32) {
+	for _, a := range attrs {
 		dropped := false
 		for _, d := range drop {
 			if a.Name == d {
@@ -433,44 +339,12 @@ func (r *Relation) joinProjectOp(name string, o *Relation, drop []string) *Relat
 			}
 		}
 		if dropped {
-			spec.dropLevels = append(spec.dropLevels, a.Phys.Levels()...)
-			continue
-		}
-		keep = append(keep, a)
-		if pos < len(r.attrs) {
-			spec.out = append(spec.out, srcCol{col: pos})
+			dropLevels = append(dropLevels, a.Phys.Levels()...)
 		} else {
-			spec.out = append(spec.out, srcCol{right: true, col: attrIndex(o.attrs, a.Name)})
+			keep = append(keep, a)
 		}
 	}
-	for j, b := range o.attrs {
-		if i := attrIndex(r.attrs, b.Name); i >= 0 {
-			spec.shared = append(spec.shared, [2]int{i, j})
-		}
-	}
-	k := binKind(r, o)
-	if len(keep) == 0 {
-		k = BDD // nullary results stay BDD-backed
-	}
-	rs, rrel := r.coerced(k)
-	os, orel := o.coerced(k)
-	st := rs.joinProject(os, spec)
-	if st == nil {
-		// The explicit join overflowed explicitJoinFallbackRows: the
-		// result is dense enough that rows are the wrong shape for it.
-		// Re-run on BDD operands — the operands themselves are small
-		// (they fit explicit storage), only the product is big.
-		rrel()
-		orel()
-		k = BDD
-		rs, rrel = r.coerced(k)
-		os, orel = o.coerced(k)
-		st = rs.joinProject(os, spec)
-	}
-	rrel()
-	orel()
-	r.u.noteOp(k)
-	return newRel(r.u, name, keep, st)
+	return keep, dropLevels
 }
 
 // ProjectOut removes the named attributes (existential quantification).
@@ -480,37 +354,17 @@ func (r *Relation) ProjectOut(name string, drop ...string) *Relation {
 			panic(fmt.Sprintf("rel: ProjectOut of unknown attribute %q from %s", d, r.Name))
 		}
 	}
-	var keep []Attr
-	spec := &projSpec{}
-	for i, a := range r.attrs {
-		dropped := false
-		for _, d := range drop {
-			if a.Name == d {
-				dropped = true
-				break
-			}
-		}
-		if dropped {
-			spec.dropLevels = append(spec.dropLevels, a.Phys.Levels()...)
-		} else {
-			keep = append(keep, a)
-			spec.keepCols = append(spec.keepCols, i)
-		}
-	}
-	k := r.store.kind()
-	if len(keep) == 0 {
-		k = BDD // nullary results stay BDD-backed
-	}
-	rs, rrel := r.coerced(k)
-	st := rs.projectOut(spec)
-	rrel()
-	r.u.noteOp(k)
-	return newRel(r.u, name, keep, st)
+	keep, dropLevels := splitAttrs(r.attrs, drop)
+	m := r.u.M
+	vs := m.MakeSet(dropLevels)
+	root := m.Exist(r.root, vs)
+	m.Deref(vs)
+	r.u.noteOp()
+	return newRel(r.u, name, keep, root)
 }
 
 // Rename returns r with some attributes rebound to different physical
-// instances (one BDD replace; metadata-only for explicit rows). The
-// map keys are attribute names.
+// instances (one BDD replace). The map keys are attribute names.
 func (r *Relation) Rename(name string, moves map[string]*bdd.Domain) *Relation {
 	for n := range moves {
 		if !r.HasAttr(n) {
@@ -518,19 +372,37 @@ func (r *Relation) Rename(name string, moves map[string]*bdd.Domain) *Relation {
 		}
 	}
 	attrs := append([]Attr(nil), r.attrs...)
-	spec := &rebindSpec{}
+	var pm []physMove
 	for i := range attrs {
 		to, ok := moves[attrs[i].Name]
 		if !ok || to == attrs[i].Phys {
 			continue
 		}
-		spec.moves = append(spec.moves, physMove{from: attrs[i].Phys, to: to})
+		pm = append(pm, physMove{from: attrs[i].Phys, to: to})
 		attrs[i].Phys = to
 	}
 	checkAttrs(name, attrs)
-	st := r.store.rebind(spec)
-	r.u.noteOp(r.store.kind())
-	return newRel(r.u, name, attrs, st)
+	return newRel(r.u, name, attrs, r.rebind(pm))
+}
+
+// physMove is one physical-domain rebinding of Rename/Reshape.
+type physMove struct {
+	from, to *bdd.Domain
+}
+
+// rebind returns a referenced copy of r's root with every move applied
+// in one BDD replace (a plain reference when nothing moves).
+func (r *Relation) rebind(moves []physMove) bdd.Node {
+	r.u.noteOp()
+	m := r.u.M
+	if len(moves) == 0 {
+		return m.Ref(r.root)
+	}
+	p := m.NewPair()
+	for _, mv := range moves {
+		p.SetDomains(mv.from, mv.to)
+	}
+	return m.Replace(r.root, p)
 }
 
 // RenameAttr returns r with one attribute renamed (metadata only; the
@@ -548,7 +420,7 @@ func (r *Relation) RenameAttr(name, oldAttr, newAttr string) *Relation {
 		panic(fmt.Sprintf("rel: RenameAttr of unknown attribute %q in %s", oldAttr, r.Name))
 	}
 	checkAttrs(name, attrs)
-	c := newRel(r.u, name, attrs, r.store.clone())
+	c := newRel(r.u, name, attrs, r.u.M.Ref(r.root))
 	c.support = r.support
 	return c
 }
@@ -564,22 +436,31 @@ func (r *Relation) SelectEq(name, attr string, val uint64) *Relation {
 	if val >= a.Dom.Size {
 		panic(fmt.Sprintf("rel: SelectEq value %d outside domain %s", val, a.Dom.Name))
 	}
-	st := r.store.selectEq(&selSpec{phys: a.Phys, col: i, val: val})
-	r.u.noteOp(r.store.kind())
-	c := newRel(r.u, name, append([]Attr(nil), r.attrs...), st)
+	m := r.u.M
+	eq := a.Phys.Eq(val)
+	root := m.And(r.root, eq)
+	m.Deref(eq)
+	r.u.noteOp()
+	c := newRel(r.u, name, append([]Attr(nil), r.attrs...), root)
 	c.support = r.support
 	return c
 }
 
 // Complement returns the tuples over the attributes' domains that are
 // NOT in r — negation relative to the finite universe of the schema,
-// used by stratified Datalog negation. Explicit-backed relations with
-// a schema volume past the enumeration cap negate through the BDD
-// backend, so the result's backend may differ from the receiver's.
+// used by stratified Datalog negation.
 func (r *Relation) Complement(name string) *Relation {
-	st := r.store.complement(r.attrs)
-	r.u.noteOp(st.kind())
-	c := newRel(r.u, name, append([]Attr(nil), r.attrs...), st)
+	m := r.u.M
+	root := m.Not(r.root)
+	for _, a := range r.attrs {
+		c := a.Phys.DomainConstraint()
+		next := m.And(root, c)
+		m.Deref(root)
+		m.Deref(c)
+		root = next
+	}
+	r.u.noteOp()
+	c := newRel(r.u, name, append([]Attr(nil), r.attrs...), root)
 	c.support = r.support
 	return c
 }
@@ -589,31 +470,24 @@ func (r *Relation) Complement(name string) *Relation {
 func (r *Relation) SameSchemaAs(o *Relation) bool { return r.sameSchema(o) }
 
 // IsEmpty reports whether the relation has no tuples.
-func (r *Relation) IsEmpty() bool { return r.store.isEmpty() }
+func (r *Relation) IsEmpty() bool { return r.root == bdd.False }
 
 // SameTuples reports whether two relations over the same schema hold
-// exactly the same tuples (constant time when both are BDD-backed:
-// BDDs are canonical).
+// exactly the same tuples (constant time: BDDs are canonical).
 func (r *Relation) SameTuples(o *Relation) bool {
 	r.requireSameSchema(o, "comparison")
-	k := binKind(r, o)
-	rs, rrel := r.coerced(k)
-	os, orel := o.coerced(k)
-	eq := rs.sameTuples(os, permOf(r.attrs, o.attrs))
-	rrel()
-	orel()
-	return eq
+	return r.root == o.root
 }
 
 // Size returns the exact tuple count.
 func (r *Relation) Size() *big.Int {
 	if len(r.attrs) == 0 {
-		if r.store.(*bddStore).root == bdd.True {
+		if r.root == bdd.True {
 			return big.NewInt(1)
 		}
 		return big.NewInt(0)
 	}
-	return r.store.size(r.attrs, r.supportVars())
+	return r.u.M.SatCountIn(r.root, r.supportVars())
 }
 
 // SizeFloat returns the tuple count as a float64 — the lossy form the
@@ -636,16 +510,22 @@ func (r *Relation) supportVars() []int32 {
 }
 
 // Iterate calls fn for every tuple (values in attribute order) until it
-// returns false. Enumeration order is deterministic per backend (BDD
-// variable order for BDD storage, lexicographic for explicit rows).
+// returns false. Enumeration follows the BDD variable order.
 func (r *Relation) Iterate(fn func(vals []uint64) bool) {
 	if len(r.attrs) == 0 {
-		if r.store.(*bddStore).root == bdd.True {
+		if r.root == bdd.True {
 			fn(nil)
 		}
 		return
 	}
-	r.store.iterate(r.attrs, r.supportVars(), fn)
+	support := r.supportVars()
+	vals := make([]uint64, len(r.attrs))
+	r.u.M.AllSat(r.root, support, func(bits []bool) bool {
+		for i, a := range r.attrs {
+			vals[i] = a.Phys.Value(support, bits)
+		}
+		return fn(vals)
+	})
 }
 
 // Tuples materializes the relation as a slice (tests and small outputs
@@ -656,8 +536,8 @@ func (r *Relation) Tuples() [][]uint64 {
 		out = append(out, append([]uint64(nil), vals...))
 		return true
 	})
-	// Iterate yields representation order (BDD variable order vs sorted
-	// rows); sort so dumps and APIs read identically across backends.
+	// Iterate yields BDD variable order; sort so dumps and APIs read in
+	// value order.
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		for k := range a {

@@ -13,7 +13,7 @@ type Remap struct {
 }
 
 // Reshape renames and physically rebinds several attributes in one BDD
-// replace pass (metadata-only for explicit rows). Keys of spec are
+// replace pass. Keys of spec are
 // current attribute names; attributes not mentioned are unchanged. The
 // combined physical move must be injective.
 func (r *Relation) Reshape(name string, spec map[string]Remap) *Relation {
@@ -23,14 +23,14 @@ func (r *Relation) Reshape(name string, spec map[string]Remap) *Relation {
 		}
 	}
 	attrs := append([]Attr(nil), r.attrs...)
-	rb := &rebindSpec{}
+	var moves []physMove
 	for i := range attrs {
 		mv, ok := spec[attrs[i].Name]
 		if !ok {
 			continue
 		}
 		if mv.NewPhys != nil && mv.NewPhys != attrs[i].Phys {
-			rb.moves = append(rb.moves, physMove{from: attrs[i].Phys, to: mv.NewPhys})
+			moves = append(moves, physMove{from: attrs[i].Phys, to: mv.NewPhys})
 			attrs[i].Phys = mv.NewPhys
 		}
 		if mv.NewName != "" {
@@ -38,15 +38,12 @@ func (r *Relation) Reshape(name string, spec map[string]Remap) *Relation {
 		}
 	}
 	checkAttrs(name, attrs)
-	st := r.store.rebind(rb)
-	r.u.noteOp(r.store.kind())
-	return newRel(r.u, name, attrs, st)
+	return newRel(r.u, name, attrs, r.rebind(moves))
 }
 
 // SelectEqualAttrs keeps the tuples where two same-domain attributes are
-// equal. For BDD storage the attributes' physical instances must be
-// interleaved in the variable order (instances of one logical domain
-// always are); explicit rows compare columns directly.
+// equal. The attributes' physical instances must be interleaved in the
+// variable order (instances of one logical domain always are).
 func (r *Relation) SelectEqualAttrs(name, attr1, attr2 string) *Relation {
 	i1, i2 := attrIndex(r.attrs, attr1), attrIndex(r.attrs, attr2)
 	if i1 < 0 {
@@ -59,9 +56,15 @@ func (r *Relation) SelectEqualAttrs(name, attr1, attr2 string) *Relation {
 	if a1.Dom != a2.Dom {
 		panic(fmt.Sprintf("rel: SelectEqualAttrs across domains %s and %s", a1.Dom.Name, a2.Dom.Name))
 	}
-	st := r.store.selectEqualAttrs(&eqSpec{p1: a1.Phys, p2: a2.Phys, c1: i1, c2: i2})
-	r.u.noteOp(r.store.kind())
-	c := newRel(r.u, name, append([]Attr(nil), r.attrs...), st)
+	m := r.u.M
+	eq, err := m.Equals(a1.Phys, a2.Phys)
+	if err != nil {
+		panic(fmt.Sprintf("rel: SelectEqualAttrs(%s,%s): %v", a1.Phys.Name, a2.Phys.Name, err))
+	}
+	root := m.And(r.root, eq)
+	m.Deref(eq)
+	r.u.noteOp()
+	c := newRel(r.u, name, append([]Attr(nil), r.attrs...), root)
 	c.support = r.support
 	return c
 }
@@ -70,7 +73,7 @@ func (r *Relation) SelectEqualAttrs(name, attr1, attr2 string) *Relation {
 // attribute's domain — used to bind otherwise-unconstrained variables.
 func (u *Universe) FullDomain(name string, attr Attr) *Relation {
 	root := attr.Phys.DomainConstraint()
-	return newRel(u, name, []Attr{attr}, newBDDStore(u, root))
+	return newRel(u, name, []Attr{attr}, root)
 }
 
 // Singleton returns the unary relation {val} over the attribute.
@@ -78,6 +81,5 @@ func (u *Universe) Singleton(name string, attr Attr, val uint64) *Relation {
 	if val >= attr.Dom.Size {
 		panic(fmt.Sprintf("rel: singleton %d outside domain %s", val, attr.Dom.Name))
 	}
-	root := attr.Phys.Eq(val)
-	return newRel(u, name, []Attr{attr}, newBDDStore(u, root))
+	return newRel(u, name, []Attr{attr}, attr.Phys.Eq(val))
 }

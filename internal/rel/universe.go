@@ -74,8 +74,8 @@ type Universe struct {
 	// stampc is the monotone modification-stamp counter relations draw
 	// from (see Relation.Stamp). Single-threaded like the BDD manager.
 	stampc uint64
-	// bstats accumulates backend op/bridge/migration counts.
-	bstats BackendStats
+	// ops counts the relational ops executed (see Ops).
+	ops int64
 }
 
 func (u *Universe) nextStamp() uint64 {
@@ -83,17 +83,11 @@ func (u *Universe) nextStamp() uint64 {
 	return u.stampc
 }
 
-func (u *Universe) noteOp(k Backend) {
-	if k == Explicit {
-		u.bstats.OpsExplicit++
-	} else {
-		u.bstats.OpsBDD++
-	}
-}
+func (u *Universe) noteOp() { u.ops++ }
 
-// BackendStats returns a snapshot of the universe's backend activity
-// counters.
-func (u *Universe) BackendStats() BackendStats { return u.bstats }
+// Ops returns how many relational ops (joins, projections, renames,
+// selections, unions, differences, complements) ran in this universe.
+func (u *Universe) Ops() int64 { return u.ops }
 
 // NewUniverse creates an empty universe.
 func NewUniverse() *Universe {
