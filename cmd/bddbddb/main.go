@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	bddbddb [-check] [-Werror] [-explain] [-noopt] [-order C_I_V] [-print rel1,rel2] [-facts dir] program.dl
+//	bddbddb [-check] [-Werror] [-explain] [-order C_I_V] [-print rel1,rel2] [-facts dir] program.dl
 //
 // Programs are parsed and semantically checked first; diagnostics are
 // reported as file:line:col: DLxxx: message (see the DL-code catalog in
@@ -20,7 +20,7 @@
 // -explain prints every rule's relational-algebra plan before and
 // after the optimizer's rewrites (join reordering, projection
 // push-down, dead-op elimination, normalization hoisting) and exits
-// without solving; -noopt pins the legacy textual-order execution.
+// without solving.
 //
 // Observability: -trace writes a Chrome trace-event file of the solve
 // (stratum → iteration → rule → op spans), -metrics a flat metrics JSON,
@@ -28,8 +28,7 @@
 // runtime/pprof profiles.
 //
 // Resilience: -timeout and -max-nodes bound the run (exit code 3 on
-// exhaustion), Ctrl-C cancels it cleanly (exit code 4), and
-// -checkpoint-dir/-resume save and restore the solve across runs.
+// exhaustion), and Ctrl-C cancels it cleanly (exit code 4).
 package main
 
 import (
@@ -61,7 +60,6 @@ func main() {
 	cache := flag.Int("cache", 0, "BDD operation cache size")
 	ruleStats := flag.Bool("rulestats", false, "print per-rule applications, time, and derived tuples")
 	explain := flag.Bool("explain", false, "print each rule's execution plan before/after optimization and exit without solving")
-	noOpt := flag.Bool("noopt", false, "disable the plan optimizer (pinned textual-order execution)")
 	var oflags obs.Flags
 	oflags.Register(flag.CommandLine)
 	var rflags resilience.Flags
@@ -78,7 +76,7 @@ func main() {
 		os.Exit(1)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	status := run(ctx, sess, rflags, flag.Arg(0), *checkOnly, *wError, *explain, *noOpt, *orderFlag, *printFlag, *factsDir, *nodes, *cache, *ruleStats)
+	status := run(ctx, sess, rflags, flag.Arg(0), *checkOnly, *wError, *explain, *orderFlag, *printFlag, *factsDir, *nodes, *cache, *ruleStats)
 	stop()
 	if err := sess.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "bddbddb:", err)
@@ -93,7 +91,7 @@ func main() {
 // success, 1 when the program is rejected or evaluation fails, 3 when a
 // -timeout/-max-nodes budget is exhausted, 4 on Ctrl-C, 5 on an
 // internal solver failure.
-func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, path string, checkOnly, wError, explain, noOpt bool, order, printRels, factsDir string, nodes, cache int, ruleStats bool) int {
+func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, path string, checkOnly, wError, explain bool, order, printRels, factsDir string, nodes, cache int, ruleStats bool) int {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return fail(err)
@@ -144,11 +142,6 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, path s
 		Tracer:          sess.Tracer,
 		Metrics:         sess.Metrics,
 		Control:         rflags.Controller(ctx),
-		Checkpoint:      rflags.Checkpoint(),
-		ResumeFrom:      rflags.Resume,
-	}
-	if noOpt {
-		opts.Plan = datalog.LegacyPlan()
 	}
 	if order != "" {
 		opts.Order = strings.Split(order, "_")

@@ -14,11 +14,10 @@
 // one; heap-cs runs Algorithm 8's heap-cloned analysis, which makes
 // the canned /pointsto and /aliases templates heap-sensitive
 // (answers distinguish the per-context clones of each allocation
-// site). Startup resilience flags (-timeout, -max-nodes,
-// -checkpoint-dir, -resume) bound and checkpoint the initial solve; if
-// the context-sensitive solve exhausts its budget the daemon degrades
-// to the context-insensitive result and reports degraded:true in
-// /healthz.
+// site). Startup resilience flags (-timeout, -max-nodes) bound the
+// initial solve; if the context-sensitive solve exhausts its budget
+// the daemon degrades to the context-insensitive result and reports
+// degraded:true in /healthz.
 //
 // Endpoints:
 //
@@ -211,13 +210,11 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, cfg co
 		return fail(err)
 	}
 	acfg := analysis.Config{
-		Tracer:        sess.Tracer,
-		Metrics:       sess.Metrics,
-		Context:       ctx,
-		Budget:        rflags.Budget(),
-		CheckpointDir: rflags.CheckpointDir,
-		Resume:        rflags.Resume,
-		DomainSlack:   cfg.updateSlack,
+		Tracer:      sess.Tracer,
+		Metrics:     sess.Metrics,
+		Context:     ctx,
+		Budget:      rflags.Budget(),
+		DomainSlack: cfg.updateSlack,
 	}
 	fmt.Fprintf(os.Stderr, "bddbddbd: solving (%s, %d vars, %d heap objects)...\n",
 		cfg.algo, len(facts.Vars), len(facts.Heaps))
@@ -237,9 +234,8 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, cfg co
 		return fail(err)
 	}
 	if cfg.precision {
-		// The comparison re-solves all three modes on a private config:
-		// no checkpointing (three solves would fight over the directory)
-		// and no domain slack (the report never serves updates).
+		// The comparison re-solves all three modes on a private config
+		// with no domain slack (the report never serves updates).
 		pcfg := analysis.Config{Tracer: sess.Tracer, Context: ctx, Budget: rflags.Budget()}
 		t1 := time.Now()
 		rep, perr := precision.Compare(workloadName(cfg), facts, pcfg, precision.Options{})

@@ -15,9 +15,6 @@
 //
 // Resilience: -timeout and -max-nodes bound the whole regeneration
 // (exit code 3 on exhaustion) and Ctrl-C cancels it (exit code 4).
-// -checkpoint-dir/-resume are rejected here: a figure runs many solves
-// against one directory; use cmd/pointsto or cmd/bddbddb to checkpoint
-// a single solve.
 package main
 
 import (
@@ -48,10 +45,6 @@ func main() {
 	var rflags resilience.Flags
 	rflags.Register(flag.CommandLine)
 	flag.Parse()
-	if rflags.CheckpointDir != "" || rflags.Resume != "" {
-		fmt.Fprintln(os.Stderr, "experiments: -checkpoint-dir/-resume need a single solve; use cmd/pointsto or cmd/bddbddb")
-		os.Exit(2)
-	}
 
 	sess, err := oflags.Start("experiments")
 	if err != nil {

@@ -36,8 +36,8 @@
 //
 // -bench-out FILE writes the session metrics (lowering tallies, solve
 // time, BDD statistics) as a metrics JSON. Observability (-trace,
-// -metrics, -v, -cpuprofile) and resilience (-timeout, -max-nodes,
-// -checkpoint-dir, -resume) flags are shared with the other commands.
+// -metrics, -v, -cpuprofile) and resilience (-timeout, -max-nodes)
+// flags are shared with the other commands.
 package main
 
 import (
@@ -51,7 +51,6 @@ import (
 
 	"bddbddb/internal/analysis"
 	"bddbddb/internal/callgraph"
-	"bddbddb/internal/datalog"
 	"bddbddb/internal/extract"
 	"bddbddb/internal/frontend/gofront"
 	"bddbddb/internal/obs"
@@ -67,7 +66,6 @@ func main() {
 	entries := flag.String("entries", "auto", "analysis roots: auto|main|exported|all")
 	report := flag.String("report", "", "comma-separated reports: nil,escape,precision")
 	varName := flag.String("var", "", "print the points-to set of this variable (Class.method/v)")
-	noOpt := flag.Bool("noopt", false, "disable the Datalog plan optimizer (pinned textual-order execution)")
 	benchOut := flag.String("bench-out", "", "write lowering+solve metrics JSON to this file")
 	var oflags obs.Flags
 	oflags.Register(flag.CommandLine)
@@ -85,7 +83,7 @@ func main() {
 		os.Exit(1)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	runErr := run(ctx, sess, rflags, flag.Args(), *algo, *entries, *report, *varName, *noOpt, *benchOut)
+	runErr := run(ctx, sess, rflags, flag.Args(), *algo, *entries, *report, *varName, *benchOut)
 	stop()
 	if err := sess.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "gopointsto:", err)
@@ -97,7 +95,7 @@ func main() {
 }
 
 func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags,
-	patterns []string, algo, entries, report, varName string, noOpt bool, benchOut string) error {
+	patterns []string, algo, entries, report, varName, benchOut string) error {
 	tr := sess.Tracer
 	reports := make(map[string]bool)
 	for _, r := range strings.Split(report, ",") {
@@ -138,10 +136,6 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags,
 	cfg := analysis.Config{
 		Tracer: tr, Metrics: sess.Metrics,
 		Context: ctx, Budget: rflags.Budget(),
-		CheckpointDir: rflags.CheckpointDir, Resume: rflags.Resume,
-	}
-	if noOpt {
-		cfg.Plan = datalog.LegacyPlan()
 	}
 	var r *analysis.Result
 	obs.Begin(tr, "gopointsto.analyze", obs.A("algo", algo))

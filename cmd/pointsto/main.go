@@ -17,10 +17,9 @@
 // stderr, and -cpuprofile/-memprofile write runtime/pprof profiles.
 //
 // Resilience: -timeout and -max-nodes bound the run (exit code 3 on
-// exhaustion), Ctrl-C cancels it cleanly (exit code 4), -checkpoint-dir
-// and -resume save/restore the solve across runs. Context-sensitive
-// runs that blow their budget degrade to the context-insensitive
-// result (noted on stderr) instead of failing.
+// exhaustion) and Ctrl-C cancels it cleanly (exit code 4).
+// Context-sensitive runs that blow their budget degrade to the
+// context-insensitive result (noted on stderr) instead of failing.
 package main
 
 import (
@@ -32,7 +31,6 @@ import (
 
 	"bddbddb/internal/analysis"
 	"bddbddb/internal/callgraph"
-	"bddbddb/internal/datalog"
 	"bddbddb/internal/extract"
 	"bddbddb/internal/obs"
 	"bddbddb/internal/program"
@@ -42,7 +40,6 @@ import (
 func main() {
 	algo := flag.String("algo", "otf", "analysis: ci|cif|otf|cs|type|threads")
 	varName := flag.String("var", "", "print the points-to set of this variable (Class.method/v)")
-	noOpt := flag.Bool("noopt", false, "disable the Datalog plan optimizer (pinned textual-order execution)")
 	var oflags obs.Flags
 	oflags.Register(flag.CommandLine)
 	var rflags resilience.Flags
@@ -59,7 +56,7 @@ func main() {
 		os.Exit(1)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	runErr := run(ctx, sess, rflags, flag.Arg(0), *algo, *varName, *noOpt)
+	runErr := run(ctx, sess, rflags, flag.Arg(0), *algo, *varName)
 	stop()
 	if err := sess.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "pointsto:", err)
@@ -70,7 +67,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, path, algo, varName string, noOpt bool) error {
+func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, path, algo, varName string) error {
 	tr := sess.Tracer
 	src, err := os.ReadFile(path)
 	if err != nil {
@@ -91,10 +88,6 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, path, 
 	cfg := analysis.Config{
 		Tracer: tr, Metrics: sess.Metrics,
 		Context: ctx, Budget: rflags.Budget(),
-		CheckpointDir: rflags.CheckpointDir, Resume: rflags.Resume,
-	}
-	if noOpt {
-		cfg.Plan = datalog.LegacyPlan()
 	}
 	var res *analysis.Result
 	obs.Begin(tr, "pointsto.analyze", obs.A("algo", algo))

@@ -7,9 +7,8 @@
 //	synthgen -bench megamek > megamek.jp
 //
 // Resilience: -timeout bounds generation (exit code 3) and Ctrl-C
-// cancels it (exit code 4). -max-nodes, -checkpoint-dir and -resume
-// are accepted for flag parity with the other commands but are inert —
-// synthgen runs no BDD solver.
+// cancels it (exit code 4). -max-nodes is accepted for flag parity with
+// the other commands but is inert — synthgen runs no BDD solver.
 package main
 
 import (

@@ -95,7 +95,6 @@ func TestFaultMatrix(t *testing.T) {
 	faults := []string{
 		resilience.FaultBDDGrow,
 		resilience.FaultStratumStart,
-		resilience.FaultCheckpointWrite,
 	}
 	modes := []string{"cancel", "budget", "panic"}
 	before := runtime.NumGoroutine()
@@ -115,11 +114,7 @@ func TestFaultMatrix(t *testing.T) {
 					defer cancel()
 					// NodeSize 1 is clamped to the manager minimum, so
 					// the table must grow early and bdd.grow fires.
-					cfg := Config{
-						NodeSize:      1,
-						Context:       ctx,
-						CheckpointDir: t.TempDir(),
-					}
+					cfg := Config{NodeSize: 1, Context: ctx}
 					fired := false
 					restore := resilience.SetFaultHook(func(name string) {
 						if name != fault {
@@ -192,53 +187,5 @@ func checkFailureOrDegraded(t *testing.T, res *Result, err error, want error) {
 	}
 	if len(res.PointsToPairs()) == 0 {
 		t.Fatal("degraded result is unusable: no points-to pairs")
-	}
-}
-
-// TestResumeDifferential interrupts each algorithm's primary solve at
-// its second checkpoint write, then resumes a fresh run from the
-// surviving checkpoint and requires the exact fixpoint of an
-// uninterrupted run.
-func TestResumeDifferential(t *testing.T) {
-	for _, ep := range entryPoints {
-		t.Run(ep.name, func(t *testing.T) {
-			f := facts(t, ep.src)
-			clean, err := ep.run(f, Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			dir := t.TempDir()
-			writes := 0
-			restore := resilience.SetFaultHook(func(name string) {
-				if name == resilience.FaultCheckpointWrite {
-					writes++
-					if writes > 1 {
-						resilience.Abort(&resilience.BudgetError{Resource: "nodes", Limit: 1, Used: 2})
-					}
-				}
-			})
-			res, err := ep.run(facts(t, ep.src), Config{CheckpointDir: dir})
-			restore()
-			if writes < 2 {
-				t.Fatalf("solve wrote only %d checkpoints; cannot interrupt", writes)
-			}
-			if err != nil {
-				if !errors.Is(err, resilience.ErrBudgetExceeded) {
-					t.Fatalf("interrupted run: want ErrBudgetExceeded, got %v", err)
-				}
-			} else if !res.Degraded {
-				t.Fatal("interrupted run neither failed nor degraded")
-			}
-			if _, err := resilience.ReadManifest(dir); err != nil {
-				t.Fatalf("surviving checkpoint unreadable: %v", err)
-			}
-
-			resumed, err := ep.run(facts(t, ep.src), Config{Resume: dir})
-			if err != nil {
-				t.Fatalf("resume: %v", err)
-			}
-			ep.same(t, resumed, clean)
-		})
 	}
 }

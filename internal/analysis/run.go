@@ -57,15 +57,6 @@ type Config struct {
 	// fixpoint iterations); violations surface as
 	// resilience.BudgetError. The zero value is unlimited.
 	Budget resilience.Budget
-	// CheckpointDir, when set, saves the primary solve's state there at
-	// fixpoint-iteration boundaries. Only the entry point's main solve
-	// checkpoints — auxiliary solves (call-graph discovery inside a
-	// context-sensitive run) do not, so the directory always holds one
-	// unambiguous program's state.
-	CheckpointDir string
-	// Resume restores the primary solve from a checkpoint directory
-	// written by a previous run of the same program.
-	Resume string
 	// PreSolve, when set, runs inside the primary solve after facts are
 	// applied and before the first stratum — the hook live updates and
 	// their differential oracles use to edit input tuples with exact
@@ -103,18 +94,14 @@ func (c Config) withControl() Config {
 	return c
 }
 
-// checkpointOpts applies the primary-solve-only configuration —
-// checkpoint/resume and the PreSolve input-delta hook. Auxiliary
-// solves go through auxConfig, which carries neither.
-func (c Config) checkpointOpts(opts *datalog.Options) {
-	if c.CheckpointDir != "" {
-		opts.Checkpoint = &resilience.CheckpointConfig{Dir: c.CheckpointDir}
-	}
-	opts.ResumeFrom = c.Resume
+// primaryOpts applies the primary-solve-only configuration: the
+// PreSolve input-delta hook. Auxiliary solves go through auxConfig,
+// which does not carry it.
+func (c Config) primaryOpts(opts *datalog.Options) {
 	opts.PreSolve = c.PreSolve
 }
 
-// auxConfig strips the checkpoint/resume settings for an auxiliary
+// auxConfig strips the primary-solve-only settings for an auxiliary
 // solve (e.g. call-graph discovery) while keeping the shared controller
 // and observability sinks. Order is dropped too: it describes the
 // primary program's domains.
@@ -277,7 +264,7 @@ func RunContextInsensitive(f *extract.Facts, typeFilter bool, cfg Config) (_ *Re
 		return nil, err
 	}
 	opts := baseOptions(f, cfg, ciOrder)
-	cfg.checkpointOpts(&opts)
+	cfg.primaryOpts(&opts)
 	s, err := compileTraced(prog, opts, cfg.Tracer)
 	if err != nil {
 		return nil, err
@@ -313,7 +300,7 @@ func RunOnTheFly(f *extract.Facts, cfg Config) (_ *Result, err error) {
 		return nil, err
 	}
 	opts := baseOptions(f, cfg, ciOrder)
-	cfg.checkpointOpts(&opts)
+	cfg.primaryOpts(&opts)
 	s, err := compileTraced(prog, opts, cfg.Tracer)
 	if err != nil {
 		return nil, err
@@ -406,7 +393,7 @@ func runCloned(f *extract.Facts, g *callgraph.Graph, cfg Config, src string) (*R
 		return nil, err
 	}
 	opts := baseOptions(f, cfg, csOrder)
-	cfg.checkpointOpts(&opts)
+	cfg.primaryOpts(&opts)
 	opts.DomainSizes["C"] = n.ContextDomainSize(cfg.contextLimit())
 	s, err := compileTraced(prog, opts, cfg.Tracer)
 	if err != nil {
@@ -520,7 +507,7 @@ func runHeapCloned(f *extract.Facts, g *callgraph.Graph, cfg Config) (*Result, e
 		return nil, err
 	}
 	opts := baseOptions(f, cfg, heapOrder)
-	cfg.checkpointOpts(&opts)
+	cfg.primaryOpts(&opts)
 	cSize := n.ContextDomainSize(cfg.contextLimit())
 	opts.DomainSizes["C"] = cSize
 	// HC is sized like C: clone hc mirrors context c, with value 0
@@ -606,7 +593,7 @@ func RunTypeAnalysisCI(f *extract.Facts, cfg Config) (_ *Result, err error) {
 		return nil, err
 	}
 	opts := baseOptions(f, cfg, ciOrder)
-	cfg.checkpointOpts(&opts)
+	cfg.primaryOpts(&opts)
 	s, err := compileTraced(prog, opts, cfg.Tracer)
 	if err != nil {
 		return nil, err

@@ -128,7 +128,7 @@ func RunThreadEscape(f *extract.Facts, g *callgraph.Graph, cfg Config) (_ *Resul
 		return nil, err
 	}
 	opts := baseOptions(f, cfg, ctOrder)
-	cfg.checkpointOpts(&opts)
+	cfg.primaryOpts(&opts)
 	opts.DomainSizes["CT"] = tc.NumContexts
 	s, err := compileTraced(prog, opts, cfg.Tracer)
 	if err != nil {

@@ -9,8 +9,9 @@ import (
 	"bddbddb/internal/resilience"
 )
 
-// This file serializes BDD DAGs — the physical layer of the solver's
-// checkpoint format. A dump holds the union of the DAGs under a list
+// This file serializes BDD DAGs — the physical layer of the serving
+// snapshot, the incremental solver's relation copies and the solver's
+// content fingerprint. A dump holds the union of the DAGs under a list
 // of roots, with structure shared exactly as in memory, so writing
 // every relation of a solve costs one pass over the distinct nodes.
 //
@@ -27,7 +28,9 @@ import (
 // (children precede parents), so a reader can rebuild bottom-up with
 // the ordinary hash-consing allocator. Levels are raw variable levels:
 // a dump is only meaningful in a manager with the identical variable
-// order, which the checkpoint manifest's fingerprint guarantees.
+// order, which the reader guarantees by rebuilding the writer's layout
+// (the snapshot records its domains and block order; the incremental
+// copy builds both solvers from one program and options).
 
 var dagMagic = [8]byte{'B', 'D', 'D', 'D', 'A', 'G', '1', '\n'}
 
@@ -84,8 +87,7 @@ func (m *Manager) WriteDAG(w io.Writer, roots []Node) error {
 
 // ReadDAG rebuilds a dump written by WriteDAG and returns its roots,
 // each referenced on behalf of the caller. The manager must declare at
-// least the variables the dump uses (the checkpoint fingerprint
-// guarantees an identical order).
+// least the variables the dump uses, in the writer's order.
 //
 // The input is treated as untrusted: node ids, variable levels, and the
 // child-before-parent level ordering are all validated before any node

@@ -93,19 +93,6 @@ func (cr *compiledRule) releaseHelpers(m *bdd.Manager) {
 	cr.full, cr.singles, cr.dups = nil, nil, nil
 }
 
-// orderHasFreedom reports whether the greedy planner can actually move
-// anything: after the delta (or anchor) literal is pinned first, at
-// least two positive literals must remain to permute.
-func (cr *compiledRule) orderHasFreedom() bool {
-	n := 0
-	for i := range cr.naive.Lits {
-		if !cr.naive.Lits[i].Negated {
-			n++
-		}
-	}
-	return n >= 3
-}
-
 // recursivePositions lists the canonical body positions that read
 // predicates of the given stratum (candidates for the semi-naive
 // delta).

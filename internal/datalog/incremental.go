@@ -28,8 +28,7 @@ import (
 // loop uses — and the stratum then iterates its own semi-naive loop
 // from the freshly derived frontier. Deletions, and strata that negate
 // a changed predicate, fall back to re-solving the whole stratum from
-// its fact baseline (correctness over cleverness, as the checkpoint
-// machinery does); the recompute's head diff is classified again, so
+// its fact baseline (correctness over cleverness); the recompute's head diff is classified again, so
 // downstream strata whose effective change turns out to be add-only
 // still take the fast path.
 //
@@ -429,14 +428,12 @@ func (inc *IncrementalSolver) Update(ctl *resilience.Controller, d Delta) (*Upda
 		return nil, err
 	}
 	start := time.Now()
-	// Install the update's controller (and suspend checkpointing: the
-	// checkpoint iteration bookkeeping describes the initial solve, and
-	// a mid-update checkpoint would not be resumable into it).
-	prevCtl, prevCkpt := s.opts.Control, s.opts.Checkpoint
-	s.opts.Control, s.opts.Checkpoint = ctl, nil
+	// Install the update's controller for the duration of the update.
+	prevCtl := s.opts.Control
+	s.opts.Control = ctl
 	s.u.M.SetControl(ctl)
 	defer func() {
-		s.opts.Control, s.opts.Checkpoint = prevCtl, prevCkpt
+		s.opts.Control = prevCtl
 		s.u.M.SetControl(prevCtl)
 	}()
 	txn := &UpdateTxn{s: s, undo: make(map[string]*rel.Relation)}
@@ -581,9 +578,7 @@ func (inc *IncrementalSolver) Update(ctl *resilience.Controller, d Delta) (*Upda
 				}
 				txn.Stats.StrataFast++
 			} else {
-				if err := inc.recomputeStratum(i, st); err != nil {
-					return err
-				}
+				inc.recomputeStratum(i, st)
 				txn.Stats.StrataRecomputed++
 			}
 			// Classify each head's effective change against its
@@ -724,7 +719,7 @@ func (inc *IncrementalSolver) propagateStratum(st *stratum, changedAdd map[strin
 
 // recomputeStratum resets the stratum's heads to their fact baseline
 // and re-runs the stratum's full evaluation — the deletion fallback.
-func (inc *IncrementalSolver) recomputeStratum(idx int, st *stratum) error {
+func (inc *IncrementalSolver) recomputeStratum(idx int, st *stratum) {
 	s := inc.s
 	for _, h := range st.preds {
 		old := s.rels[h]
@@ -732,7 +727,7 @@ func (inc *IncrementalSolver) recomputeStratum(idx int, st *stratum) error {
 		base.AddTuples(inc.factTuples[h])
 		s.ReplaceRelation(h, base)
 	}
-	return s.solveStratum(idx, st, nil)
+	s.solveStratum(idx, st)
 }
 
 // inputNames lists the relations no non-fact rule defines, in
@@ -750,8 +745,7 @@ func (inc *IncrementalSolver) inputNames() []string {
 
 // copyRelations transfers the named relations from src to dst through
 // one shared BDD DAG dump. Both solvers must have been built from the
-// same program and options, which pins an identical variable layout —
-// the same invariant checkpoint resume relies on.
+// same program and options, which pins an identical variable layout.
 func copyRelations(src, dst *Solver, names []string) error {
 	roots := make([]bdd.Node, 0, len(names))
 	for _, n := range names {
@@ -812,8 +806,6 @@ func (inc *IncrementalSolver) Rebase(ctl *resilience.Controller, d Delta) (*Solv
 	s := inc.s
 	opts := s.opts
 	opts.Control = ctl
-	opts.Checkpoint = nil
-	opts.ResumeFrom = ""
 	inputs := inc.inputNames()
 	opts.PreSolve = func(ns *Solver) error {
 		// Input relations carry their live contents verbatim (the copy

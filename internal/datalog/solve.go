@@ -80,20 +80,12 @@ type Options struct {
 	// Budget.MaxIterations). Violations surface from Solve as typed
 	// errors (resilience.ErrCanceled / ErrBudgetExceeded).
 	Control *resilience.Controller
-	// Checkpoint, when set, saves the solver state into Checkpoint.Dir
-	// at fixpoint-iteration and stratum boundaries.
-	Checkpoint *resilience.CheckpointConfig
-	// ResumeFrom, when set, restores a checkpoint directory written by a
-	// previous run of the same program (verified by fingerprint) and
-	// continues the evaluation from it instead of starting fresh.
-	ResumeFrom string
 	// PreSolve, when set, runs inside Solve after facts are applied and
 	// before the first stratum evaluates — the one point where input
 	// relations hold their complete pre-fixpoint contents (fills and
 	// facts alike), so a caller can apply an input-tuple delta there and
 	// get exactly the semantics of IncrementalSolver.Update's edits to a
-	// live solver. Skipped when resuming from a checkpoint (the restored
-	// relations already include everything up to the checkpoint).
+	// live solver.
 	PreSolve func(*Solver) error
 }
 
@@ -149,16 +141,6 @@ const (
 	keyRuleApps = "datalog.rule_applications"
 	keyIters    = "datalog.iterations"
 )
-
-// replanEveryIteration re-optimizes recursive rules' delta plans with
-// fresh cardinalities each fixpoint iteration. Off: re-sorting the
-// joins every round changes the operand pairings, and the BDD
-// operation cache — which carries most of the cross-iteration work in
-// semi-naive evaluation — stops hitting. Measured on the synthetic
-// context-sensitive workloads, stable plans beat per-iteration
-// replanning across the board; the toggle stays as the documented
-// experiment knob.
-const replanEveryIteration = false
 
 // opMetricKeys maps plan op kinds to their datalog.op.* counter keys.
 var opMetricKeys = map[string]string{
@@ -504,41 +486,16 @@ func (s *Solver) Solve() (err error) {
 			obs.A("rules", len(s.prog.Rules)), obs.A("strata", len(s.strata)))
 		defer func() { s.tr.End() }()
 	}
-	var rs *resumeState
-	if s.opts.ResumeFrom != "" {
-		rs, err = s.loadCheckpoint(s.opts.ResumeFrom)
-		if err != nil {
-			return err
-		}
+	if err := s.applyFacts(); err != nil {
+		return err
 	}
-	if rs == nil {
-		// Facts are part of the checkpointed relations; resumed runs
-		// must not re-apply them.
-		if err := s.applyFacts(); err != nil {
+	if s.opts.PreSolve != nil {
+		if err := s.opts.PreSolve(s); err != nil {
 			return err
-		}
-		if s.opts.PreSolve != nil {
-			if err := s.opts.PreSolve(s); err != nil {
-				return err
-			}
 		}
 	}
 	for i, st := range s.strata {
-		if rs != nil && i < rs.stratum {
-			continue // final in the checkpoint
-		}
-		var mid *resumeState
-		if rs != nil && i == rs.stratum && rs.deltas != nil {
-			mid = rs
-		}
-		if err := s.solveStratum(i, st, mid); err != nil {
-			return err
-		}
-		if s.opts.Checkpoint != nil {
-			if err := s.writeCheckpoint(i+1, 0, nil); err != nil {
-				return err
-			}
-		}
+		s.solveStratum(i, st)
 	}
 	s.reg.Timer(keySolve).Observe(time.Since(start))
 	s.u.M.Stats().AddTo(s.reg)
@@ -600,12 +557,8 @@ func (s *Solver) applyFacts() error {
 	return nil
 }
 
-// solveStratum evaluates one stratum to fixpoint. resume, when non-nil,
-// seeds the semi-naive frontier from a checkpoint taken mid-stratum:
-// the base rules already ran before the checkpoint (their output is in
-// the restored relations), so evaluation continues straight into the
-// delta iterations.
-func (s *Solver) solveStratum(idx int, st *stratum, resume *resumeState) error {
+// solveStratum evaluates one stratum to fixpoint.
+func (s *Solver) solveStratum(idx int, st *stratum) {
 	resilience.FaultPoint(resilience.FaultStratumStart)
 	s.opts.Control.Check()
 	if s.tr != nil {
@@ -644,24 +597,20 @@ func (s *Solver) solveStratum(idx int, st *stratum, resume *resumeState) error {
 			cr.clearCaches(s.u.M)
 		}
 	}()
-	if resume == nil {
-		for _, cr := range base {
-			res := s.execPlan(cr, cr.plans[-1], nil)
-			head := s.rels[cr.rule.Head.Pred]
-			fresh := res.Minus("fresh", head)
-			res.Free()
-			s.countDelta(cr.rule, fresh)
-			s.growHead(rules, head, fresh)
-			fresh.Free()
-		}
+	for _, cr := range base {
+		res := s.execPlan(cr, cr.plans[-1], nil)
+		head := s.rels[cr.rule.Head.Pred]
+		fresh := res.Minus("fresh", head)
+		res.Free()
+		s.countDelta(cr.rule, fresh)
+		s.growHead(rules, head, fresh)
+		fresh.Free()
 	}
 	if len(recur) == 0 {
-		return nil
+		return
 	}
 	if s.opts.NoIncrementalization {
-		var iter int64
 		for {
-			iter++
 			s.cIters.Inc()
 			s.opts.Control.AddIteration()
 			if s.tr != nil {
@@ -684,66 +633,24 @@ func (s *Solver) solveStratum(idx int, st *stratum, resume *resumeState) error {
 			if s.tr != nil {
 				s.tr.End(obs.A("changed", changed))
 			}
-			// Naive mode has no delta frontier: a mid-stratum checkpoint
-			// saves just the relations, and resuming re-runs the stratum
-			// from them (monotonicity makes the re-run converge to the
-			// same fixpoint).
-			if changed && s.opts.Checkpoint.Due(int(iter)) {
-				if err := s.writeCheckpoint(idx, 0, nil); err != nil {
-					return err
-				}
-			}
 			if !changed {
-				return nil
+				return
 			}
 		}
 	}
-	// Semi-naive iteration: deltas start at the current values (or, on
-	// resume, at the checkpointed frontier).
-	var delta map[string]*rel.Relation
-	var iter int64
-	if resume != nil {
-		delta = resume.deltas
-		iter = resume.iter
-	} else {
-		delta = make(map[string]*rel.Relation)
-		for _, p := range st.preds {
-			if r, ok := s.rels[p]; ok {
-				delta[p] = r.Clone("Δ" + p)
-			}
+	// Semi-naive iteration: deltas start at the current values.
+	delta := make(map[string]*rel.Relation)
+	for _, p := range st.preds {
+		if r, ok := s.rels[p]; ok {
+			delta[p] = r.Clone("Δ" + p)
 		}
 	}
-	first := resume == nil
 	for {
-		iter++
 		s.cIters.Inc()
 		s.opts.Control.AddIteration()
 		if s.tr != nil {
 			s.tr.Begin(fmt.Sprintf("iteration %d", s.cIters.Value()))
 		}
-		// Replan the delta variants with this iteration's cardinalities:
-		// the recursive relations were empty (or seed-sized) when the
-		// stratum was planned, and the greedy order only becomes
-		// trustworthy once they hold real data. Only rules whose order
-		// actually has freedom (two or more literals after the delta
-		// rotation) are replanned — recomputing satcounts every
-		// iteration for a binary transitive-closure rule would cost more
-		// than the plan could ever save. Replanning never touches the
-		// canonical literal list, so hoisted normalizations keyed by
-		// position survive across iterations.
-		if !first && !s.opts.Plan.NoReorder && replanEveryIteration {
-			var iterCard func(string) float64
-			for _, cr := range recur {
-				if !cr.orderHasFreedom() {
-					continue
-				}
-				if iterCard == nil {
-					iterCard = s.cardFn()
-				}
-				s.planRule(cr, inStratum, iterCard)
-			}
-		}
-		first = false
 		newDelta := make(map[string]*rel.Relation)
 		changed := false
 		for _, cr := range recur {
@@ -784,12 +691,7 @@ func (s *Solver) solveStratum(idx int, st *stratum, resume *resumeState) error {
 			for _, d := range delta {
 				d.Free()
 			}
-			return nil
-		}
-		if s.opts.Checkpoint.Due(int(iter)) {
-			if err := s.writeCheckpoint(idx, iter, delta); err != nil {
-				return err
-			}
+			return
 		}
 	}
 }

@@ -115,6 +115,7 @@ var Caveats = []Caveat{
 	{"multiple embedding", "first embedded struct becomes the superclass; others stay fields and promoted calls load them explicitly", "none (modelled precisely, just asymmetrically)"},
 	{"pointer indirection levels", "*T is identified with T (one alias class per pointee)", "distinct *T and **T cells collapse"},
 	{"array/slice indices", "all elements merge into one \"[]\" field", "index-sensitive disambiguation"},
+	{"append growth", "append(s, …) evaluates to s; an allocation site is made only when s lowers to no value (a nil literal)", "a slice grown from a nil field or variable gets no allocation site, so its points-to set can be empty although append returned a non-nil slice"},
 	{"generics", "instantiations collapse onto the generic origin (one class per declaration)", "type-argument-specific flows merge"},
 	{"panic/recover", "panic arguments are evaluated, recover returns an opaque object", "the throw/catch value flow is not connected"},
 	{"defer", "the deferred call is lowered at the defer site (flow-insensitive)", "none beyond flow insensitivity"},

@@ -160,10 +160,53 @@ func TestProgressTracer(t *testing.T) {
 		t.Errorf("live nodes = %g, want 1234", v["progress.bdd_live_nodes"])
 	}
 	hb := p.Heartbeat()
-	for _, want := range []string{"stratum=2", "iter=5", "rule-apps=2", "live-nodes=1234", "elapsed="} {
+	for _, want := range []string{"progress: solve strata ", "stratum=2", "iter=5", "rule-apps=2", "live-nodes@gc=1234", "elapsed="} {
 		if !strings.Contains(hb, want) {
 			t.Errorf("heartbeat missing %q: %s", want, hb)
 		}
+	}
+	// Ending a coarse phase's span restores the enclosing phase, while
+	// rule, op, stratum, iteration and GC spans closing inside a phase
+	// leave it current.
+	t.Run("nesting", testProgressPhaseNesting)
+}
+
+func testProgressPhaseNesting(t *testing.T) {
+	p := NewProgress()
+	phase := func(want string) {
+		t.Helper()
+		if hb := p.Heartbeat(); !strings.HasPrefix(hb, "progress: "+want+" ") {
+			t.Errorf("heartbeat = %q, want phase %q", hb, want)
+		}
+	}
+	phase("startup")
+	p.Begin("datalog.solve")
+	p.Begin("datalog.facts")
+	phase("datalog.facts")
+	p.End() // datalog.facts
+	phase("datalog.solve")
+	p.Begin("stratum 0")
+	p.Begin("iteration 1")
+	p.Begin("rule 2: vP")
+	p.Begin("op.relprod")
+	p.End()
+	p.End()
+	p.Begin("bdd.gc")
+	p.End()
+	phase("datalog.solve")
+	p.Begin("callgraph.number") // a phase nested inside fine spans
+	p.Begin("rule 3: IE")
+	p.End()
+	phase("callgraph.number")
+	p.End() // callgraph.number
+	phase("datalog.solve")
+	p.End() // iteration 1
+	p.End() // stratum 0
+	phase("datalog.solve")
+	p.End() // datalog.solve
+	phase("startup")
+	if got := p.Values()["progress.rule_apps"]; got != 2 {
+		t.Errorf("rule_apps = %g, want 2", got)
 	}
 }
 

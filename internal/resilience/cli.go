@@ -6,24 +6,19 @@ import (
 	"time"
 )
 
-// Flags bundles the resilience flags every command shares: -timeout,
-// -max-nodes, -checkpoint-dir, -resume. Register them on a FlagSet,
-// then build a Controller after flag parsing. Exit codes per failure
-// class are ExitBudget (3), ExitCanceled (4), ExitInternal (5); see
-// ExitCode.
+// Flags bundles the resilience flags every command shares: -timeout
+// and -max-nodes. Register them on a FlagSet, then build a Controller
+// after flag parsing. Exit codes per failure class are ExitBudget (3),
+// ExitCanceled (4), ExitInternal (5); see ExitCode.
 type Flags struct {
-	Timeout       time.Duration
-	MaxNodes      int
-	CheckpointDir string
-	Resume        string
+	Timeout  time.Duration
+	MaxNodes int
 }
 
 // Register installs the standard flags on fs.
 func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&f.Timeout, "timeout", 0, "wall-clock budget for the whole run, e.g. 5m (0 = none; exit code 3 when exceeded)")
 	fs.IntVar(&f.MaxNodes, "max-nodes", 0, "max live BDD nodes before the run aborts (0 = unlimited; exit code 3)")
-	fs.StringVar(&f.CheckpointDir, "checkpoint-dir", "", "write solver checkpoints into this directory at fixpoint-iteration boundaries")
-	fs.StringVar(&f.Resume, "resume", "", "resume the solve from a checkpoint directory written by -checkpoint-dir")
 }
 
 // Budget converts the flags into a Budget.
@@ -35,13 +30,4 @@ func (f *Flags) Budget() Budget {
 // are configured and ctx is plain).
 func (f *Flags) Controller(ctx context.Context) *Controller {
 	return NewController(ctx, f.Budget())
-}
-
-// Checkpoint returns the checkpoint configuration, or nil when
-// -checkpoint-dir was not given.
-func (f *Flags) Checkpoint() *CheckpointConfig {
-	if f.CheckpointDir == "" {
-		return nil
-	}
-	return &CheckpointConfig{Dir: f.CheckpointDir}
 }

@@ -4,13 +4,11 @@ import "sync/atomic"
 
 // Registered fault-point names. Each marks a place a run can be made
 // to fail deterministically from tests: the BDD table growing, a
-// stratum starting its evaluation, a checkpoint being written, and the
-// four stages of the live-update lifecycle (delta application,
+// stratum starting its evaluation, and the four stages of the live-update lifecycle (delta application,
 // incremental re-solve, standby-replica hydration, generation swap).
 const (
 	FaultBDDGrow         = "bdd.grow"
 	FaultStratumStart    = "stratum.start"
-	FaultCheckpointWrite = "checkpoint.write"
 	FaultUpdateApply     = "update.apply"
 	FaultUpdateResolve   = "update.resolve"
 	FaultSnapshotHydrate = "snapshot.hydrate"

@@ -1,6 +1,6 @@
 // Package resilience is the solver's survival layer: resource budgets,
-// cooperative cancellation, a typed failure taxonomy, checkpoint
-// manifests, and deterministic fault injection.
+// cooperative cancellation, a typed failure taxonomy, and
+// deterministic fault injection.
 //
 // The paper's context-sensitive runs take tens of minutes and grow BDD
 // tables to hundreds of millions of nodes (Section 6); a service

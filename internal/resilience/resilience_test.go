@@ -3,8 +3,6 @@ package resilience
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -180,56 +178,9 @@ func TestFaultPointHook(t *testing.T) {
 	FaultPoint(FaultBDDGrow)
 	FaultPoint(FaultStratumStart)
 	restore()
-	FaultPoint(FaultCheckpointWrite) // after restore: no hook
+	FaultPoint(FaultSnapshotSwap) // after restore: no hook
 	if len(seen) != 2 || seen[0] != FaultBDDGrow || seen[1] != FaultStratumStart {
 		t.Fatalf("hook saw %v", seen)
-	}
-}
-
-func TestManifestRoundTrip(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "ckpt")
-	m := &Manifest{
-		Fingerprint: "abc123",
-		Stratum:     2,
-		Iteration:   7,
-		Relations:   []string{"vP", "hP"},
-		Deltas:      []string{"vP"},
-	}
-	if err := WriteManifest(dir, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Fingerprint != m.Fingerprint || got.Stratum != 2 || got.Iteration != 7 ||
-		len(got.Relations) != 2 || len(got.Deltas) != 1 {
-		t.Fatalf("round trip lost data: %+v", got)
-	}
-	// No stray temp files.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.Name() != "manifest.json" {
-			t.Fatalf("unexpected file %s", e.Name())
-		}
-	}
-}
-
-func TestCheckpointDue(t *testing.T) {
-	var nilCfg *CheckpointConfig
-	if nilCfg.Due(1) {
-		t.Fatal("nil config is never due")
-	}
-	c := &CheckpointConfig{Dir: "x"}
-	if !c.Due(1) || !c.Due(2) {
-		t.Fatal("default stride is every iteration")
-	}
-	c.EveryIterations = 3
-	if c.Due(1) || c.Due(2) || !c.Due(3) || !c.Due(6) {
-		t.Fatal("stride 3 misbehaves")
 	}
 }
 
