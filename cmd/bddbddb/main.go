@@ -56,8 +56,6 @@ func main() {
 	orderFlag := flag.String("order", "", "variable order: logical domain names separated by '_'")
 	printFlag := flag.String("print", "", "comma-separated output relations to dump")
 	factsDir := flag.String("facts", ".", "directory holding <relation>.tuples input files")
-	nodes := flag.Int("nodes", 0, "initial BDD node table size")
-	cache := flag.Int("cache", 0, "BDD operation cache size")
 	ruleStats := flag.Bool("rulestats", false, "print per-rule applications, time, and derived tuples")
 	explain := flag.Bool("explain", false, "print each rule's execution plan before/after optimization and exit without solving")
 	var oflags obs.Flags
@@ -76,7 +74,7 @@ func main() {
 		os.Exit(1)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	status := run(ctx, sess, rflags, flag.Arg(0), *checkOnly, *wError, *explain, *orderFlag, *printFlag, *factsDir, *nodes, *cache, *ruleStats)
+	status := run(ctx, sess, rflags, flag.Arg(0), *checkOnly, *wError, *explain, *orderFlag, *printFlag, *factsDir, *ruleStats)
 	stop()
 	if err := sess.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "bddbddb:", err)
@@ -91,7 +89,7 @@ func main() {
 // success, 1 when the program is rejected or evaluation fails, 3 when a
 // -timeout/-max-nodes budget is exhausted, 4 on Ctrl-C, 5 on an
 // internal solver failure.
-func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, path string, checkOnly, wError, explain bool, order, printRels, factsDir string, nodes, cache int, ruleStats bool) int {
+func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, path string, checkOnly, wError, explain bool, order, printRels, factsDir string, ruleStats bool) int {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return fail(err)
@@ -136,8 +134,6 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, path s
 	}
 
 	opts := datalog.Options{
-		NodeSize:        nodes,
-		CacheSize:       cache,
 		CountRuleTuples: ruleStats,
 		Tracer:          sess.Tracer,
 		Metrics:         sess.Metrics,

@@ -5,19 +5,20 @@
 //
 // Usage:
 //
-//	bddbddbd [-addr :8077] [-algo cs|ci|heap-cs] [-replicas N] (-synth NAME | program.jp)
+//	bddbddbd [-addr :8077] [-algo ci|cif|cs|heap-cs] [-replicas N] (-synth NAME | program.jp)
 //
 // The input program comes from a synthetic benchmark (-synth quick, or
-// any name from the Figure 3 suite) or a .jp file argument. -algo cs
-// (default) runs the cloning-based context-sensitive analysis with
-// on-the-fly call graph discovery; ci runs the context-insensitive
-// one; heap-cs runs Algorithm 8's heap-cloned analysis, which makes
-// the canned /pointsto and /aliases templates heap-sensitive
-// (answers distinguish the per-context clones of each allocation
-// site). Startup resilience flags (-timeout, -max-nodes) bound the
-// initial solve; if the context-sensitive solve exhausts its budget
-// the daemon degrades to the context-insensitive result and reports
-// degraded:true in /healthz.
+// any name from the Figure 3 suite) or a .jp file argument. -algo
+// names the analysis as in cmd/pointsto: cs (default) runs the
+// cloning-based context-sensitive analysis with on-the-fly call graph
+// discovery; ci and cif run the context-insensitive one without and
+// with type filtering (Algorithms 1 and 2); heap-cs runs Algorithm 8's
+// heap-cloned analysis, which makes the canned /pointsto and /aliases
+// templates heap-sensitive (answers distinguish the per-context clones
+// of each allocation site). Startup resilience flags (-timeout,
+// -max-nodes) bound the initial solve; if the context-sensitive solve
+// exhausts its budget the daemon degrades to the context-insensitive
+// result and reports degraded:true in /healthz.
 //
 // Endpoints:
 //
@@ -70,6 +71,8 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -87,7 +90,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8077", "listen address")
-	algo := flag.String("algo", "cs", "analysis to serve: cs (context-sensitive), ci (context-insensitive), or heap-cs (heap-cloned)")
+	algo := flag.String("algo", "cs", "analysis to serve: "+strings.Join(servable, "|"))
 	precisionFlag := flag.Bool("precision", false, "compute the {ci, cs, heap-cs} precision comparison at startup and serve it at /precision")
 	synthName := flag.String("synth", "", "generate the input program from the named synthetic benchmark (e.g. quick)")
 	replicas := flag.Int("replicas", runtime.GOMAXPROCS(0), "snapshot replicas / worker goroutines")
@@ -101,7 +104,6 @@ func main() {
 	maxTuples := flag.Int("max-tuples", 10000, "max tuples rendered per output relation (count stays exact)")
 	maxStrata := flag.Int("max-query-strata", 1, "stratification depth allowed in ad-hoc queries")
 	grace := flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight requests")
-	typeFilter := flag.Bool("typefilter", true, "apply declared-type filtering (the paper's Algorithm 2/5)")
 	accessLog := flag.String("access-log", "", "append one JSON line per request to this file (\"-\" = stderr)")
 	sampleInterval := flag.Duration("sample-interval", time.Second, "background substrate sampler period for /debug/timeseries (negative disables)")
 	sampleCap := flag.Int("sample-cap", 0, "sampler ring capacity in samples (0 = 600)")
@@ -140,7 +142,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	status := run(ctx, sess, rflags, config{
 		addr: *addr, algo: *algo, synthName: *synthName,
-		typeFilter: *typeFilter, grace: *grace, precision: *precisionFlag,
+		grace: *grace, precision: *precisionFlag,
 		updateFile: *updateFile, updateSlack: *updateSlack,
 		serve: serve.Config{
 			UpdateTimeout:  *updateTimeout,
@@ -177,9 +179,11 @@ func main() {
 	os.Exit(status)
 }
 
+// servable lists the analysis.Run names the daemon serves.
+var servable = []string{"ci", "cif", "cs", "heap-cs"}
+
 type config struct {
 	addr, algo, synthName string
-	typeFilter            bool
 	precision             bool
 	grace                 time.Duration
 	updateFile            string
@@ -201,6 +205,9 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, cfg co
 			}
 		})
 	}
+	if !slices.Contains(servable, cfg.algo) {
+		return fail(fmt.Errorf("unknown -algo %q (want %s)", cfg.algo, strings.Join(servable, ", ")))
+	}
 	prog, err := loadProgram(cfg.synthName)
 	if err != nil {
 		return fail(err)
@@ -219,17 +226,7 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, cfg co
 	fmt.Fprintf(os.Stderr, "bddbddbd: solving (%s, %d vars, %d heap objects)...\n",
 		cfg.algo, len(facts.Vars), len(facts.Heaps))
 	t0 := time.Now()
-	var res *analysis.Result
-	switch cfg.algo {
-	case "cs":
-		res, err = analysis.RunContextSensitive(facts, nil, acfg)
-	case "ci":
-		res, err = analysis.RunContextInsensitive(facts, cfg.typeFilter, acfg)
-	case "heap-cs":
-		res, err = analysis.RunHeapCloned(facts, nil, acfg)
-	default:
-		err = fmt.Errorf("unknown -algo %q (want cs, ci, or heap-cs)", cfg.algo)
-	}
+	res, err := analysis.Run(cfg.algo, facts, acfg)
 	if err != nil {
 		return fail(err)
 	}

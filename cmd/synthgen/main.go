@@ -5,23 +5,16 @@
 //
 //	synthgen -list
 //	synthgen -bench megamek > megamek.jp
-//
-// Resilience: -timeout bounds generation (exit code 3) and Ctrl-C
-// cancels it (exit code 4). -max-nodes is accepted for flag parity with
-// the other commands but is inert — synthgen runs no BDD solver.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 
 	"bddbddb/internal/callgraph"
 	"bddbddb/internal/obs"
 	"bddbddb/internal/program"
-	"bddbddb/internal/resilience"
 	"bddbddb/internal/synth"
 )
 
@@ -30,17 +23,12 @@ func main() {
 	bench := flag.String("bench", "", "benchmark to generate")
 	var oflags obs.Flags
 	oflags.Register(flag.CommandLine)
-	var rflags resilience.Flags
-	rflags.Register(flag.CommandLine)
 	flag.Parse()
 	sess, err := oflags.Start("synthgen")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "synthgen:", err)
 		os.Exit(1)
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	ctl := rflags.Controller(ctx)
 	switch {
 	case *list:
 		fmt.Printf("%-10s %-8s %-7s %-7s %-8s %s\n", "name", "classes", "layers", "width", "threads", "paper c.s. paths")
@@ -58,11 +46,6 @@ func main() {
 		obs.Begin(sess.Tracer, "synthgen.generate", obs.A("bench", b.Params.Name))
 		p := synth.Generate(b.Params)
 		obs.End(sess.Tracer)
-		if err := ctl.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, "synthgen:", err)
-			stop()
-			os.Exit(resilience.ExitCode(err))
-		}
 		obs.Begin(sess.Tracer, "synthgen.format")
 		out := program.Format(p)
 		obs.End(sess.Tracer)

@@ -24,6 +24,8 @@
 //	experiments the Figure 3-6 harness
 //
 // Entry points: cmd/bddbddb (run Datalog), cmd/pointsto (analyze a .jp
-// program), cmd/synthgen (emit benchmarks), cmd/experiments (regenerate
-// the paper's tables). See README.md, DESIGN.md and EXPERIMENTS.md.
+// program or Go packages), cmd/bddbddbd (serve queries over a solved
+// analysis), cmd/synthgen (emit benchmarks), cmd/experiments
+// (regenerate the paper's tables). See README.md, DESIGN.md and
+// EXPERIMENTS.md.
 package bddbddb

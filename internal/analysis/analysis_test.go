@@ -1,10 +1,13 @@
 package analysis
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"bddbddb/internal/extract"
 	"bddbddb/internal/program"
+	"bddbddb/internal/synth"
 )
 
 func facts(t *testing.T, src string) *extract.Facts {
@@ -525,4 +528,51 @@ func TestContextLimitMergingStaysSound(t *testing.T) {
 	}
 	// Merging contexts loses precision but must not lose pairs.
 	subsetPairs(t, vpOf(t, full), vpOf(t, merged), "full ⊆ merged")
+}
+
+// TestRunTable checks that every name Run accepts dispatches to its
+// entry point: same projected points-to pairs (for type, same vTC) as a
+// direct call.
+func TestRunTable(t *testing.T) {
+	f, err := extract.Extract(synth.Generate(synth.Quick), extract.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := map[string]func() (*Result, error){
+		"ci":      func() (*Result, error) { return RunContextInsensitive(f, false, Config{}) },
+		"cif":     func() (*Result, error) { return RunContextInsensitive(f, true, Config{}) },
+		"otf":     func() (*Result, error) { return RunOnTheFly(f, Config{}) },
+		"cs":      func() (*Result, error) { return RunContextSensitive(f, nil, Config{}) },
+		"heap-cs": func() (*Result, error) { return RunHeapCloned(f, nil, Config{}) },
+		"type":    func() (*Result, error) { return RunTypeAnalysis(f, nil, Config{}) },
+		"threads": func() (*Result, error) { return RunThreadEscape(f, nil, Config{}) },
+	}
+	if len(direct) != len(Algorithms) {
+		t.Fatalf("Algorithms lists %d names, test covers %d", len(Algorithms), len(direct))
+	}
+	for _, name := range Algorithms {
+		t.Run(name, func(t *testing.T) {
+			want, err := direct[name]()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Run(name, f, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name == "type" {
+				if g, w := got.RelationSize("vTC"), want.RelationSize("vTC"); g.Cmp(w) != 0 || w.Sign() == 0 {
+					t.Fatalf("vTC: Run %s tuples, direct %s", g, w)
+				}
+				return
+			}
+			g, w := got.PointsToPairs(), want.PointsToPairs()
+			if len(w) == 0 || !reflect.DeepEqual(g, w) {
+				t.Fatalf("points-to pairs: Run %d, direct %d", len(g), len(w))
+			}
+		})
+	}
+	if _, err := Run("bogus", f, Config{}); err == nil || !strings.Contains(err.Error(), "heap-cs") {
+		t.Fatalf("unknown name: got %v, want an error listing the names", err)
+	}
 }

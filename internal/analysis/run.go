@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"bddbddb/internal/callgraph"
 	"bddbddb/internal/datalog"
@@ -248,6 +249,35 @@ func fillCommon(s *datalog.Solver, f *extract.Facts) {
 		}
 		s.Relation("eqT").AddTuples(diag)
 	}
+}
+
+// Algorithms lists the names Run accepts, in usage order.
+var Algorithms = []string{"ci", "cif", "otf", "cs", "heap-cs", "type", "threads"}
+
+// Run runs the named analysis: ci (Algorithm 1), cif (Algorithm 2,
+// type-filtered), otf (Algorithm 3, on-the-fly call graph), cs
+// (Algorithm 5, context-sensitive), heap-cs (Algorithm 8, heap
+// cloning), type (Algorithm 6) or threads (Algorithm 7 with escape
+// analysis). The context-sensitive ones discover their call graph with
+// Algorithm 3 first.
+func Run(algo string, f *extract.Facts, cfg Config) (*Result, error) {
+	switch algo {
+	case "ci":
+		return RunContextInsensitive(f, false, cfg)
+	case "cif":
+		return RunContextInsensitive(f, true, cfg)
+	case "otf":
+		return RunOnTheFly(f, cfg)
+	case "cs":
+		return RunContextSensitive(f, nil, cfg)
+	case "heap-cs":
+		return RunHeapCloned(f, nil, cfg)
+	case "type":
+		return RunTypeAnalysis(f, nil, cfg)
+	case "threads":
+		return RunThreadEscape(f, nil, cfg)
+	}
+	return nil, fmt.Errorf("unknown algorithm %q (want %s)", algo, strings.Join(Algorithms, ", "))
 }
 
 // RunContextInsensitive runs Algorithm 1 (typeFilter=false) or

@@ -94,9 +94,18 @@ func (m *Manager) WriteDAG(w io.Writer, roots []Node) error {
 // reaches the allocator, the node table grows incrementally so a
 // corrupted count cannot force a huge upfront allocation, and any
 // residual panic surfaces as a typed *resilience.InternalError rather
-// than unwinding through the caller. Nodes built before a failed read
-// are unreferenced and reclaimed by the next GC.
-func (m *Manager) ReadDAG(r io.Reader) (roots []Node, err error) {
+// than unwinding through the caller. A failed read releases the roots
+// it had already referenced, so every node it built is reclaimed by
+// the next GC.
+func (m *Manager) ReadDAG(r io.Reader) (_ []Node, err error) {
+	var roots []Node
+	defer func() {
+		if err != nil {
+			for _, n := range roots {
+				m.Deref(n)
+			}
+		}
+	}()
 	defer resilience.Recover(&err)
 	br := bufio.NewReader(r)
 	var magic [8]byte

@@ -238,3 +238,74 @@ func TestGrowFaultPoint(t *testing.T) {
 		t.Fatal("bdd.grow fault point never fired despite table growth")
 	}
 }
+
+// TestDAGReadFailedRootsReleased checks that a read failing inside the
+// root list releases the roots it had already referenced: after a GC
+// the manager holds no more live nodes than before the read.
+func TestDAGReadFailedRootsReleased(t *testing.T) {
+	m, roots := buildSample(t)
+	var buf bytes.Buffer
+	if err := m.WriteDAG(&buf, roots); err != nil {
+		t.Fatal(err)
+	}
+	dump := buf.Bytes()
+	m2 := New(1<<10, 1<<8)
+	m2.AddVars(6)
+	m2.GC()
+	base := m2.LiveNodes()
+	// Cut inside the last root id: every earlier root was read and
+	// referenced before the short read.
+	if _, err := m2.ReadDAG(bytes.NewReader(dump[:len(dump)-2])); err == nil {
+		t.Fatal("truncated root list accepted")
+	}
+	m2.GC()
+	if live := m2.LiveNodes(); live != base {
+		t.Fatalf("live nodes after failed read and GC: %d, want baseline %d", live, base)
+	}
+}
+
+// FuzzReadDAG feeds arbitrary bytes to ReadDAG: it must never panic,
+// and whether it fails or succeeds (with its roots released), a GC
+// must bring the live node count back to its baseline.
+func FuzzReadDAG(f *testing.F) {
+	m := New(1<<10, 1<<8)
+	m.AddVars(6)
+	x0, x1, x2, x5 := m.Var(0), m.Var(1), m.Var(2), m.Var(5)
+	a := m.And(x0, x1)
+	for _, roots := range [][]Node{
+		nil,
+		{True, False},
+		{x5},
+		{a, m.Or(a, x2), m.Xor(x1, x2)},
+		{m.Imp(m.And(x0, x5), m.Not(x2)), a, a},
+	} {
+		var buf bytes.Buffer
+		if err := m.WriteDAG(&buf, roots); err != nil {
+			f.Fatal(err)
+		}
+		dump := buf.Bytes()
+		f.Add(dump)
+		for _, cut := range []int{len(dump) / 2, len(dump) - 5, len(dump) - 1} {
+			if cut > 0 {
+				f.Add(dump[:cut])
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, dump []byte) {
+		m := New(1<<10, 1<<8)
+		m.AddVars(6)
+		m.GC()
+		base := m.LiveNodes()
+		roots, err := m.ReadDAG(bytes.NewReader(dump))
+		if errors.Is(err, resilience.ErrInternal) {
+			t.Fatalf("ReadDAG panicked: %v", err)
+		}
+		for _, r := range roots {
+			m.Deref(r)
+		}
+		m.GC()
+		if live := m.LiveNodes(); live != base {
+			t.Fatalf("live nodes after read (err %v) and GC: %d, want baseline %d", err, live, base)
+		}
+	})
+}

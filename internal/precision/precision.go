@@ -34,13 +34,13 @@ type Options struct {
 	// Modes lists the modes to run, in order. Nil means {ci, cs, heap-cs}.
 	Modes []string
 	// HeapLabel overrides the heap-object display label (defaults to the
-	// extracted name). cmd/gopointsto passes its file:line-based labeler
+	// extracted name). cmd/pointsto passes its file:line-based labeler
 	// so /precision output and -report output agree.
 	HeapLabel func(h int) string
 	// VarLabel overrides the variable display label likewise.
 	VarLabel func(v int) string
 	// NilReport, when set, counts a frontend's nil-dereference reports
-	// for one mode's projected pairs (cmd/gopointsto wires its nil
+	// for one mode's projected pairs (cmd/pointsto wires its nil
 	// report in). Modes record -1 when unset.
 	NilReport func(pairs map[[2]uint64]bool) int
 	// TopShrunk caps the per-variable delta list (0 means 10).

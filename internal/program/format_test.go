@@ -65,3 +65,34 @@ func contains(s, sub string) bool {
 	}
 	return false
 }
+
+// TestQualifiedFieldLoadRoundTrip pins the load/store split on
+// qualified field names (as gofront emits them): both sides split at
+// the first dot, so a formatted load reparses to the same base and field.
+func TestQualifiedFieldLoadRoundTrip(t *testing.T) {
+	p := MustParse(`entry A.m
+class A {
+    field A.f
+    method m() {
+        var x: A
+        var y: A
+        x = new A
+        x.A.f = x
+        y = x.A.f
+    }
+}
+`)
+	stmts := p.Class("A").Method("m").Stmts
+	for _, want := range []Stmt{
+		{Kind: StStore, Dst: "x", Field: "A.f", Src: "x"},
+		{Kind: StLoad, Dst: "y", Src: "x", Field: "A.f"},
+	} {
+		found := false
+		for _, s := range stmts {
+			found = found || reflect.DeepEqual(s, want)
+		}
+		if !found {
+			t.Errorf("no statement %+v in %+v", want, stmts)
+		}
+	}
+}

@@ -255,7 +255,9 @@ func (p *jpParser) statement(line string) (Stmt, error) {
 	case strings.ContainsRune(rhs, '.') && strings.HasPrefix(rhs, "global."):
 		return Stmt{Kind: StLoadGlobal, Dst: lhs, Field: strings.TrimPrefix(rhs, "global.")}, nil
 	case strings.ContainsRune(rhs, '.'):
-		dot := strings.LastIndexByte(rhs, '.')
+		// Split at the first dot, as stores do: field names may be
+		// qualified (Class.field), variable names never contain dots.
+		dot := strings.IndexByte(rhs, '.')
 		return Stmt{Kind: StLoad, Dst: lhs, Src: rhs[:dot], Field: rhs[dot+1:]}, nil
 	default:
 		return Stmt{Kind: StMove, Dst: lhs, Src: rhs}, nil
