@@ -172,10 +172,17 @@ func run(ctx context.Context, w io.Writer, sess *obs.Session, rflags resilience.
 		fmt.Fprintf(w, "captured sites: %d, escaped sites: %d, unneeded syncs: %d, needed syncs: %d\n",
 			m.CapturedSites, m.EscapedSites, m.UnneededSyncs, m.NeededSyncs)
 	}
-	pairs := r.PointsToPairs()
-	sess.Metrics.Set("solve.vp_pairs", float64(len(pairs)))
-	fmt.Fprintf(w, "points-to pairs (context-projected): %d over %d variables and %d heap objects\n",
-		len(pairs), len(f.Vars), len(f.Heaps))
+	// Algorithm 6 computes no points-to relation: no pair count is
+	// printed or exported for it, and nothing can read pairs.
+	var pairs map[[2]uint64]bool
+	if r.HasPointsTo() {
+		pairs = r.PointsToPairs()
+		sess.Metrics.Set("solve.vp_pairs", float64(len(pairs)))
+		fmt.Fprintf(w, "points-to pairs (context-projected): %d over %d variables and %d heap objects\n",
+			len(pairs), len(f.Vars), len(f.Heaps))
+	} else if o.varName != "" || reports["nil"] {
+		return fmt.Errorf("-algo %s computes no points-to relation for -var or -report nil", o.algo)
+	}
 
 	if o.varName != "" {
 		v := f.VarIndex(o.varName)
@@ -347,15 +354,21 @@ func printEscapeReport(w io.Writer, r *analysis.Result, f *extract.Facts, meta *
 		if int(h) >= len(f.Heaps) {
 			continue
 		}
-		if s, ok := gofront.ParseHeapSite(f.Heaps[h], meta); ok {
-			sites = append(sites, s)
+		s, ok := gofront.ParseHeapSite(f.Heaps[h], meta)
+		if !ok {
+			s = gofront.EscapeSite{Heap: f.Heaps[h]}
 		}
+		sites = append(sites, s)
 	}
 	sort.Slice(sites, func(i, j int) bool { return sites[i].Heap < sites[j].Heap })
 	for i, s := range sites {
 		if i == maxReportLines {
 			fmt.Fprintf(w, "  ... and %d more\n", len(sites)-maxReportLines)
 			break
+		}
+		if s.Method == "" {
+			fmt.Fprintf(w, "  %s (no allocation site) escapes its goroutine\n", s.Heap)
+			continue
 		}
 		loc := "synthetic"
 		if s.Pos.IsValid() {

@@ -3,13 +3,17 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
 	"bddbddb/internal/analysis"
 	"bddbddb/internal/obs"
+	"bddbddb/internal/program"
 	"bddbddb/internal/resilience"
+	"bddbddb/internal/synth"
 )
 
 const (
@@ -76,5 +80,56 @@ func TestUnknownAlgorithmListsNames(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error %q does not list %q", err, name)
 		}
+	}
+}
+
+// freettsFile writes the synthetic freetts program to a .jp file.
+func freettsFile(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "freetts.jp")
+	p := synth.Generate(synth.BenchmarkByName("freetts").Params)
+	if err := os.WriteFile(path, []byte(program.Format(p)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestTypeAnalysisReportsNoPairs checks that Algorithm 6, which has no
+// points-to relation, neither prints nor exports a pair count, and
+// that the options that read pairs are refused for it.
+func TestTypeAnalysisReportsNoPairs(t *testing.T) {
+	in := freettsFile(t)
+	sess, err := (&obs.Flags{}).Start("pointsto")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	var out bytes.Buffer
+	if err := run(context.Background(), &out, sess, resilience.Flags{}, []string{in}, options{algo: "type"}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "vTC: ") || pairsLine.MatchString(out.String()) {
+		t.Errorf("want a vTC line and no pair count:\n%s", out.String())
+	}
+	if v, ok := sess.Metrics.Snapshot()["solve.vp_pairs"]; ok {
+		t.Errorf("-algo type exports solve.vp_pairs = %g", v)
+	}
+	for _, o := range []options{{algo: "type", varName: "x"}, {algo: "type", report: "nil"}} {
+		if _, err := runOut(t, []string{in}, o); err == nil || !strings.Contains(err.Error(), "no points-to relation") {
+			t.Errorf("%+v: got %v, want a no-points-to-relation error", o, err)
+		}
+	}
+}
+
+// TestEscapeReportListsSitelessHeaps checks that an escaped heap with
+// no allocation site is listed by name: on freetts the one escaped
+// heap is the global object.
+func TestEscapeReportListsSitelessHeaps(t *testing.T) {
+	out, err := runOut(t, []string{freettsFile(t)}, options{algo: "threads", report: "escape"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "1 escaped sites") || !strings.Contains(out, "  <global-obj> (no allocation site) escapes its goroutine") {
+		t.Errorf("escape report does not list <global-obj>:\n%s", out)
 	}
 }

@@ -98,9 +98,16 @@ func (r *Result) RelationSize(name string) *big.Int {
 // Relation exposes a solver relation (owned by the solver).
 func (r *Result) Relation(name string) *rel.Relation { return r.Solver.Relation(name) }
 
+// HasPointsTo reports whether the result has a points-to relation (vP,
+// vPC or vPT) for PointsToPairs to read. Algorithm 6 has none.
+func (r *Result) HasPointsTo() bool {
+	return r.Solver.HasRelation("vP") || r.Solver.HasRelation("vPC") || r.Solver.HasRelation("vPT")
+}
+
 // PointsToPairs projects a points-to relation to (variable, heap)
 // pairs, dropping contexts if present: the "projected" rows of Figure 6
-// and the comparison basis for precision tests.
+// and the comparison basis for precision tests. It is empty when
+// HasPointsTo is false.
 func (r *Result) PointsToPairs() map[[2]uint64]bool {
 	out := make(map[[2]uint64]bool)
 	switch {

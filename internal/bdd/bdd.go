@@ -200,9 +200,9 @@ func (m *Manager) NumVars() int { return int(m.nvars) }
 
 // SetTracer attaches a tracer to the manager. GC pauses become spans,
 // arena growth becomes instant events, and live-node counts are
-// sampled at every GC. A nil tracer (the default) costs nothing on any
-// path: per-operation work never touches the tracer, and the rare
-// events guard with one nil check.
+// sampled at every GC and every growth. A nil tracer (the default)
+// costs nothing on any path: per-operation work never touches the
+// tracer, and the rare events guard with one nil check.
 func (m *Manager) SetTracer(t obs.Tracer) { m.tracer = t }
 
 // SetControl attaches a resilience controller. The manager polls it for
@@ -399,6 +399,11 @@ func (m *Manager) grow() {
 	m.stats.Grows++
 	if t := m.tracer; t != nil {
 		t.Instant("bdd.grow", obs.A("from", old), obs.A("to", old*2))
+		// Every slot is live here, so the old size is the exact count.
+		t.Counter("bdd.live_nodes", map[string]float64{
+			"live":  float64(old),
+			"table": float64(old * 2),
+		})
 	}
 	nn := make([]node, old*2)
 	copy(nn, m.nodes)

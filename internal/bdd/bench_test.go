@@ -2,6 +2,7 @@ package bdd
 
 import (
 	"fmt"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -93,6 +94,50 @@ func BenchmarkSatCount(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.SatCount(fs[i%len(fs)])
 	}
+}
+
+var satSink *big.Int
+
+// BenchmarkSatCountIn counts a context-sensitive-shaped relation
+// C×V×H over 152 support bits: random (v, h) pairs, each group of them
+// valid over one random range of contexts, as contiguous context
+// numbering makes them. Counts span three words.
+func BenchmarkSatCountIn(b *testing.B) {
+	m := New(1<<18, 1<<14)
+	c := m.DeclareDomain("C", 1<<60)
+	v := m.DeclareDomain("V", 1<<46)
+	h := m.DeclareDomain("H", 1<<46)
+	if err := m.FinalizeOrder("C_VxH"); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	r := m.Ref(False)
+	for g := 0; g < 40; g++ {
+		rows := make([][]uint64, 100)
+		for i := range rows {
+			rows[i] = []uint64{uint64(rng.Int63n(1 << 46)), uint64(rng.Int63n(1 << 46))}
+		}
+		vh := m.TupleSet([]*Domain{v, h}, rows)
+		lo := uint64(rng.Int63n(1 << 59))
+		ctx := c.Range(lo, lo+uint64(rng.Int63n(1<<59)))
+		part := m.And(vh, ctx)
+		next := m.Or(r, part)
+		for _, n := range []Node{vh, ctx, part, r} {
+			m.Deref(n)
+		}
+		r = next
+	}
+	var vars []int32
+	for _, d := range []*Domain{c, v, h} {
+		vars = append(vars, d.Levels()...)
+	}
+	sortInt32(vars)
+	nodes := m.NodeCount(r)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		satSink = m.SatCountIn(r, vars)
+	}
+	b.ReportMetric(float64(nodes), "nodes")
 }
 
 func BenchmarkGC(b *testing.B) {

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"bddbddb/internal/obs"
 )
 
 // checkKernel verifies the node table against its hash-cons contract:
@@ -286,6 +288,42 @@ func TestGCAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("GC allocated %v times per collection", allocs)
+	}
+}
+
+// TestGrowSamplesLiveNodes checks that an arena growth between GCs
+// sends a live-node sample, and that it is exact: every slot of the old
+// table is live when the arena grows.
+func TestGrowSamplesLiveNodes(t *testing.T) {
+	m := New(1<<10, 1<<8)
+	m.AddVars(20)
+	p := obs.NewProgress()
+	m.SetTracer(p)
+	// Distinct cubes; without a GC their nodes stay in the arena.
+	for i := int32(0); m.Stats().Grows == 0; i++ {
+		x := m.Ref(True)
+		for j := int32(0); j < 12; j++ {
+			lv := (i*7 + j*3) % 20
+			lit := m.Var(lv)
+			if (i>>uint(j))&1 == 0 {
+				m.Deref(lit)
+				lit = m.NVar(lv)
+			}
+			nx := m.And(x, lit)
+			m.Deref(x)
+			m.Deref(lit)
+			x = nx
+		}
+		m.Deref(x)
+	}
+	if m.Stats().GCs != 0 {
+		t.Fatalf("%d GCs ran; the sample must come from the grow", m.Stats().GCs)
+	}
+	if got := p.Values()["progress.bdd_live_nodes"]; got != 1<<10 {
+		t.Errorf("live-node sample after the first grow = %g, want 1024 (the old table size)", got)
+	}
+	if hb := p.Heartbeat(); !strings.Contains(hb, "live-nodes@gc/grow=1024") {
+		t.Errorf("heartbeat: %s", hb)
 	}
 }
 

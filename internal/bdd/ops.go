@@ -2,7 +2,6 @@ package bdd
 
 import (
 	"fmt"
-	"math/big"
 )
 
 // Binary operator codes for apply. The codes are also cache keys.
@@ -345,96 +344,6 @@ func (m *Manager) andExist(a, b, vs Node) Node {
 	}
 	*e = entry4{a, b, vs, opAppexAnd, res}
 	return res
-}
-
-// SatCount returns the exact number of satisfying assignments of a over
-// all the manager's variables, as a big integer.
-func (m *Manager) SatCount(a Node) *big.Int {
-	if a == False {
-		return big.NewInt(0)
-	}
-	if a == True {
-		return new(big.Int).Lsh(big.NewInt(1), uint(m.nvars))
-	}
-	total := m.nvars
-	levelOf := func(x Node) int32 {
-		if x <= 1 {
-			return total
-		}
-		return m.nodes[x].level()
-	}
-	memo := make(map[Node]*big.Int)
-	var rec func(n Node) *big.Int
-	rec = func(n Node) *big.Int {
-		if n == False {
-			return big.NewInt(0)
-		}
-		if n == True {
-			return big.NewInt(1)
-		}
-		if c, ok := memo[n]; ok {
-			return c
-		}
-		nd := m.nodes[n]
-		lo := new(big.Int).Lsh(rec(nd.low), uint(levelOf(nd.low)-nd.level()-1))
-		hi := new(big.Int).Lsh(rec(nd.high), uint(levelOf(nd.high)-nd.level()-1))
-		c := new(big.Int).Add(lo, hi)
-		memo[n] = c
-		return c
-	}
-	return new(big.Int).Lsh(rec(a), uint(m.nodes[a].level()))
-}
-
-// SatCountIn returns the number of satisfying assignments of a counted
-// over exactly the given variable levels (sorted ascending). a's support
-// must be a subset of vars.
-func (m *Manager) SatCountIn(a Node, vars []int32) *big.Int {
-	pos := make(map[int32]int, len(vars))
-	for i, v := range vars {
-		if i > 0 && vars[i-1] >= v {
-			panic(fmt.Sprintf("bdd: SatCountIn vars must be sorted ascending and unique (vars[%d]=%d, vars[%d]=%d)",
-				i-1, vars[i-1], i, v))
-		}
-		pos[v] = i
-	}
-	n := len(vars)
-	posOf := func(x Node) int {
-		if x <= 1 {
-			return n
-		}
-		p, ok := pos[m.nodes[x].level()]
-		if !ok {
-			panic(fmt.Sprintf("bdd: SatCountIn: node depends on level %d outside vars", m.nodes[x].level()))
-		}
-		return p
-	}
-	memo := make(map[Node]*big.Int)
-	var rec func(x Node) *big.Int
-	rec = func(x Node) *big.Int {
-		if x == False {
-			return big.NewInt(0)
-		}
-		if x == True {
-			return big.NewInt(1)
-		}
-		if c, ok := memo[x]; ok {
-			return c
-		}
-		nd := m.nodes[x]
-		p := posOf(x)
-		lo := new(big.Int).Lsh(rec(nd.low), uint(posOf(nd.low)-p-1))
-		hi := new(big.Int).Lsh(rec(nd.high), uint(posOf(nd.high)-p-1))
-		c := new(big.Int).Add(lo, hi)
-		memo[x] = c
-		return c
-	}
-	if a == False {
-		return big.NewInt(0)
-	}
-	if a == True {
-		return new(big.Int).Lsh(big.NewInt(1), uint(n))
-	}
-	return new(big.Int).Lsh(rec(a), uint(posOf(a)))
 }
 
 // AllSat enumerates every satisfying assignment of a over the given

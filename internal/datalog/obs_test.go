@@ -87,8 +87,8 @@ func TestSolveTraceShape(t *testing.T) {
 		t.Fatalf("%d spans left open", depth)
 	}
 	// The stable span names the docs promise: solve → stratum →
-	// iteration → rule application.
-	for _, want := range []string{"datalog.solve", "datalog.facts", "stratum 0", "iteration 1", "rule 0: tc", "rule 1: tc"} {
+	// iteration → rule application, and the cardinality pass.
+	for _, want := range []string{"datalog.solve", "datalog.facts", "stratum 0", "iteration 1", "rule 0: tc", "rule 1: tc", "datalog.cardinalities"} {
 		if !seen[want] {
 			t.Errorf("trace missing span %q; have %v", want, keys(seen))
 		}
@@ -156,6 +156,7 @@ func TestSolveHistograms(t *testing.T) {
 	for _, k := range []string{
 		"datalog.rule.apply_sec.count", "datalog.rule.apply_sec.p99",
 		"datalog.op.result_nodes.count", "datalog.op.result_nodes.p99",
+		"datalog.solve.sec", "datalog.cardinalities.count", "datalog.cardinalities.sec",
 	} {
 		if _, ok := snap[k]; !ok {
 			t.Errorf("external registry missing %s", k)

@@ -96,7 +96,7 @@ type Options struct {
 type SolverStats struct {
 	RuleApplications int64
 	Iterations       int
-	SolveTime        time.Duration
+	SolveTime        time.Duration // facts and fixpoint; excludes the cardinality pass
 	PeakLiveNodes    int
 	NodesAllocated   int64
 	GCs              int64
@@ -138,6 +138,7 @@ type RuleStats struct {
 // Registry key names used by the solver's counting path.
 const (
 	keySolve    = "datalog.solve"
+	keyCards    = "datalog.cardinalities"
 	keyRuleApps = "datalog.rule_applications"
 	keyIters    = "datalog.iterations"
 )
@@ -474,6 +475,10 @@ func (s *Solver) resolveConst(t Term, domain string) (uint64, error) {
 // BDD recursions by panicking with a typed error; the Recover boundary
 // here converts it back into an error return, so Solve never lets a
 // resilience abort — or any other panic — escape as a panic.
+//
+// The datalog.solve timer (SolverStats.SolveTime) covers the facts and
+// the fixpoint only. The end-of-solve cardinality pass is timed apart,
+// as datalog.cardinalities; the datalog.solve span encloses both.
 func (s *Solver) Solve() (err error) {
 	defer resilience.Recover(&err)
 	if s.solved {
@@ -511,8 +516,15 @@ func (s *Solver) Solve() (err error) {
 
 // collectRelationCards records every declared relation's final exact
 // cardinality — the paper's relation-size columns — into the stats and
-// the registry (as "relation.<name>.tuples").
+// the registry (as "relation.<name>.tuples"). The pass has its own
+// timer and span, datalog.cardinalities, nested in datalog.solve's span.
 func (s *Solver) collectRelationCards() {
+	start := time.Now()
+	if s.tr != nil {
+		s.tr.Begin(keyCards, obs.A("relations", len(s.prog.Relations)))
+		defer func() { s.tr.End() }()
+	}
+	defer func() { s.reg.Timer(keyCards).Observe(time.Since(start)) }()
 	for _, rd := range s.prog.Relations {
 		r := s.rels[rd.Name]
 		if r == nil || s.queryBase[rd.Name] {

@@ -11,11 +11,11 @@ import (
 
 // Progress is a Tracer that distills span traffic into a handful of
 // live atomic gauges — which phase is running, the current stratum and
-// iteration, rule applications so far, BDD live nodes at the last GC —
-// without buffering anything. A Sampler reads it periodically and
-// prints the batch commands' -progress heartbeat, so a multi-minute
-// context-sensitive solve shows a per-stratum/iteration pulse on
-// stderr instead of silence.
+// iteration, rule applications so far, BDD live nodes at the last GC or
+// arena growth — without buffering anything. A Sampler reads it
+// periodically and prints the batch commands' -progress heartbeat, so
+// a multi-minute context-sensitive solve shows a
+// per-stratum/iteration pulse on stderr instead of silence.
 //
 // Any span that is not a rule, op, stratum, iteration or GC span is a
 // coarse phase. Phases nest: when a phase's span ends, the heartbeat
@@ -111,8 +111,9 @@ func (p *Progress) setPhaseDepth(depth int64) {
 // Instant implements Tracer.
 func (p *Progress) Instant(name string, args ...Arg) {}
 
-// Counter implements Tracer; the BDD manager's live-node samples keep
-// the heartbeat's memory column current.
+// Counter implements Tracer; the BDD manager's live-node samples, sent
+// at every GC and arena growth, keep the heartbeat's memory column
+// current.
 func (p *Progress) Counter(name string, values map[string]float64) {
 	if name == "bdd.live_nodes" {
 		if v, ok := values["live"]; ok {
@@ -163,10 +164,11 @@ func (p *Progress) Heartbeat() string {
 		fmt.Fprintf(&sb, " iter=%d", p.iteration.Load())
 	}
 	fmt.Fprintf(&sb, " rule-apps=%d", p.spans.Load()>>appsShift)
-	// The BDD manager reports live nodes only after a GC, so the value
-	// is labeled as that sample, not as the current count.
+	// The BDD manager reports live nodes only at a GC or an arena
+	// growth, so the value is labeled as that sample, not as the
+	// current count.
 	if live := p.liveNodes.Load(); live > 0 {
-		fmt.Fprintf(&sb, " live-nodes@gc=%d", live)
+		fmt.Fprintf(&sb, " live-nodes@gc/grow=%d", live)
 	}
 	rt := RuntimeStats()
 	fmt.Fprintf(&sb, " heap=%.0fMB elapsed=%s",

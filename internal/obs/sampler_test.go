@@ -160,10 +160,20 @@ func TestProgressTracer(t *testing.T) {
 		t.Errorf("live nodes = %g, want 1234", v["progress.bdd_live_nodes"])
 	}
 	hb := p.Heartbeat()
-	for _, want := range []string{"progress: solve strata ", "stratum=2", "iter=5", "rule-apps=2", "live-nodes@gc=1234", "elapsed="} {
+	for _, want := range []string{"progress: solve strata ", "stratum=2", "iter=5", "rule-apps=2", "live-nodes@gc/grow=1234", "elapsed="} {
 		if !strings.Contains(hb, want) {
 			t.Errorf("heartbeat missing %q: %s", want, hb)
 		}
+	}
+	// An arena growth between GCs sends the next sample: every slot
+	// of the old table is live, so live equals its size.
+	p.Instant("bdd.grow", A("from", 8192), A("to", 16384))
+	p.Counter("bdd.live_nodes", map[string]float64{"live": 8192, "table": 16384})
+	if v := p.Values()["progress.bdd_live_nodes"]; v != 8192 {
+		t.Errorf("live nodes after grow = %g, want 8192", v)
+	}
+	if hb := p.Heartbeat(); !strings.Contains(hb, "live-nodes@gc/grow=8192") {
+		t.Errorf("heartbeat after grow: %s", hb)
 	}
 	// Ending a coarse phase's span restores the enclosing phase, while
 	// rule, op, stratum, iteration and GC spans closing inside a phase
