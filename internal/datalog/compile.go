@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"sort"
 
 	"bddbddb/internal/bdd"
 	"bddbddb/internal/datalog/check"
@@ -36,6 +37,11 @@ type compiledRule struct {
 	// loop, indexed by canonical literal position (shared by all plan
 	// variants, which never reorder Lits — only Order).
 	cache []*litCache
+	// wild lists, per canonical literal position, the attributes the
+	// literal reads as `_`, sorted: a query literal over a base
+	// relation starts from the base's memo of that relation with these
+	// attributes projected out (see QueryBase.projected).
+	wild [][]string
 }
 
 // litCache holds one literal's hoisted normalized form, validated by
@@ -213,6 +219,7 @@ func (s *Solver) compileRule(rule *Rule, asn map[string]int) (*compiledRule, err
 		var drops []string
 		reshape := make(map[string]rel.Remap)
 		firstAttr := make(map[string]string) // var -> attr of first occurrence in this atom
+		var wild []string
 		for i, t := range lit.Atom.Args {
 			attr := decl.Attrs[i].Name
 			switch t.Kind {
@@ -225,6 +232,7 @@ func (s *Solver) compileRule(rule *Rule, asn map[string]int) (*compiledRule, err
 				drops = append(drops, attr)
 			case TermWildcard:
 				drops = append(drops, attr)
+				wild = append(wild, attr)
 			case TermVar:
 				if fa, dup := firstAttr[t.Var]; dup {
 					ops = append(ops, &plan.EquateAttrs{A: fa, B: attr, Out: schema})
@@ -247,6 +255,8 @@ func (s *Solver) compileRule(rule *Rule, asn map[string]int) (*compiledRule, err
 			ops = append(ops, &plan.Complement{Out: schema})
 		}
 		p.Lits = append(p.Lits, plan.Lit{Pred: lit.Atom.Pred, Negated: lit.Negated, Ops: ops})
+		sort.Strings(wild)
+		cr.wild = append(cr.wild, wild)
 	}
 
 	// The joins must preserve each head variable through to the end.

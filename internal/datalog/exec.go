@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"bddbddb/internal/datalog/plan"
@@ -137,7 +138,7 @@ func (s *Solver) evalLit(cr *compiledRule, p *plan.Plan, idx int, delta *rel.Rel
 		return src, false
 	}
 	if l.Delta() || s.opts.Plan.NoHoist {
-		return s.runPipeline(l, src), true
+		return s.normalize(cr, l, idx, src), true
 	}
 	c := cr.cache[idx]
 	if c.norm != nil && c.src == src && c.stamp == src.Stamp() {
@@ -145,7 +146,7 @@ func (s *Solver) evalLit(cr *compiledRule, p *plan.Plan, idx int, delta *rel.Rel
 		return c.norm, false
 	}
 	s.cHoistMisses.Inc()
-	norm := s.runPipeline(l, src)
+	norm := s.normalize(cr, l, idx, src)
 	c.clear(s.u.M)
 	c.src = src
 	c.stamp = src.Stamp()
@@ -173,7 +174,7 @@ func (s *Solver) growHead(rules []*compiledRule, head, fresh *rel.Relation) bool
 			if c.norm == nil || c.src != head || c.stamp != before || !c.lit.Distributive() {
 				continue
 			}
-			grown := s.runPipeline(c.lit, fresh)
+			grown := s.runPipeline(c.lit, fresh, nil)
 			c.norm.UnionWith(grown)
 			grown.Free()
 			c.stamp = head.Stamp()
@@ -185,12 +186,35 @@ func (s *Solver) growHead(rules []*compiledRule, head, fresh *rel.Relation) bool
 	return true
 }
 
+// normalize runs the pipeline of the literal at canonical position
+// idx over src. A query literal that reads a base relation with `_`
+// attributes starts instead from the query base's memo of that
+// relation with those attributes projected out. The pipeline's
+// selections and equalities touch only the other attributes, so they
+// commute with that projection and the result is the same relation.
+func (s *Solver) normalize(cr *compiledRule, l *plan.Lit, idx int, src *rel.Relation) *rel.Relation {
+	wild := cr.wild[idx]
+	if s.base == nil || len(wild) == 0 || !s.queryBase[l.Pred] {
+		return s.runPipeline(l, src, nil)
+	}
+	return s.runPipeline(l, s.base.projected(s, src, wild), wild)
+}
+
 // runPipeline applies a literal's normalization ops (everything after
-// the Load) to src, which it borrows. The caller owns the result.
-func (s *Solver) runPipeline(l *plan.Lit, src *rel.Relation) *rel.Relation {
+// the Load) to src, which it borrows. gone names attributes src has
+// already lost; the Project op drops only the rest, and vanishes when
+// none remain. The caller owns the result.
+func (s *Solver) runPipeline(l *plan.Lit, src *rel.Relation, gone []string) *rel.Relation {
 	name := "lit:" + l.Pred
 	cur, owned := src, false
 	for _, o := range l.Ops[1:] {
+		if p, ok := o.(*plan.Project); ok && len(gone) > 0 {
+			drop := slices.DeleteFunc(slices.Clone(p.Drop), func(a string) bool { return slices.Contains(gone, a) })
+			if len(drop) == 0 {
+				continue
+			}
+			o = &plan.Project{Drop: drop, Out: p.Out}
+		}
 		s.countOp(o)
 		opStart := s.u.M.ProducedNodes()
 		if s.tr != nil {
@@ -219,6 +243,9 @@ func (s *Solver) runPipeline(l *plan.Lit, src *rel.Relation) *rel.Relation {
 			cur.Free()
 		}
 		cur, owned = next, true
+	}
+	if !owned {
+		cur = cur.Clone(name)
 	}
 	return cur
 }

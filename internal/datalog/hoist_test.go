@@ -53,7 +53,7 @@ func testHoistMaintenanceMatchesRecompute(t *testing.T) {
 				if c.src.Name == "vP" {
 					maintained++
 				}
-				want := s.runPipeline(c.lit, c.src)
+				want := s.runPipeline(c.lit, c.src, nil)
 				if !want.SameTuples(c.norm) {
 					t.Errorf("%s: hoisted %s differs from its recomputed pipeline", cr.rule, c.lit.Pred)
 				}

@@ -51,6 +51,8 @@ func rejectf(format string, args ...any) error {
 // the frozen relations queries may reference. Build one per replica;
 // it is not safe for concurrent Evals (the BDD manager is
 // single-threaded — concurrency comes from multiple replicas).
+// Relations, HasRelation and ElemIndex read only what NewQueryBase
+// built, so other goroutines may call them while an Eval runs.
 type QueryBase struct {
 	u       *rel.Universe
 	rels    map[string]*rel.Relation
@@ -61,6 +63,18 @@ type QueryBase struct {
 	preludeLines int
 	elemNames    map[string][]string
 	elemIdx      map[string]map[string]uint64
+	// memo holds base relations with some attributes projected out:
+	// the literals' wildcard projections, filled on first use and kept,
+	// referenced and frozen, for the base's life. There are at most
+	// 2^arity keys per base relation. Only Eval touches it.
+	memo      map[memoKey]*rel.Relation
+	memoNodes int
+}
+
+// memoKey names one memo entry: a base relation and its projected-out
+// attributes, sorted and comma-joined.
+type memoKey struct {
+	rel, wild string
 }
 
 // NewQueryBase registers the given relations (frozen, or at least
@@ -73,6 +87,7 @@ func NewQueryBase(u *rel.Universe, rels []*rel.Relation) *QueryBase {
 		rels:      make(map[string]*rel.Relation, len(rels)),
 		elemNames: make(map[string][]string),
 		elemIdx:   make(map[string]map[string]uint64),
+		memo:      make(map[memoKey]*rel.Relation),
 	}
 	var sb strings.Builder
 	for _, d := range u.Domains() {
@@ -113,6 +128,40 @@ func (b *QueryBase) HasRelation(name string) bool { return b.rels[name] != nil }
 func (b *QueryBase) ElemIndex(domain, name string) (uint64, bool) {
 	v, ok := b.elemIdx[domain][name]
 	return v, ok
+}
+
+// MemoNodes is the summed BDD node count of the memo's entries, each
+// counted when it was filled. Like Eval, only the base's owner may
+// call it.
+func (b *QueryBase) MemoNodes() int { return b.memoNodes }
+
+// projected returns the base relation src with the sorted attributes
+// wild projected out. The first call for a (relation, attributes) pair
+// computes it under the calling query's controller and keeps it; later
+// calls reuse it. Selecting on an attribute at the bottom of the
+// variable order (vPC's heap, under V above C above H) must visit
+// every node of the relation, while the projection of the contexts
+// away is a fraction of its size, so a query pays that walk over the
+// small relation instead. A fill that trips the query's budget panics
+// out before the store and leaves no entry.
+func (b *QueryBase) projected(s *Solver, src *rel.Relation, wild []string) *rel.Relation {
+	key := memoKey{rel: src.Name, wild: strings.Join(wild, ",")}
+	if r := b.memo[key]; r != nil {
+		s.cMemoHits.Inc()
+		return r
+	}
+	if s.tr != nil {
+		s.tr.Begin("datalog.base_memo.fill", obs.A("relation", src.Name), obs.A("drop", key.wild))
+	}
+	r := src.ProjectOut("memo:"+src.Name, wild...)
+	r.Freeze()
+	b.memo[key] = r
+	b.memoNodes += b.u.M.NodeCount(r.Root())
+	s.cMemoMisses.Inc()
+	if s.tr != nil {
+		s.tr.End()
+	}
+	return r
 }
 
 // QueryOptions configures one Eval.
@@ -273,8 +322,11 @@ func (b *QueryBase) Eval(src string, opts QueryOptions) (qr *QueryResult, err er
 		tr:        opts.Tracer,
 		ruleObs:   make(map[*Rule]*ruleObs),
 		queryBase: make(map[string]bool),
+		base:      b,
 	}
 	s.initObs()
+	s.cMemoHits = s.reg.Counter("datalog.base_memo.hits")
+	s.cMemoMisses = s.reg.Counter("datalog.base_memo.misses")
 	// Bind base relations in place; materialize the query's own
 	// relations on their natural instances, as NewSolver does.
 	for _, rd := range prog.Relations {

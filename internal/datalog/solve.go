@@ -106,6 +106,11 @@ type SolverStats struct {
 	// Relations reports each declared relation's final cardinality
 	// (exact satcount), valid after Solve — the paper's size columns.
 	Relations []RelationCard
+	// BaseMemoHits and BaseMemoMisses count, for a query, the literal
+	// evaluations that read a base relation's wildcard projection from
+	// the QueryBase memo and those that filled it. Zero outside
+	// QueryBase.Eval.
+	BaseMemoHits, BaseMemoMisses int64
 }
 
 // RelationCard is one relation's final tuple count.
@@ -172,6 +177,13 @@ type Solver struct {
 	// collectRelationCards skips them (satcounting a context-sensitive
 	// points-to relation per served query would dwarf the query itself).
 	queryBase map[string]bool
+	// base is the QueryBase a query-mode solver evaluates against (nil
+	// in batch mode); cMemoHits and cMemoMisses count the literals
+	// that found its wildcard projection memoized and those that
+	// filled it.
+	base        *QueryBase
+	cMemoHits   *obs.Counter
+	cMemoMisses *obs.Counter
 
 	// reg is the solver's private metrics registry: every count the
 	// solver keeps (rule applications, iterations, per-rule timers,
@@ -430,6 +442,10 @@ func (s *Solver) Stats() SolverStats {
 		NodesAllocated:   int64(s.reg.Gauge("bdd.produced_nodes").Value()),
 		GCs:              int64(s.reg.Gauge("bdd.gcs").Value()),
 		Relations:        s.relCards,
+	}
+	if s.base != nil {
+		out.BaseMemoHits = s.cMemoHits.Value()
+		out.BaseMemoMisses = s.cMemoMisses.Value()
 	}
 	for _, r := range s.prog.Rules {
 		ro := s.ruleObs[r]

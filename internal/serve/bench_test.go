@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bddbddb/internal/analysis"
+	"bddbddb/internal/datalog"
 	"bddbddb/internal/extract"
 	"bddbddb/internal/obs"
 	"bddbddb/internal/synth"
@@ -107,6 +108,48 @@ func BenchmarkServeQuery(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkHeapQueryMiss times the ad-hoc heap query
+// q(v) :- vPC(_, v, "h") on one megamek cs replica, rotating over the
+// heaps and calling the replica directly, so no result cache answers
+// it. One warm-up query fills the replica's memo of ∃c.vPC first;
+// fill-ms reports what that cost.
+func BenchmarkHeapQueryMiss(b *testing.B) {
+	facts, err := extract.Extract(synth.Generate(synth.BenchmarkByName("megamek").Params), extract.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := analysis.RunContextSensitive(facts, nil, analysis.Config{DomainSlack: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap, err := NewSnapshot(res.Solver)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := snap.Hydrate(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	query := func(i int) {
+		h := facts.Heaps[i%len(facts.Heaps)]
+		r, err := rep.Base.Eval(".relation q (variable : V) output\nq(v) :- vPC(_, v, "+quoted(h)+").\n", datalog.QueryOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		r.Close()
+		rep.MaybeGC()
+	}
+	t0 := time.Now()
+	query(0)
+	fill := time.Since(t0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		query(i + 1)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(fill.Microseconds())/1000, "fill-ms")
 }
 
 // TestWriteServeBench records the cold/cached serving numbers into

@@ -68,6 +68,11 @@ func exprName(name string) bool {
 	return name != "" && !strings.ContainsAny(name, "\"\n\r")
 }
 
+// quoted splices a name that passed exprName into a query as a quoted
+// constant, verbatim: Go's %q would escape a backslash or a tab, which
+// the lexer would then read as different text.
+func quoted(name string) string { return `"` + name + `"` }
+
 // shape describes which points-to relations the snapshot holds, which
 // decides the canned templates' bodies (context-sensitive runs
 // materialize vPC(context, variable, heap); heap-cloned runs add
@@ -88,11 +93,11 @@ func shapeOf(has func(string) bool) shape {
 func (sh shape) pointstoQuery(varName string) (string, error) {
 	switch {
 	case sh.hasVP:
-		return fmt.Sprintf(".relation pointsto (heap : H) output\npointsto(h) :- vP(%q, h).\n", varName), nil
+		return fmt.Sprintf(".relation pointsto (heap : H) output\npointsto(h) :- vP(%s, h).\n", quoted(varName)), nil
 	case sh.hasCVP:
-		return fmt.Sprintf(".relation pointsto (hctx : HC, heap : H) output\npointsto(hc, h) :- cvP(_, %q, hc, h).\n", varName), nil
+		return fmt.Sprintf(".relation pointsto (hctx : HC, heap : H) output\npointsto(hc, h) :- cvP(_, %s, hc, h).\n", quoted(varName)), nil
 	case sh.hasVPC:
-		return fmt.Sprintf(".relation pointsto (heap : H) output\npointsto(h) :- vPC(_, %q, h).\n", varName), nil
+		return fmt.Sprintf(".relation pointsto (heap : H) output\npointsto(h) :- vPC(_, %s, h).\n", quoted(varName)), nil
 	}
 	return "", &datalog.QueryRejectError{Reason: "snapshot holds neither vP nor vPC"}
 }
@@ -104,11 +109,11 @@ func (sh shape) pointstoQuery(varName string) (string, error) {
 func (sh shape) aliasesQuery(varName string) (string, error) {
 	switch {
 	case sh.hasVP:
-		return fmt.Sprintf(".relation aliases (alias : V) output\naliases(v) :- vP(%q, h), vP(v, h).\n", varName), nil
+		return fmt.Sprintf(".relation aliases (alias : V) output\naliases(v) :- vP(%s, h), vP(v, h).\n", quoted(varName)), nil
 	case sh.hasCVP:
-		return fmt.Sprintf(".relation aliases (alias : V) output\naliases(v) :- cvP(_, %q, hc, h), cvP(_, v, hc, h).\n", varName), nil
+		return fmt.Sprintf(".relation aliases (alias : V) output\naliases(v) :- cvP(_, %s, hc, h), cvP(_, v, hc, h).\n", quoted(varName)), nil
 	case sh.hasVPC:
-		return fmt.Sprintf(".relation aliases (alias : V) output\naliases(v) :- vPC(_, %q, h), vPC(_, v, h).\n", varName), nil
+		return fmt.Sprintf(".relation aliases (alias : V) output\naliases(v) :- vPC(_, %s, h), vPC(_, v, h).\n", quoted(varName)), nil
 	}
 	return "", &datalog.QueryRejectError{Reason: "snapshot holds neither vP nor vPC"}
 }
@@ -122,10 +127,10 @@ func (sh shape) whodunnitQuery(heapName string) (string, error) {
 		return "", &datalog.QueryRejectError{Reason: "snapshot holds no store relation"}
 	case sh.hasVPC:
 		return fmt.Sprintf(".relation whodunnit (context : C, source : V, field : F, target : V) output\n"+
-			"whodunnit(c, v1, f, v2) :- store(v1, f, v2), vPC(c, v2, %q).\n", heapName), nil
+			"whodunnit(c, v1, f, v2) :- store(v1, f, v2), vPC(c, v2, %s).\n", quoted(heapName)), nil
 	case sh.hasVP:
 		return fmt.Sprintf(".relation whodunnit (source : V, field : F, target : V) output\n"+
-			"whodunnit(v1, f, v2) :- store(v1, f, v2), vP(v2, %q).\n", heapName), nil
+			"whodunnit(v1, f, v2) :- store(v1, f, v2), vP(v2, %s).\n", quoted(heapName)), nil
 	}
 	return "", &datalog.QueryRejectError{Reason: "snapshot holds neither vP nor vPC"}
 }

@@ -174,6 +174,10 @@ type Server struct {
 	gInflight   *obs.Gauge
 	gLiveStates *obs.Gauge
 	gGeneration *obs.Gauge
+	// cMemoHits and cMemoMisses sum the finished queries' base-memo
+	// outcomes (datalog.SolverStats.BaseMemoHits/Misses).
+	cMemoHits   *obs.Counter
+	cMemoMisses *obs.Counter
 }
 
 type job struct {
@@ -220,6 +224,8 @@ func newFromSnapshot(snap *Snapshot, cfg Config) (*Server, error) {
 	s.gInflight = reg.Gauge("serve.inflight")
 	s.gLiveStates = reg.Gauge("serve.query.live_states")
 	s.gGeneration = reg.Gauge("serve.generation")
+	s.cMemoHits = reg.Counter("serve.query.base_memo_hits")
+	s.cMemoMisses = reg.Counter("serve.query.base_memo_misses")
 	reg.Set("serve.replicas", float64(cfg.Replicas))
 	p, err := s.buildPool(snap, 1)
 	if err != nil {
@@ -394,6 +400,7 @@ func (s *Server) pushReplicaStats(i int, rep *Replica) {
 		ratio = float64(st.CacheHits) / float64(total)
 	}
 	s.reg.Set(prefix+"op_cache_hit_ratio", ratio)
+	s.reg.Set(prefix+"base_memo_nodes", float64(rep.Base.MemoNodes()))
 }
 
 func (s *Server) runJob(rep *Replica, j *job) {
@@ -421,6 +428,8 @@ func (s *Server) runJob(rep *Replica, j *job) {
 		j.err = err
 		return
 	}
+	s.cMemoHits.Add(res.Stats.BaseMemoHits)
+	s.cMemoMisses.Add(res.Stats.BaseMemoMisses)
 	s.gLiveStates.Add(1)
 	defer func() {
 		res.Close()

@@ -120,7 +120,10 @@ type Replica struct {
 	Rels map[string]*rel.Relation
 	Base *datalog.QueryBase
 
-	queries int
+	// gcProduced is the manager's produced-node count and gcFree its
+	// free table slots right after the last collection (or hydration).
+	gcProduced int64
+	gcFree     int
 }
 
 // Hydrate builds a fresh replica. extraInstances adds per-domain
@@ -136,8 +139,11 @@ func (sn *Snapshot) Hydrate(extraInstances map[string]int) (*Replica, error) {
 		}
 		u.EnsureInstances(dm.name, dm.primary)
 	}
+	// A quarter of headroom over the snapshot: queries reuse their
+	// garbage through MaybeGC, and a query that outgrows the table
+	// doubles it.
 	nodeSize := 1 << 16
-	for nodeSize < 2*sn.nodeCount {
+	for nodeSize < sn.nodeCount+sn.nodeCount/4 {
 		nodeSize <<= 1
 	}
 	if err := u.Finalize(rel.FinalizeOptions{
@@ -164,19 +170,27 @@ func (sn *Snapshot) Hydrate(extraInstances map[string]int) (*Replica, error) {
 		ordered = append(ordered, r)
 	}
 	rep.Base = datalog.NewQueryBase(u, ordered)
+	rep.noteCollected()
 	return rep, nil
 }
 
-// MaybeGC collects the replica's manager when query garbage has
-// accumulated: every few queries, and only when live nodes exceed half
-// the table (frozen snapshot roots are referenced and always survive).
+// MaybeGC collects the replica's manager once the nodes allocated
+// since the last collection exceed half the free space that collection
+// left. The frozen snapshot roots and the query base's memo entries
+// are referenced and always survive. A rule on the live count alone
+// ("live > half the table") would collect at every check once the
+// snapshot and the memo fill most of the table, reclaiming little.
 func (r *Replica) MaybeGC() {
-	r.queries++
-	if r.queries%16 != 0 {
+	if r.U.M.ProducedNodes()-r.gcProduced <= int64(r.gcFree/2) {
 		return
 	}
+	r.U.M.GC()
+	r.noteCollected()
+}
+
+// noteCollected records the point MaybeGC measures from.
+func (r *Replica) noteCollected() {
 	m := r.U.M
-	if m.LiveNodes()*2 > m.Stats().TableSize {
-		m.GC()
-	}
+	r.gcProduced = m.ProducedNodes()
+	r.gcFree = m.Stats().TableSize - m.LiveNodes()
 }
