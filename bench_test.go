@@ -515,32 +515,6 @@ func BenchmarkContextCounting(b *testing.B) {
 	b.ReportMetric(float64(len(total.String())), "pathDigits")
 }
 
-// BenchmarkAblationPlanner isolates the new plan optimizer: the same
-// context-sensitive pointer analysis (the richest rule plans in the
-// repo) evaluated with all rewrite passes on, with only join reordering
-// disabled, and with the legacy pinned textual-order execution
-// (reordering, hoisting, and dead-op elimination all off).
-func BenchmarkAblationPlanner(b *testing.B) {
-	p := load(b, "sshdaemon")
-	for _, mode := range []struct {
-		name string
-		plan datalog.PlanConfig
-	}{
-		{"optimized", datalog.PlanConfig{}},
-		{"no-reorder", datalog.PlanConfig{NoReorder: true}},
-		{"legacy", datalog.LegacyPlan()},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := analysis.RunContextSensitive(p.Facts, p.Graph, analysis.Config{Plan: mode.plan})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkBudgetOverhead isolates the resilience layer's cost: the
 // same context-sensitive pointer analysis with no controller (nil
 // checks only) against a fully armed one — cancelable context, node and
@@ -570,42 +544,6 @@ func BenchmarkBudgetOverhead(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := analysis.RunContextSensitive(p.Facts, p.Graph, mode.cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationHoisting measures literal-normalization hoisting
-// alone on a many-iteration recursive solve, where every iteration of
-// the legacy path re-reshapes the invariant edge relation.
-func BenchmarkAblationHoisting(b *testing.B) {
-	const tcSrc = `
-.domain N 4096
-.relation e (a : N, b : N) input
-.relation tc (x : N, y : N) output
-tc(x, y) :- e(x, y).
-tc(x, z) :- tc(x, y), e(y, z).
-`
-	prog := datalog.MustParse(tcSrc)
-	for _, mode := range []struct {
-		name string
-		plan datalog.PlanConfig
-	}{
-		{"hoisted", datalog.PlanConfig{}},
-		{"per-iteration", datalog.PlanConfig{NoHoist: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s, err := datalog.NewSolver(prog, datalog.Options{Plan: mode.plan})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for v := uint64(0); v < 2048; v++ {
-					s.Relation("e").AddTuple(v, v+1)
-				}
-				if err := s.Solve(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -44,10 +44,10 @@ type Config struct {
 	ExtraSrc string
 	// NoIncrementalization disables semi-naive evaluation (ablation).
 	NoIncrementalization bool
-	// Plan configures the solver's rule planner (join reordering,
-	// projection push-down, normalization hoisting, dead-op
-	// elimination). The zero value runs the full optimizer;
-	// datalog.LegacyPlan() pins the pre-planner execution path.
+	// Plan is read by nothing.
+	//
+	// Deprecated: kept only so existing callers that set it still
+	// compile; it is removed with the next benchmark change.
 	Plan datalog.PlanConfig
 	// Context cancels the run cooperatively: every Run* entry point
 	// polls it throughout the pipeline (BDD operations included) and
@@ -109,7 +109,7 @@ func (c Config) primaryOpts(opts *datalog.Options) {
 func (c Config) auxConfig() Config {
 	return Config{
 		NodeSize: c.NodeSize, CacheSize: c.CacheSize,
-		Plan: c.Plan, Tracer: c.Tracer, Metrics: c.Metrics,
+		Tracer: c.Tracer, Metrics: c.Metrics,
 		Context: c.Context, Budget: c.Budget, ctl: c.ctl,
 	}
 }
@@ -190,7 +190,6 @@ func baseOptions(f *extract.Facts, cfg Config, order []string) datalog.Options {
 			"M": f.Methods,
 		},
 		NoIncrementalization: cfg.NoIncrementalization,
-		Plan:                 cfg.Plan,
 		Tracer:               cfg.Tracer,
 		Metrics:              cfg.Metrics,
 		Control:              cfg.ctl,

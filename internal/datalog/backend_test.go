@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// TestBackendDifferential solves every corpus program under a spread of
-// planner configurations and demands that the BDD solver match the
+// TestBackendDifferential solves every corpus program with both
+// fixpoint loops — semi-naive, and the NoIncrementalization ablation's
+// full re-application — and demands that the BDD solver match the
 // explicit tuple-set evaluator (NaiveSolver) on every output relation.
 // NaiveSolver shares only the parser and stratifier with the BDD
 // solver, so it is an independent oracle for storage and planning
@@ -24,17 +25,16 @@ func TestBackendDifferential(t *testing.T) {
 	}
 	cfgs := []struct {
 		name string
-		cfg  PlanConfig
+		opts Options
 	}{
-		{"default", PlanConfig{}},
-		{"legacy", LegacyPlan()},
-		{"all-off", PlanConfig{NoReorder: true, NoPushdown: true, NoHoist: true, NoDeadOps: true}},
+		{"default", Options{}},
+		{"no-incrementalization", Options{NoIncrementalization: true}},
 	}
 	for _, pr := range programs {
 		t.Run(pr.name, func(t *testing.T) {
 			for _, c := range cfgs {
 				t.Run(c.name, func(t *testing.T) {
-					solveBoth(t, pr.src, Options{Plan: c.cfg}, pr.inputs)
+					solveBoth(t, pr.src, c.opts, pr.inputs)
 				})
 			}
 		})
@@ -45,7 +45,7 @@ func TestBackendDifferential(t *testing.T) {
 // how many relational ops ran on its BDDs, and no other backend gauge
 // exists to export a constant zero.
 func TestBackendMetrics(t *testing.T) {
-	s := solveWithPlan(t, ptSrc, PlanConfig{}, ptInputs)
+	s := solveInputs(t, ptSrc, ptInputs)
 	snap := s.Metrics().Snapshot()
 	if snap["datalog.backend.bdd.ops"] <= 0 {
 		t.Errorf("datalog.backend.bdd.ops = %v, want > 0", snap["datalog.backend.bdd.ops"])

@@ -17,10 +17,10 @@ import (
 type compiledRule struct {
 	rule *Rule
 	// naive is the lowered plan in canonical literal order (positives
-	// textual, then negatives) with identity join order — it reproduces
-	// the historical executor and is the "before" side of -explain.
+	// textual, then negatives) with identity join order — the "before"
+	// side of -explain and the input every variant is optimized from.
 	naive *plan.Plan
-	// plans holds the variants solveStratum plans against live
+	// plans holds the variants withStratum plans against live
 	// cardinalities: key -1 is the base (no delta) variant, key i the
 	// semi-naive variant reading the delta at canonical position i.
 	plans map[int]*plan.Plan
@@ -208,9 +208,8 @@ func (s *Solver) compileRule(rule *Rule, asn map[string]int) (*compiledRule, err
 	p := &plan.Plan{Rule: rule.String(), Head: rule.Head.Pred, DeltaPos: -1}
 
 	// Body literals: lower each to its normalization pipeline. The
-	// lowering keeps identity Reshape entries on purpose — the pinned
-	// legacy configuration must reproduce the historical executor,
-	// which applied them; Optimize prunes them as dead ops.
+	// lowering emits a Reshape entry for every attribute, identity moves
+	// included; Optimize prunes those as dead ops.
 	lits := orderedLiterals(rule)
 	for _, lit := range lits {
 		decl := prog.Relation(lit.Atom.Pred)

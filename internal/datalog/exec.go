@@ -137,7 +137,7 @@ func (s *Solver) evalLit(cr *compiledRule, p *plan.Plan, idx int, delta *rel.Rel
 		// No normalization needed: reference the source without copying.
 		return src, false
 	}
-	if l.Delta() || s.opts.Plan.NoHoist {
+	if l.Delta() {
 		return s.normalize(cr, l, idx, src), true
 	}
 	c := cr.cache[idx]

@@ -573,9 +573,7 @@ func (inc *IncrementalSolver) Update(ctl *resilience.Controller, d Delta) (*Upda
 				}
 			}
 			if fast {
-				if err := inc.propagateStratum(st, changedAdd); err != nil {
-					return err
-				}
+				inc.propagateStratum(i, st, changedAdd)
 				txn.Stats.StrataFast++
 			} else {
 				inc.recomputeStratum(i, st)
@@ -619,102 +617,30 @@ func (inc *IncrementalSolver) Update(ctl *resilience.Controller, d Delta) (*Upda
 // changes because semi-naive evaluation is exactly this delta algebra:
 // any new derivation uses at least one gained tuple somewhere, and the
 // pass for that position (or a later frontier iteration) fires it.
-func (inc *IncrementalSolver) propagateStratum(st *stratum, changedAdd map[string]*rel.Relation) error {
+func (inc *IncrementalSolver) propagateStratum(idx int, st *stratum, changedAdd map[string]*rel.Relation) {
 	s := inc.s
-	s.opts.Control.Check()
-	inStratum := make(map[string]bool)
-	for _, p := range st.preds {
-		inStratum[p] = true
-	}
-	var rules []*compiledRule
-	for _, rule := range st.rules {
-		if rule.IsFact() {
-			continue
-		}
-		rules = append(rules, s.compiled[rule])
-	}
-	card := s.cardFn()
-	for _, cr := range rules {
-		s.planRule(cr, inStratum, card)
-	}
-	defer func() {
-		for _, cr := range rules {
-			cr.clearCaches(s.u.M)
-		}
-	}()
-	// Phase A: one delta pass per (rule, changed outside position).
-	delta := make(map[string]*rel.Relation)
-	for _, cr := range rules {
-		head := s.rels[cr.rule.Head.Pred]
-		for pos := range cr.naive.Lits {
-			l := &cr.naive.Lits[pos]
-			if l.Negated || inStratum[l.Pred] {
+	s.withStratum(idx, st, func(run *stratumRun) {
+		// One delta pass per (rule, changed outside position), in
+		// program order: a pass reads the heads the passes before it
+		// grew.
+		delta := make(map[string]*rel.Relation)
+		for _, rule := range st.rules {
+			if rule.IsFact() {
 				continue
 			}
-			g := changedAdd[l.Pred]
-			if g == nil || g.IsEmpty() {
-				continue
-			}
-			p := plan.Optimize(cr.naive.WithDelta(pos), s.opts.Plan, card)
-			res := s.execPlan(cr, p, g)
-			fresh := res.Minus("fresh", head)
-			res.Free()
-			if fresh.IsEmpty() {
-				fresh.Free()
-				continue
-			}
-			s.countDelta(cr.rule, fresh)
-			s.growHead(rules, head, fresh)
-			if d := delta[cr.rule.Head.Pred]; d == nil {
-				delta[cr.rule.Head.Pred] = fresh
-			} else {
-				d.UnionWith(fresh)
-				fresh.Free()
-			}
-		}
-	}
-	// Phase B: the stratum's own semi-naive loop, seeded by phase A.
-	var recur []*compiledRule
-	for _, cr := range rules {
-		if len(cr.recursivePositions(inStratum)) > 0 {
-			recur = append(recur, cr)
-		}
-	}
-	for len(delta) > 0 {
-		s.cIters.Inc()
-		s.opts.Control.AddIteration()
-		newDelta := make(map[string]*rel.Relation)
-		for _, cr := range recur {
-			head := s.rels[cr.rule.Head.Pred]
-			for _, pos := range cr.recursivePositions(inStratum) {
-				d := delta[cr.naive.Lits[pos].Pred]
-				if d == nil || d.IsEmpty() {
+			cr := s.compiled[rule]
+			for pos := range cr.naive.Lits {
+				l := &cr.naive.Lits[pos]
+				if l.Negated || run.inStratum[l.Pred] {
 					continue
 				}
-				res := s.execPlan(cr, cr.plans[pos], d)
-				fresh := res.Minus("fresh", head)
-				res.Free()
-				if fresh.IsEmpty() {
-					fresh.Free()
-					continue
-				}
-				s.countDelta(cr.rule, fresh)
-				s.growHead(rules, head, fresh)
-				if nd := newDelta[cr.rule.Head.Pred]; nd == nil {
-					newDelta[cr.rule.Head.Pred] = fresh
-				} else {
-					nd.UnionWith(fresh)
-					fresh.Free()
+				if g := changedAdd[l.Pred]; g != nil && !g.IsEmpty() {
+					s.derive(run, cr, plan.Optimize(cr.naive.WithDelta(pos), run.card), g, delta)
 				}
 			}
 		}
-		for _, d := range delta {
-			d.Free()
-		}
-		delta = newDelta
-		s.maybeGC()
-	}
-	return nil
+		s.seminaive(run, delta)
+	})
 }
 
 // recomputeStratum resets the stratum's heads to their fact baseline

@@ -4,9 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
+	"bddbddb/internal/obs"
 	"bddbddb/internal/resilience"
 )
 
@@ -552,4 +556,61 @@ func TestLiveSolverDegradesToFullResolve(t *testing.T) {
 		t.Fatal("post-degradation update unexpectedly degraded")
 	}
 	ls.Commit()
+}
+
+// spanNames is a tracer that records the name of every span opened.
+type spanNames struct{ names []string }
+
+func (r *spanNames) Begin(name string, _ ...obs.Arg)    { r.names = append(r.names, name) }
+func (r *spanNames) End(...obs.Arg)                     {}
+func (r *spanNames) Instant(string, ...obs.Arg)         {}
+func (r *spanNames) Counter(string, map[string]float64) {}
+
+// TestUpdateTraceSpans: live updates are traced like solves. Both the
+// add-only fast path and the removal recompute open a "stratum 0" span
+// and one "iteration n" span per fixpoint iteration, numbered on from
+// the solve's, so a trace of an update splits its time the same way.
+func TestUpdateTraceSpans(t *testing.T) {
+	rec := &spanNames{}
+	s, err := NewSolver(MustParse(tcSrc), Options{Tracer: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Relation("e").AddTuples([][]uint64{{0, 1}, {1, 2}, {2, 3}})
+	if err := s.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	inc, err := NewIncrementalSolver(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []Delta{
+		{Add: map[string][][]uint64{"e": {{3, 4}}}},
+		{Remove: map[string][][]uint64{"e": {{1, 2}}}},
+	} {
+		before := s.Stats().Iterations
+		rec.names = nil
+		txn, err := inc.Update(nil, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		txn.Commit()
+		after := s.Stats().Iterations
+		if after == before {
+			t.Fatalf("update %+v ran no fixpoint iteration", d)
+		}
+		want := []string{"stratum 0"}
+		for i := before + 1; i <= after; i++ {
+			want = append(want, fmt.Sprintf("iteration %d", i))
+		}
+		var got []string
+		for _, n := range rec.names {
+			if strings.HasPrefix(n, "stratum ") || strings.HasPrefix(n, "iteration ") {
+				got = append(got, n)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("update %+v: spans %v, want %v", d, got, want)
+		}
+	}
 }

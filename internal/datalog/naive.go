@@ -99,6 +99,26 @@ func NewNaiveSolver(prog *Program, opts Options) (*NaiveSolver, error) {
 	return ns, nil
 }
 
+// NaiveReplay returns an unsolved NaiveSolver over s's program, domain
+// sizes and element names that holds every relation's current tuples.
+// Called from Options.PreSolve — facts applied, no stratum run yet —
+// it captures exactly the input s is about to evaluate, so solving the
+// replay yields an independent oracle for every relation s derives.
+func NaiveReplay(s *Solver) (*NaiveSolver, error) {
+	ns, err := NewNaiveSolver(s.prog, s.opts)
+	if err != nil {
+		return nil, err
+	}
+	for _, rd := range s.prog.Relations {
+		t := ns.rels[rd.Name]
+		s.rels[rd.Name].Iterate(func(vals []uint64) bool {
+			t.add(vals)
+			return true
+		})
+	}
+	return ns, nil
+}
+
 // AddTuple loads one input tuple before Solve.
 //
 // Panic audit: the panics below guard the Go API, not user input. The

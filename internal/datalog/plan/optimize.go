@@ -6,56 +6,15 @@ import (
 	"bddbddb/internal/rel"
 )
 
-// Config switches individual planner passes off, mainly for the
-// differential tests that prove the optimizer changes nothing but
-// speed. The zero value enables every pass.
-type Config struct {
-	// NoReorder keeps the canonical literal order (positives in textual
-	// order, then negatives) instead of the delta-first, cross-product
-	// deferring order chosen by the planner.
-	NoReorder bool
-	// NoPushdown drops all non-head variables at the final join instead
-	// of at each variable's last use.
-	NoPushdown bool
-	// NoHoist disables the per-stratum cache of normalized non-delta
-	// literals (an interpreter-side pass; carried here so one value
-	// configures the whole pipeline).
-	NoHoist bool
-	// NoDeadOps keeps identity Reshape entries and other no-op work.
-	NoDeadOps bool
-	// Backend is read by nothing: relations are always stored as BDDs.
-	//
-	// Deprecated: kept only so existing callers that set it still
-	// compile; it is removed with the next benchmark change.
-	Backend BackendMode
-}
-
-// BackendMode is the type of the unused Config.Backend field.
-//
-// Deprecated: relations are always stored as BDDs; it is removed with
-// the next benchmark change, together with Config.Backend.
-type BackendMode int
-
-// BackendAuto is the one remaining BackendMode value. It is the zero
-// value, so setting it leaves a Config unchanged.
-//
-// Deprecated: see BackendMode.
-const BackendAuto BackendMode = 0
-
-// Legacy is the pinned pre-refactor execution path: textual order, no
-// hoisting, no dead-op pruning — but early projection, which the old
-// executor's dropAfter already performed.
-func Legacy() Config { return Config{NoReorder: true, NoHoist: true, NoDeadOps: true} }
-
 // Finish completes a freshly lowered plan in place: identity join
-// order plus last-use projection sets. The result reproduces the
-// historical textual-order execution exactly.
+// order plus last-use projection sets. This canonical form is the
+// "before" side of -explain; solves run Optimize's output.
 func Finish(p *Plan) {
 	p.Order = make([]int, len(p.Lits))
 	for i := range p.Order {
 		p.Order[i] = i
 	}
-	p.Joins = joinsFor(p, p.Order, false)
+	p.Joins = joinsFor(p, p.Order)
 	retypeHead(p)
 }
 
@@ -63,15 +22,12 @@ func Finish(p *Plan) {
 // mutated): join-order selection (see chooseOrder) fed by live
 // relation cardinalities, projection push-down for the chosen order,
 // and dead-op elimination. card may be nil (all relations cost 0).
-func Optimize(p *Plan, cfg Config, card func(pred string) float64) *Plan {
+func Optimize(p *Plan, card func(pred string) float64) *Plan {
 	q := *p
-	q.Optimized = true
-	q.Order = chooseOrder(p, cfg, card)
-	q.Joins = joinsFor(&q, q.Order, cfg.NoPushdown)
+	q.Order = chooseOrder(p, card)
+	q.Joins = joinsFor(&q, q.Order)
 	retypeHead(&q)
-	if !cfg.NoDeadOps {
-		pruneDeadOps(&q)
-	}
+	pruneDeadOps(&q)
 	return &q
 }
 
@@ -104,15 +60,9 @@ func Optimize(p *Plan, cfg Config, card func(pred string) float64) *Plan {
 // relations have no tuples when the stratum is planned, and a
 // momentary zero satcount must not schedule them ahead of populated
 // inputs.
-func chooseOrder(p *Plan, cfg Config, card func(pred string) float64) []int {
+func chooseOrder(p *Plan, card func(pred string) float64) []int {
 	n := len(p.Lits)
 	order := make([]int, 0, n)
-	if cfg.NoReorder {
-		for i := 0; i < n; i++ {
-			order = append(order, i)
-		}
-		return order
-	}
 	chosen := make([]bool, n)
 	bound := map[string]bool{}
 	take := func(i int) {
@@ -186,10 +136,9 @@ func chooseOrder(p *Plan, cfg Config, card func(pred string) float64) []int {
 
 // joinsFor computes the per-step JoinProject ops for an order:
 // variables not needed by the head are projected away inside the
-// relprod at the step of their last use (or all at the final step when
-// push-down is disabled), and each step's output schema is threaded
-// through for the explain output.
-func joinsFor(p *Plan, order []int, noPushdown bool) []*JoinProject {
+// relprod at the step of their last use, and each step's output
+// schema is threaded through for the explain output.
+func joinsFor(p *Plan, order []int) []*JoinProject {
 	keep := map[string]bool{}
 	for _, v := range p.Keep {
 		keep[v] = true
@@ -198,11 +147,7 @@ func joinsFor(p *Plan, order []int, noPushdown bool) []*JoinProject {
 	for k, idx := range order {
 		for _, a := range p.Lits[idx].Schema() {
 			if !keep[a.Name] {
-				if noPushdown {
-					last[a.Name] = len(order) - 1
-				} else {
-					last[a.Name] = k
-				}
+				last[a.Name] = k
 			}
 		}
 	}
@@ -306,9 +251,8 @@ func retypeHead(p *Plan) {
 // pruneDeadOps removes work that provably does nothing: Reshape
 // entries renaming an attribute to itself on its current physical
 // instance, Reshape/Project ops left empty, and their head-side
-// counterparts. Lowering deliberately emits such identity moves so the
-// pinned legacy configuration reproduces the historical executor
-// byte-for-byte; the optimizer strips them.
+// counterparts. Lowering emits such identity moves uniformly, one
+// Reshape entry per attribute; the optimizer strips them.
 func pruneDeadOps(p *Plan) {
 	lits := make([]Lit, len(p.Lits))
 	copy(lits, p.Lits)

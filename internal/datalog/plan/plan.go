@@ -44,9 +44,9 @@ func (l *Lit) Delta() bool { return l.Ops[0].(*Load).Delta }
 func (l *Lit) Schema() []rel.Attr { return l.Ops[len(l.Ops)-1].Schema() }
 
 // Plan is the compiled form of one rule: literal pipelines in stable
-// textual order (positives first, then negatives — the identity used
-// to match plans across optimizer configurations), a join order over
-// them, per-join-step projection sets, and the head-construction tail.
+// textual order (positives first, then negatives — the identity delta
+// positions and hoisting caches are keyed by), a join order over them,
+// per-join-step projection sets, and the head-construction tail.
 type Plan struct {
 	// Rule is the rule's source text, Head its head predicate.
 	Rule, Head string
@@ -69,8 +69,6 @@ type Plan struct {
 	// Keep names the rule variables the joins must preserve for the
 	// head (first occurrences of head variables).
 	Keep []string
-	// Optimized marks plans that went through Optimize.
-	Optimized bool
 }
 
 // WithDelta returns a copy of the plan whose literal at position pos

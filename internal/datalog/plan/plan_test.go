@@ -123,7 +123,7 @@ func TestOptimizeDefersCrossProduct(t *testing.T) {
 	}
 	Finish(p)
 	card := cardOf(map[string]float64{"A": 100, "B": 10, "C": 50})
-	q := Optimize(p, Config{}, card)
+	q := Optimize(p, card)
 	if !reflect.DeepEqual(q.Order, []int{0, 2, 1}) {
 		t.Fatalf("reordered = %v", q.Order)
 	}
@@ -133,7 +133,7 @@ func TestOptimizeDefersCrossProduct(t *testing.T) {
 		t.Fatalf("drops = %v, %v", q.Joins[1].Drop, q.Joins[2].Drop)
 	}
 	// The input plan is untouched (copy-on-write).
-	if !reflect.DeepEqual(p.Order, []int{0, 1, 2}) || p.Optimized {
+	if !reflect.DeepEqual(p.Order, []int{0, 1, 2}) {
 		t.Fatal("Optimize mutated its input")
 	}
 	// Final schema still carries exactly the head variables.
@@ -153,7 +153,7 @@ func TestOptimizeDefersCrossProduct(t *testing.T) {
 func TestOptimizeAnchorsFirstLiteral(t *testing.T) {
 	p := threeLitPlan(t)
 	card := cardOf(map[string]float64{"A": 100, "B": 10, "C": 50})
-	q := Optimize(p, Config{}, card)
+	q := Optimize(p, card)
 	if q.Order[0] != 0 {
 		t.Fatalf("anchor literal moved: order = %v", q.Order)
 	}
@@ -168,7 +168,7 @@ func TestOptimizeAnchorsFirstLiteral(t *testing.T) {
 func TestOptimizeDeltaTail(t *testing.T) {
 	p := threeLitPlan(t)
 	card := cardOf(map[string]float64{"A": 100, "B": 10, "C": 50})
-	q := Optimize(p.WithDelta(2), Config{}, card)
+	q := Optimize(p.WithDelta(2), card)
 	if !reflect.DeepEqual(q.Order, []int{2, 1, 0}) {
 		t.Fatalf("delta-tail order = %v", q.Order)
 	}
@@ -198,7 +198,7 @@ func TestOptimizeEmptyCostsUniverse(t *testing.T) {
 	}
 	Finish(p)
 	card := cardOf(map[string]float64{"A": 100, "B": 0, "C": 50})
-	q := Optimize(p, Config{}, card)
+	q := Optimize(p, card)
 	if !reflect.DeepEqual(q.Order, []int{0, 2, 1}) {
 		t.Fatalf("empty B not deferred: order = %v", q.Order)
 	}
@@ -207,7 +207,7 @@ func TestOptimizeEmptyCostsUniverse(t *testing.T) {
 func TestOptimizeDeltaFirst(t *testing.T) {
 	p := threeLitPlan(t)
 	card := cardOf(map[string]float64{"A": 100, "B": 10, "C": 50})
-	q := Optimize(p.WithDelta(0), Config{}, card)
+	q := Optimize(p.WithDelta(0), card)
 	// The delta literal leads regardless of cardinality; B (connected
 	// via y, cheapest) follows, then C.
 	if !reflect.DeepEqual(q.Order, []int{0, 1, 2}) {
@@ -224,21 +224,6 @@ func TestOptimizeDeltaFirst(t *testing.T) {
 	}
 }
 
-func TestOptimizeNoReorderNoPushdown(t *testing.T) {
-	p := threeLitPlan(t)
-	card := cardOf(map[string]float64{"A": 100, "B": 10, "C": 50})
-	q := Optimize(p, Config{NoReorder: true, NoPushdown: true}, card)
-	if !reflect.DeepEqual(q.Order, []int{0, 1, 2}) {
-		t.Fatalf("NoReorder order = %v", q.Order)
-	}
-	if len(q.Joins[0].Drop) != 0 || len(q.Joins[1].Drop) != 0 {
-		t.Fatalf("NoPushdown dropped early: %v, %v", q.Joins[0].Drop, q.Joins[1].Drop)
-	}
-	if !reflect.DeepEqual(q.Joins[2].Drop, []string{"y", "z"}) {
-		t.Fatalf("NoPushdown final drop = %v", q.Joins[2].Drop)
-	}
-}
-
 func TestNegativesStayLast(t *testing.T) {
 	u := testUniverse(t)
 	x, y := u.A("x", "V", 0), u.A("y", "V", 1)
@@ -252,7 +237,7 @@ func TestNegativesStayLast(t *testing.T) {
 		HeadSchema: []rel.Attr{x, y},
 	}
 	Finish(p)
-	q := Optimize(p, Config{}, cardOf(map[string]float64{"A": 5, "N": 1}))
+	q := Optimize(p, cardOf(map[string]float64{"A": 5, "N": 1}))
 	if !reflect.DeepEqual(q.Order, []int{0, 1}) {
 		t.Fatalf("negated literal reordered: %v", q.Order)
 	}
@@ -279,7 +264,7 @@ func TestDeadOpElimination(t *testing.T) {
 		HeadSchema: []rel.Attr{a, y},
 	}
 	Finish(p)
-	q := Optimize(p, Config{}, nil)
+	q := Optimize(p, nil)
 	rs := q.Lits[0].Ops[1].(*Reshape)
 	if _, has := rs.Spec["a"]; has {
 		t.Errorf("identity reshape entry survived: %v", rs.Spec)
@@ -298,14 +283,13 @@ func TestDeadOpElimination(t *testing.T) {
 		HeadSchema: []rel.Attr{a, b},
 	}
 	Finish(p2)
-	q2 := Optimize(p2, Config{}, nil)
+	q2 := Optimize(p2, nil)
 	if !q2.Lits[0].Trivial() {
 		t.Errorf("all-identity reshape not eliminated: %d ops", len(q2.Lits[0].Ops))
 	}
-	// NoDeadOps (the legacy pin) keeps it.
-	q3 := Optimize(p2, Legacy(), nil)
-	if q3.Lits[0].Trivial() {
-		t.Error("Legacy config eliminated dead ops")
+	// The canonical lowered plan, the "before" side of -explain, keeps it.
+	if p2.Lits[0].Trivial() {
+		t.Error("Optimize pruned its input plan")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
@@ -74,28 +73,15 @@ var featInputs = map[string][][]uint64{
 	"s": {{0, 1}, {6, 1}, {3, 4}},
 }
 
-// planConfigs are the optimizer settings the differential runs sweep.
-func planConfigs() map[string]PlanConfig {
-	return map[string]PlanConfig{
-		"default":    {},
-		"legacy":     LegacyPlan(),
-		"all-off":    {NoReorder: true, NoPushdown: true, NoHoist: true, NoDeadOps: true},
-		"no-reorder": {NoReorder: true},
-		"no-hoist":   {NoHoist: true},
-		"no-pushdn":  {NoPushdown: true},
-	}
-}
-
-func solveWithPlan(t *testing.T, src string, cfg PlanConfig, inputs map[string][][]uint64) *Solver {
+// solveInputs solves src over inputs with default options.
+func solveInputs(t *testing.T, src string, inputs map[string][][]uint64) *Solver {
 	t.Helper()
-	s, err := NewSolver(MustParse(src), Options{Plan: cfg})
+	s, err := NewSolver(MustParse(src), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, rows := range inputs {
-		for _, row := range rows {
-			s.Relation(name).AddTuple(row...)
-		}
+		s.Relation(name).AddTuples(rows)
 	}
 	if err := s.Solve(); err != nil {
 		t.Fatal(err)
@@ -103,10 +89,11 @@ func solveWithPlan(t *testing.T, src string, cfg PlanConfig, inputs map[string][
 	return s
 }
 
-// TestPlanConfigDifferential solves each program under every planner
-// configuration — including the pinned pre-refactor path — and demands
-// identical cardinalities and tuple sets for every declared relation.
-// The naive-oracle comparison rides along via solveBoth.
+// TestPlanConfigDifferential holds the optimizer's plans, the one plan
+// configuration the solver runs, to NaiveSolver on every declared
+// relation. Unlike solveBoth, the oracle is fed by NaiveReplay: it
+// re-solves the BDD solve's own input, captured just before the first
+// stratum, as the analysis-level differentials do.
 func TestPlanConfigDifferential(t *testing.T) {
 	programs := []struct {
 		name   string
@@ -120,25 +107,24 @@ func TestPlanConfigDifferential(t *testing.T) {
 	}
 	for _, pr := range programs {
 		t.Run(pr.name, func(t *testing.T) {
-			base := solveBoth(t, pr.src, Options{}, pr.inputs)
-			for cfgName, cfg := range planConfigs() {
-				if cfgName == "default" {
-					continue
-				}
-				s := solveWithPlan(t, pr.src, cfg, pr.inputs)
-				for _, rel := range s.RelationNames() {
-					want := base.Relation(rel)
-					got := s.Relation(rel)
-					if want.Size().Cmp(got.Size()) != 0 {
-						t.Errorf("%s/%s: %s tuples under %s, %s under default",
-							cfgName, rel, got.Size(), cfgName, want.Size())
-						continue
-					}
-					if !reflect.DeepEqual(sortedTuples(got.Tuples()), sortedTuples(want.Tuples())) {
-						t.Errorf("%s/%s: tuple sets differ", cfgName, rel)
-					}
-				}
+			var ns *NaiveSolver
+			s, err := NewSolver(MustParse(pr.src), Options{PreSolve: func(s *Solver) (err error) {
+				ns, err = NaiveReplay(s)
+				return err
+			}})
+			if err != nil {
+				t.Fatal(err)
 			}
+			for name, rows := range pr.inputs {
+				s.Relation(name).AddTuples(rows)
+			}
+			if err := s.Solve(); err != nil {
+				t.Fatal(err)
+			}
+			if err := ns.Solve(); err != nil {
+				t.Fatal(err)
+			}
+			requireSameAsNaive(t, s, ns)
 		})
 	}
 }
@@ -232,7 +218,7 @@ func TestExplainDeterministicHeapClone(t *testing.T) {
 // reuses hoisted normalizations on a recursive program.
 func TestOpCountersAndHoisting(t *testing.T) {
 	inputs := map[string][][]uint64{"e": {{0, 1}, {1, 2}, {2, 3}, {3, 4}}}
-	s := solveWithPlan(t, tcSrc, PlanConfig{}, inputs)
+	s := solveInputs(t, tcSrc, inputs)
 	snap := s.Metrics().Snapshot()
 	for _, key := range []string{"datalog.op.load", "datalog.op.join_project", "datalog.op.reshape"} {
 		if snap[key] <= 0 {
@@ -251,17 +237,20 @@ func TestOpCountersAndHoisting(t *testing.T) {
 		}
 	}
 
-	// With hoisting disabled the cache is never consulted.
-	s2 := solveWithPlan(t, tcSrc, PlanConfig{NoHoist: true}, inputs)
-	snap2 := s2.Metrics().Snapshot()
-	if snap2["datalog.op.norm_cache_hits"] != 0 || snap2["datalog.op.norm_cache_misses"] != 0 {
-		t.Errorf("NoHoist touched the cache: hits=%v misses=%v",
-			snap2["datalog.op.norm_cache_hits"], snap2["datalog.op.norm_cache_misses"])
+	// Exact normalization work. Without hoisting this solve ran 7
+	// reshapes (measured when hoisting could still be switched off);
+	// each cache hit saves exactly one of them.
+	for key, want := range map[string]float64{
+		"datalog.op.reshape":           4,
+		"datalog.op.norm_cache_hits":   3,
+		"datalog.op.norm_cache_misses": 1,
+	} {
+		if snap[key] != want {
+			t.Errorf("%s = %v, want %v", key, snap[key], want)
+		}
 	}
-	// Hoisting must strictly reduce executed normalization work.
-	if snap["datalog.op.reshape"] >= snap2["datalog.op.reshape"] {
-		t.Errorf("hoisting did not reduce reshapes: %v (hoisted) vs %v (not)",
-			snap["datalog.op.reshape"], snap2["datalog.op.reshape"])
+	if got := snap["datalog.op.reshape"] + snap["datalog.op.norm_cache_hits"]; got != 7 {
+		t.Errorf("reshapes + cache hits = %v, want the unhoisted 7", got)
 	}
 }
 
@@ -276,7 +265,7 @@ func TestWastedCloneEliminated(t *testing.T) {
 .relation out (a : N, b : N) output
 out(a, b) :- e(a, b).
 `
-	s := solveWithPlan(t, src, PlanConfig{}, map[string][][]uint64{"e": {{0, 1}, {2, 3}}})
+	s := solveInputs(t, src, map[string][][]uint64{"e": {{0, 1}, {2, 3}}})
 	snap := s.Metrics().Snapshot()
 	for _, key := range []string{"datalog.op.select_const", "datalog.op.equate_attrs", "datalog.op.project", "datalog.op.reshape", "datalog.op.complement"} {
 		if snap[key] != 0 {

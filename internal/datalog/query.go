@@ -166,8 +166,6 @@ func (b *QueryBase) projected(s *Solver, src *rel.Relation, wild []string) *rel.
 
 // QueryOptions configures one Eval.
 type QueryOptions struct {
-	// Plan configures the rule planner, as in Options.Plan.
-	Plan PlanConfig
 	// Tracer receives the usual solve spans; nil is free.
 	Tracer obs.Tracer
 	// Control bounds the evaluation (per-request timeout / node
@@ -308,7 +306,6 @@ func (b *QueryBase) Eval(src string, opts QueryOptions) (qr *QueryResult, err er
 	s := &Solver{
 		prog: prog,
 		opts: Options{
-			Plan:      opts.Plan,
 			Tracer:    opts.Tracer,
 			Control:   opts.Control,
 			ElemNames: b.elemNames,

@@ -16,20 +16,25 @@ import (
 	"bddbddb/internal/resilience"
 )
 
-// PlanConfig selects which planner passes run; see plan.Config. The
-// zero value enables the full optimizer.
-type PlanConfig = plan.Config
-
-// LegacyPlan returns the configuration pinning the pre-planner
-// execution path (textual join order, no hoisting, no dead-op
-// elimination) — the "optimizer off" side of differential tests.
-func LegacyPlan() PlanConfig { return plan.Legacy() }
-
-// BackendAuto re-exports plan.BackendAuto.
+// PlanConfig is the type of analysis.Config.Plan. Nothing reads it:
+// every rule runs the full optimizer and every relation is a BDD.
 //
-// Deprecated: relations are always stored as BDDs, and nothing reads
-// PlanConfig.Backend; it is removed with the next benchmark change.
-const BackendAuto = plan.BackendAuto
+// Deprecated: kept only so existing callers that set it still
+// compile; it is removed with the next benchmark change.
+type PlanConfig struct {
+	Backend BackendMode
+}
+
+// BackendMode is the type of the unused PlanConfig.Backend field.
+//
+// Deprecated: see PlanConfig.
+type BackendMode int
+
+// BackendAuto is the one BackendMode value. It is the zero value, so
+// setting it leaves a PlanConfig unchanged.
+//
+// Deprecated: see PlanConfig.
+const BackendAuto BackendMode = 0
 
 // Options configures a Solver.
 type Options struct {
@@ -53,11 +58,6 @@ type Options struct {
 	// This is the ablation for Section 2.4's "Incrementalization"
 	// optimization; leave it false for real use.
 	NoIncrementalization bool
-	// Plan configures the rule planner: which rewrite passes (join
-	// reordering, projection push-down, normalization hoisting, dead-op
-	// elimination) run on each rule's plan. The zero value runs them
-	// all; plan.Legacy() pins the historical textual-order execution.
-	Plan PlanConfig
 	// CountRuleTuples additionally records, per rule, how many new head
 	// tuples it derived (RuleStats.DeltaTuples). Counting is an exact
 	// satcount per derivation, so it costs a little; rule applications
@@ -585,154 +585,174 @@ func (s *Solver) applyFacts() error {
 	return nil
 }
 
-// solveStratum evaluates one stratum to fixpoint.
-func (s *Solver) solveStratum(idx int, st *stratum) {
+// stratumRun is one evaluation of a stratum: the batch solve's, a
+// live update's fast path, or a live update's recompute.
+type stratumRun struct {
+	inStratum map[string]bool
+	// base and recur split the stratum's rules by whether a positive
+	// body literal reads a predicate of the stratum; rules is base
+	// followed by recur, the set whose hoisted normalizations growHead
+	// maintains.
+	base, recur, rules []*compiledRule
+	// card is the memoized cardinality lookup the rules were planned
+	// with; later plans of the same run reuse it.
+	card func(pred string) float64
+}
+
+// withStratum runs eval inside the prologue and epilogue every
+// evaluation of a stratum shares: the stratum.start fault point, a
+// cancellation check and the "stratum i" span, the base/recursive
+// split, and planning. Every rule is planned against the
+// cardinalities its sources have right now (lower strata are final,
+// recursive relations hold their seed values): a base variant and one
+// delta variant per recursive position. Afterwards the hoisted
+// normalizations are dropped — every rule belongs to exactly one
+// stratum, so this covers all cache entries.
+func (s *Solver) withStratum(idx int, st *stratum, eval func(run *stratumRun)) {
 	resilience.FaultPoint(resilience.FaultStratumStart)
 	s.opts.Control.Check()
 	if s.tr != nil {
 		s.tr.Begin(fmt.Sprintf("stratum %d", idx), obs.A("rules", len(st.rules)))
 		defer func() { s.tr.End() }()
 	}
-	inStratum := make(map[string]bool)
+	run := &stratumRun{inStratum: make(map[string]bool), card: s.cardFn()}
 	for _, p := range st.preds {
-		inStratum[p] = true
+		run.inStratum[p] = true
 	}
-	var base, recur []*compiledRule
 	for _, rule := range st.rules {
 		if rule.IsFact() {
 			continue
 		}
 		cr := s.compiled[rule]
-		if len(cr.recursivePositions(inStratum)) > 0 {
-			recur = append(recur, cr)
+		if len(cr.recursivePositions(run.inStratum)) > 0 {
+			run.recur = append(run.recur, cr)
 		} else {
-			base = append(base, cr)
+			run.base = append(run.base, cr)
 		}
 	}
-	// Plan every rule of the stratum against the cardinalities its
-	// sources have right now (lower strata are final, recursive
-	// relations hold their seed values). Each rule gets a base variant
-	// and one delta variant per recursive position. Hoisted
-	// normalizations are dropped when the stratum finishes — every rule
-	// belongs to exactly one stratum, so this covers all cache entries.
-	card := s.cardFn()
-	rules := append(append([]*compiledRule(nil), base...), recur...)
-	for _, cr := range rules {
-		s.planRule(cr, inStratum, card)
+	run.rules = append(append([]*compiledRule(nil), run.base...), run.recur...)
+	for _, cr := range run.rules {
+		cr.plans = map[int]*plan.Plan{-1: plan.Optimize(cr.naive, run.card)}
+		for _, pos := range cr.recursivePositions(run.inStratum) {
+			cr.plans[pos] = plan.Optimize(cr.naive.WithDelta(pos), run.card)
+		}
 	}
 	defer func() {
-		for _, cr := range rules {
+		for _, cr := range run.rules {
 			cr.clearCaches(s.u.M)
 		}
 	}()
-	for _, cr := range base {
-		res := s.execPlan(cr, cr.plans[-1], nil)
-		head := s.rels[cr.rule.Head.Pred]
-		fresh := res.Minus("fresh", head)
-		res.Free()
-		s.countDelta(cr.rule, fresh)
-		s.growHead(rules, head, fresh)
-		fresh.Free()
-	}
-	if len(recur) == 0 {
+	eval(run)
+}
+
+// solveStratum evaluates one stratum to fixpoint: each base rule once,
+// then the recursive rules semi-naively from the stratum's current
+// values (or, under NoIncrementalization, re-applied in full until
+// nothing changes).
+func (s *Solver) solveStratum(idx int, st *stratum) {
+	s.withStratum(idx, st, func(run *stratumRun) {
+		for _, cr := range run.base {
+			s.derive(run, cr, cr.plans[-1], nil, nil)
+		}
+		if len(run.recur) == 0 {
+			return
+		}
+		if s.opts.NoIncrementalization {
+			s.iterate(func() bool {
+				changed := false
+				for _, cr := range run.recur {
+					if s.derive(run, cr, cr.plans[-1], nil, nil) {
+						changed = true
+					}
+				}
+				return changed
+			})
+			return
+		}
+		delta := make(map[string]*rel.Relation)
+		for _, p := range st.preds {
+			if r, ok := s.rels[p]; ok {
+				delta[p] = r.Clone("Δ" + p)
+			}
+		}
+		s.seminaive(run, delta)
+	})
+}
+
+// seminaive is the semi-naive fixpoint loop. delta (owned) maps each
+// predicate to the tuples it gained last; every iteration applies each
+// recursive rule once per body position whose delta is non-empty,
+// reading that delta there and full relations elsewhere, and the new
+// tuples form the next delta. It stops after the first iteration that
+// derives nothing, and runs none when delta is empty.
+func (s *Solver) seminaive(run *stratumRun, delta map[string]*rel.Relation) {
+	if len(delta) == 0 {
 		return
 	}
-	if s.opts.NoIncrementalization {
-		for {
-			s.cIters.Inc()
-			s.opts.Control.AddIteration()
-			if s.tr != nil {
-				s.tr.Begin(fmt.Sprintf("iteration %d", s.cIters.Value()))
-			}
-			changed := false
-			for _, cr := range recur {
-				head := s.rels[cr.rule.Head.Pred]
-				res := s.execPlan(cr, cr.plans[-1], nil)
-				fresh := res.Minus("fresh", head)
-				res.Free()
-				if !fresh.IsEmpty() {
-					s.countDelta(cr.rule, fresh)
-					s.growHead(rules, head, fresh)
-					changed = true
-				}
-				fresh.Free()
-			}
-			s.maybeGC()
-			if s.tr != nil {
-				s.tr.End(obs.A("changed", changed))
-			}
-			if !changed {
-				return
-			}
-		}
-	}
-	// Semi-naive iteration: deltas start at the current values.
-	delta := make(map[string]*rel.Relation)
-	for _, p := range st.preds {
-		if r, ok := s.rels[p]; ok {
-			delta[p] = r.Clone("Δ" + p)
-		}
-	}
-	for {
-		s.cIters.Inc()
-		s.opts.Control.AddIteration()
-		if s.tr != nil {
-			s.tr.Begin(fmt.Sprintf("iteration %d", s.cIters.Value()))
-		}
-		newDelta := make(map[string]*rel.Relation)
-		changed := false
-		for _, cr := range recur {
-			head := s.rels[cr.rule.Head.Pred]
-			for _, pos := range cr.recursivePositions(inStratum) {
+	s.iterate(func() bool {
+		next := make(map[string]*rel.Relation)
+		for _, cr := range run.recur {
+			for _, pos := range cr.recursivePositions(run.inStratum) {
 				d := delta[cr.naive.Lits[pos].Pred]
 				if d == nil || d.IsEmpty() {
 					continue
 				}
-				res := s.execPlan(cr, cr.plans[pos], d)
-				fresh := res.Minus("fresh", head)
-				res.Free()
-				if fresh.IsEmpty() {
-					fresh.Free()
-					continue
-				}
-				s.countDelta(cr.rule, fresh)
-				s.growHead(rules, head, fresh)
-				nd := newDelta[cr.rule.Head.Pred]
-				if nd == nil {
-					newDelta[cr.rule.Head.Pred] = fresh
-				} else {
-					nd.UnionWith(fresh)
-					fresh.Free()
-				}
-				changed = true
+				s.derive(run, cr, cr.plans[pos], d, next)
 			}
 		}
 		for _, d := range delta {
 			d.Free()
 		}
-		delta = newDelta
+		delta = next
+		return len(delta) > 0
+	})
+}
+
+// iterate runs round until it reports that nothing changed, counting
+// each call as one fixpoint iteration (datalog.iterations, the
+// controller's iteration budget, an "iteration n" span) and offering
+// the manager a collection after it.
+func (s *Solver) iterate(round func() bool) {
+	for changed := true; changed; {
+		s.cIters.Inc()
+		s.opts.Control.AddIteration()
+		if s.tr != nil {
+			s.tr.Begin(fmt.Sprintf("iteration %d", s.cIters.Value()))
+		}
+		changed = round()
 		s.maybeGC()
 		if s.tr != nil {
 			s.tr.End(obs.A("changed", changed))
 		}
-		if !changed {
-			for _, d := range delta {
-				d.Free()
-			}
-			return
-		}
 	}
 }
 
-// planRule builds the rule's plan variants for the current stratum:
-// the base variant and one semi-naive variant per recursive position,
-// all optimized under the solver's plan configuration against live
-// cardinalities.
-func (s *Solver) planRule(cr *compiledRule, inStratum map[string]bool, card func(string) float64) {
-	cr.plans = map[int]*plan.Plan{-1: plan.Optimize(cr.naive, s.opts.Plan, card)}
-	for _, pos := range cr.recursivePositions(inStratum) {
-		cr.plans[pos] = plan.Optimize(cr.naive.WithDelta(pos), s.opts.Plan, card)
+// derive is the one rule-application step: it runs plan variant p of
+// cr (delta feeds the variant's delta literal; nil for the base
+// variant), keeps the tuples the head does not hold yet, grows the
+// head by them and reports whether there were any. When into is
+// non-nil the new tuples are added to into[head] for the next
+// iteration; otherwise they are freed.
+func (s *Solver) derive(run *stratumRun, cr *compiledRule, p *plan.Plan, delta *rel.Relation, into map[string]*rel.Relation) bool {
+	head := s.rels[cr.rule.Head.Pred]
+	res := s.execPlan(cr, p, delta)
+	fresh := res.Minus("fresh", head)
+	res.Free()
+	if fresh.IsEmpty() {
+		fresh.Free()
+		return false
 	}
+	s.countDelta(cr.rule, fresh)
+	s.growHead(run.rules, head, fresh)
+	if into == nil {
+		fresh.Free()
+	} else if d := into[cr.rule.Head.Pred]; d == nil {
+		into[cr.rule.Head.Pred] = fresh
+	} else {
+		d.UnionWith(fresh)
+		fresh.Free()
+	}
+	return true
 }
 
 // cardFn returns a memoized live-cardinality lookup, the planner's
@@ -764,8 +784,8 @@ func (s *Solver) RelationNames() []string {
 }
 
 // Explain writes every rule's execution plan, stratum by stratum: the
-// canonical lowered form ("before", the historical textual-order
-// execution) and the optimizer's output ("after"), including each
+// canonical lowered form ("before": textual join order, identity
+// moves kept) and the optimizer's output ("after"), including each
 // semi-naive delta variant for recursive rules. Loads are annotated
 // with the cardinalities the planner saw, so calling Explain after
 // filling input relations (as cmd/bddbddb -explain does) shows the
@@ -791,21 +811,18 @@ func (s *Solver) Explain(w io.Writer) {
 			fmt.Fprintf(w, "rule %d: %s\n", ruleIdx[rule], cr.naive.Rule)
 			fmt.Fprintln(w, " before:")
 			cr.naive.Format(w, card)
-			opt := plan.Optimize(cr.naive, s.opts.Plan, card)
+			opt := plan.Optimize(cr.naive, card)
 			fmt.Fprintln(w, " after:")
 			opt.Format(w, card)
 			for _, pos := range cr.recursivePositions(inStratum) {
-				dv := plan.Optimize(cr.naive.WithDelta(pos), s.opts.Plan, card)
+				dv := plan.Optimize(cr.naive.WithDelta(pos), card)
 				fmt.Fprintf(w, " after (Δ%s at %d):\n", cr.naive.Lits[pos].Pred, pos)
 				dv.Format(w, card)
 			}
 			var hoisted []string
-			if !s.opts.Plan.NoHoist {
-				for i := range opt.Lits {
-					l := &opt.Lits[i]
-					if !l.Trivial() && !l.Delta() {
-						hoisted = append(hoisted, l.Pred)
-					}
+			for i := range opt.Lits {
+				if l := &opt.Lits[i]; !l.Trivial() {
+					hoisted = append(hoisted, l.Pred)
 				}
 			}
 			if len(hoisted) > 0 {

@@ -15,9 +15,22 @@ func sortedTuples(ts [][]uint64) [][]uint64 {
 	return out
 }
 
+// requireSameAsNaive fails the test unless every relation s declares
+// holds exactly the tuples the solved NaiveSolver ns holds.
+func requireSameAsNaive(t *testing.T, s *Solver, ns *NaiveSolver) {
+	t.Helper()
+	for _, name := range s.RelationNames() {
+		got := sortedTuples(s.Relation(name).Tuples())
+		want := sortedTuples(ns.Tuples(name))
+		if len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
+			t.Errorf("relation %s: BDD solver %v, oracle %v", name, got, want)
+		}
+	}
+}
+
 // solveBoth runs the program through the BDD solver and the explicit
-// tuple-set oracle with identical inputs, checks that every output
-// relation matches, and returns the BDD solver for further inspection.
+// tuple-set oracle with identical inputs, checks that every relation
+// matches, and returns the BDD solver for further inspection.
 func solveBoth(t *testing.T, src string, opts Options, inputs map[string][][]uint64) *Solver {
 	t.Helper()
 	prog := MustParse(src)
@@ -42,19 +55,7 @@ func solveBoth(t *testing.T, src string, opts Options, inputs map[string][][]uin
 	if err := ns.Solve(); err != nil {
 		t.Fatal(err)
 	}
-	for _, rd := range prog.Relations {
-		if rd.Kind != RelOutput {
-			continue
-		}
-		got := sortedTuples(s.Relation(rd.Name).Tuples())
-		want := sortedTuples(ns.Tuples(rd.Name))
-		if len(got) == 0 && len(want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("relation %s: BDD solver %v, oracle %v", rd.Name, got, want)
-		}
-	}
+	requireSameAsNaive(t, s, ns)
 	return s
 }
 
