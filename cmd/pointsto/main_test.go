@@ -121,6 +121,28 @@ func TestTypeAnalysisReportsNoPairs(t *testing.T) {
 	}
 }
 
+// TestMetricsCoverEverySolve checks that -algo cs, which solves twice
+// (call-graph discovery, then the cloned analysis), exports the
+// datalog counters and timers of both solves, not only the last.
+func TestMetricsCoverEverySolve(t *testing.T) {
+	in := freettsFile(t)
+	sess, err := (&obs.Flags{}).Start("pointsto")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	var out bytes.Buffer
+	if err := run(context.Background(), &out, sess, resilience.Flags{}, []string{in}, options{algo: "cs"}); err != nil {
+		t.Fatal(err)
+	}
+	m := sess.Metrics.Snapshot()
+	for _, k := range []string{"datalog.solve.count", "datalog.cardinalities.count"} {
+		if m[k] != 2 {
+			t.Errorf("%s = %g, want 2", k, m[k])
+		}
+	}
+}
+
 // TestEscapeReportListsSitelessHeaps checks that an escaped heap with
 // no allocation site is listed by name: on freetts the one escaped
 // heap is the global object.

@@ -37,11 +37,22 @@ type compiledRule struct {
 	// loop, indexed by canonical literal position (shared by all plan
 	// variants, which never reorder Lits — only Order).
 	cache []*litCache
-	// wild lists, per canonical literal position, the attributes the
-	// literal reads as `_`, sorted: a query literal over a base
-	// relation starts from the base's memo of that relation with these
-	// attributes projected out (see QueryBase.projected).
-	wild [][]string
+	// memo says, per canonical literal position, which entry of the
+	// query base's memo a query literal over a base relation starts
+	// from (see QueryBase.projected).
+	memo []memoSpec
+}
+
+// memoSpec names a literal's memo entry: wild lists the attributes the
+// literal reads as `_`, sorted, which the entry projects out; pivot is
+// what QueryBase.pivotInstances chose for the literal: it maps each
+// attribute moved to a headroom instance (an instance past the
+// replica's primary ones, in the trailing blocks below every main
+// block) to that instance, where the entry holds it. A nil pivot is
+// the entry on the base relation's own instances.
+type memoSpec struct {
+	wild  []string
+	pivot map[string]*bdd.Domain
 }
 
 // litCache holds one literal's hoisted normalized form, validated by
@@ -189,7 +200,9 @@ func assignInstances(prog *Program, rule *Rule) (map[string]int, map[string]int)
 // compileRule lowers a rule to its canonical plan and builds the
 // iteration-invariant helpers. Must run after Finalize and relation
 // materialization (it captures physical domains and live schemas).
-func (s *Solver) compileRule(rule *Rule, asn map[string]int) (*compiledRule, error) {
+// pivots, indexed by canonical literal position, is what
+// QueryBase.pivotInstances chose for a query rule; nil elsewhere.
+func (s *Solver) compileRule(rule *Rule, asn map[string]int, pivots []map[string]*bdd.Domain) (*compiledRule, error) {
 	prog := s.prog
 	cr := &compiledRule{
 		rule:    rule,
@@ -255,7 +268,11 @@ func (s *Solver) compileRule(rule *Rule, asn map[string]int) (*compiledRule, err
 		}
 		p.Lits = append(p.Lits, plan.Lit{Pred: lit.Atom.Pred, Negated: lit.Negated, Ops: ops})
 		sort.Strings(wild)
-		cr.wild = append(cr.wild, wild)
+		ms := memoSpec{wild: wild}
+		if pivots != nil {
+			ms.pivot = pivots[len(cr.memo)]
+		}
+		cr.memo = append(cr.memo, ms)
 	}
 
 	// The joins must preserve each head variable through to the end.

@@ -192,12 +192,14 @@ func (s *Solver) growHead(rules []*compiledRule, head, fresh *rel.Relation) bool
 // relation with those attributes projected out. The pipeline's
 // selections and equalities touch only the other attributes, so they
 // commute with that projection and the result is the same relation.
+// A pivoted entry already holds some attributes on the instances the
+// pipeline's Reshape moves them to, so that move costs nothing.
 func (s *Solver) normalize(cr *compiledRule, l *plan.Lit, idx int, src *rel.Relation) *rel.Relation {
-	wild := cr.wild[idx]
-	if s.base == nil || len(wild) == 0 || !s.queryBase[l.Pred] {
+	ms := cr.memo[idx]
+	if s.base == nil || len(ms.wild) == 0 || !s.queryBase[l.Pred] {
 		return s.runPipeline(l, src, nil)
 	}
-	return s.runPipeline(l, s.base.projected(s, src, wild), wild)
+	return s.runPipeline(l, s.base.projected(s, src, ms), ms.wild)
 }
 
 // runPipeline applies a literal's normalization ops (everything after

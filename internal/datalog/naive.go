@@ -14,8 +14,11 @@ import (
 // explicit-representation baseline of the paper's central claim that
 // only BDDs survive the context-sensitive blowup (Sections 1.1, 4).
 //
-// It evaluates semi-naively with hash joins, so it is a fair baseline,
-// not a strawman.
+// It evaluates semi-naively, but its joins are nested loops: for each
+// binding, applyRuleDelta scans every row of the next literal's table,
+// with no index on the bound columns. It is therefore a slow baseline,
+// and the BDD-vs-explicit ratios measured against it overstate the
+// gap to an indexed explicit evaluator.
 type NaiveSolver struct {
 	prog    *Program
 	sizes   map[string]uint64

@@ -3,8 +3,12 @@ package datalog
 import (
 	"errors"
 	"fmt"
+	"math/big"
+	"slices"
+	"sort"
 	"strings"
 
+	"bddbddb/internal/bdd"
 	"bddbddb/internal/datalog/check"
 	"bddbddb/internal/obs"
 	"bddbddb/internal/rel"
@@ -65,16 +69,49 @@ type QueryBase struct {
 	elemIdx      map[string]map[string]uint64
 	// memo holds base relations with some attributes projected out:
 	// the literals' wildcard projections, filled on first use and kept,
-	// referenced and frozen, for the base's life. There are at most
-	// 2^arity keys per base relation. Only Eval touches it.
-	memo      map[memoKey]*rel.Relation
+	// referenced and frozen, for the base's life. Each projection has
+	// its flat layout, on the base relation's own instances, and at
+	// most a few pivoted ones (see projected). Only Eval touches it.
+	memo      map[memoKey]memoEntry
 	memoNodes int
 }
 
-// memoKey names one memo entry: a base relation and its projected-out
-// attributes, sorted and comma-joined.
+// memoEntry is one memo value. A pivoted key whose flat entry is too
+// dense to list (see pivotRowsPerNode) holds that flat entry, with
+// pivoted false.
+type memoEntry struct {
+	r       *rel.Relation
+	pivoted bool
+}
+
+// pivotRowsPerNode caps the rows a pivoted entry is listed from, per
+// node of the flat entry. The build costs Go memory and time per row,
+// and neither the node budget nor a BDD operation's own polling sees
+// them; the cap keeps both within a constant factor of a BDD the node
+// budget already counts. The flat ∃c.vPC entries of the benchmark
+// workloads hold 0.6 (pmd, megamek) to 2.8 (stdlib-cs) rows per node.
+// A projection that keeps contexts (∃v.vPC for q(c) :- vPC(c, _, "h"),
+// or heap-cs's ∃c.cvP, which keeps heap contexts) can hold orders of
+// magnitude more, and its literal reads the flat entry, as it would
+// without headroom.
+const pivotRowsPerNode = 8
+
+// memoKey names one memo entry: a base relation, its projected-out
+// attributes, sorted and comma-joined, and its layout: the pivoted
+// attributes with their instances ("variable=V3"), sorted and
+// comma-joined, or "" for the flat layout.
 type memoKey struct {
-	rel, wild string
+	rel, wild, pivot string
+}
+
+// key returns the memo key of the literal's entry over relation name.
+func (ms memoSpec) key(name string) memoKey {
+	var pivot []string
+	for a, p := range ms.pivot {
+		pivot = append(pivot, a+"="+p.Name)
+	}
+	sort.Strings(pivot)
+	return memoKey{rel: name, wild: strings.Join(ms.wild, ","), pivot: strings.Join(pivot, ",")}
 }
 
 // NewQueryBase registers the given relations (frozen, or at least
@@ -87,7 +124,7 @@ func NewQueryBase(u *rel.Universe, rels []*rel.Relation) *QueryBase {
 		rels:      make(map[string]*rel.Relation, len(rels)),
 		elemNames: make(map[string][]string),
 		elemIdx:   make(map[string]map[string]uint64),
-		memo:      make(map[memoKey]*rel.Relation),
+		memo:      make(map[memoKey]memoEntry),
 	}
 	var sb strings.Builder
 	for _, d := range u.Domains() {
@@ -135,33 +172,178 @@ func (b *QueryBase) ElemIndex(domain, name string) (uint64, bool) {
 // call it.
 func (b *QueryBase) MemoNodes() int { return b.memoNodes }
 
-// projected returns the base relation src with the sorted attributes
-// wild projected out. The first call for a (relation, attributes) pair
+// projected returns the memo entry a query literal over the base
+// relation src starts from: src with the sorted attributes ms.wild
+// projected out, laid out as ms.pivot says. The first call for a key
 // computes it under the calling query's controller and keeps it; later
 // calls reuse it. Selecting on an attribute at the bottom of the
 // variable order (vPC's heap, under V above C above H) must visit
 // every node of the relation, while the projection of the contexts
 // away is a fraction of its size, so a query pays that walk over the
 // small relation instead. A fill that trips the query's budget panics
-// out before the store and leaves no entry.
-func (b *QueryBase) projected(s *Solver, src *rel.Relation, wild []string) *rel.Relation {
-	key := memoKey{rel: src.Name, wild: strings.Join(wild, ",")}
-	if r := b.memo[key]; r != nil {
+// out before the store and leaves no entry under its key (a pivoted
+// fill keeps the flat entry it was built from).
+//
+// The pivoted layout removes the walk as well. When a literal selects
+// or joins on attributes that lie below a free one (q(v) :- vPC(_, v,
+// "h"), or the second literal of the alias join), pivotInstances puts
+// the free variables on headroom instances, which sit below every main
+// block. The entry holds those attributes there, so the bound ones are
+// the topmost of the entry's BDD: the selection or join touches the
+// answer's nodes only, and the rule's head renames the small answer
+// back to the head relation's instances.
+func (b *QueryBase) projected(s *Solver, src *rel.Relation, ms memoSpec) *rel.Relation {
+	key := ms.key(src.Name)
+	e, ok := b.memo[key]
+	if ok {
 		s.cMemoHits.Inc()
-		return r
+	} else {
+		if s.tr != nil {
+			s.tr.Begin("datalog.base_memo.fill", obs.A("relation", src.Name), obs.A("drop", key.wild), obs.A("pivot", key.pivot))
+		}
+		e = b.fill(src, ms, s.opts.Control)
+		s.cMemoMisses.Inc()
+		if s.tr != nil {
+			s.tr.End()
+		}
 	}
-	if s.tr != nil {
-		s.tr.Begin("datalog.base_memo.fill", obs.A("relation", src.Name), obs.A("drop", key.wild))
+	if e.pivoted {
+		s.cMemoPivoted.Inc()
 	}
-	r := src.ProjectOut("memo:"+src.Name, wild...)
-	r.Freeze()
-	b.memo[key] = r
-	b.memoNodes += b.u.M.NodeCount(r.Root())
-	s.cMemoMisses.Inc()
-	if s.tr != nil {
-		s.tr.End()
+	return e.r
+}
+
+// fill computes, freezes and keeps the memo entry for ms over src. A
+// pivoted entry is built from the flat entry of the same wildcards,
+// which it fills and keeps first if that is missing: the flat entry's
+// rows, listed under the query's controller, are loaded bottom-up with
+// the pivoted attributes on their headroom instances
+// (bdd.Manager.TupleSet). On stdlib-cs that took less than half as long
+// as a Replace moving V below H, and it leaves no garbage, where the
+// Replace's garbage doubled each replica's node table. A flat entry
+// with more than pivotRowsPerNode rows per node is not listed; the
+// pivoted key holds it as it is.
+func (b *QueryBase) fill(src *rel.Relation, ms memoSpec, ctl *resilience.Controller) memoEntry {
+	key := ms.key(src.Name)
+	if e, ok := b.memo[key]; ok {
+		return e
 	}
-	return r
+	var e memoEntry
+	if ms.pivot == nil {
+		e.r = src.ProjectOut("memo:"+src.Name, ms.wild...)
+	} else {
+		flat := b.fill(src, memoSpec{wild: ms.wild}, ctl).r
+		if flat.Size().Cmp(big.NewInt(int64(pivotRowsPerNode*b.u.M.NodeCount(flat.Root())))) > 0 {
+			b.memo[key] = memoEntry{r: flat}
+			return b.memo[key]
+		}
+		attrs := slices.Clone(flat.Attrs())
+		for i := range attrs {
+			if p := ms.pivot[attrs[i].Name]; p != nil {
+				attrs[i].Phys = p
+			}
+		}
+		var rows [][]uint64
+		flat.Iterate(func(t []uint64) bool {
+			ctl.Poll()
+			rows = append(rows, slices.Clone(t))
+			return true
+		})
+		e = memoEntry{r: b.u.NewRelation("memo:"+src.Name, attrs...), pivoted: true}
+		e.r.AddTuples(rows)
+	}
+	e.r.Freeze()
+	b.memo[key] = e
+	b.memoNodes += b.u.M.NodeCount(e.r.Root())
+	return e
+}
+
+// pivotInstances decides which literals of one rule read a pivoted
+// memo entry, and records the decision both in the rule's instance
+// assignment asn and in its return value. It moves the free variables
+// of each positive base literal with a `_` onto headroom instances
+// when the literal binds an attribute (by a constant or a variable
+// used elsewhere in the body) that lies below a free one in the
+// variable order; need is raised to match. Free variables occur once
+// in the body, so no other literal reads their instance. A literal
+// whose free variables cannot all get a headroom instance the rule
+// leaves unused keeps its assignment, and with it the flat entry.
+//
+// The result maps each pivoted literal's canonical position (its index
+// in orderedLiterals) to its attributes' headroom instances; compileRule
+// copies it into the literal's memoSpec. It is nil when no literal
+// pivots.
+func (b *QueryBase) pivotInstances(prog *Program, rule *Rule, asn, need map[string]int) []map[string]*bdd.Domain {
+	lits := orderedLiterals(rule)
+	uses := make(map[string]int)
+	for _, l := range lits {
+		for _, t := range l.Atom.Args {
+			if t.Kind == TermVar {
+				uses[t.Var]++
+			}
+		}
+	}
+	top := func(d *bdd.Domain) int32 { return slices.Min(d.Levels()) }
+	var pivots []map[string]*bdd.Domain
+	for li, l := range lits {
+		r := b.rels[l.Atom.Pred]
+		if r == nil || l.Negated || !slices.ContainsFunc(l.Atom.Args, func(t Term) bool { return t.Kind == TermWildcard }) {
+			continue
+		}
+		attrs := r.Attrs()
+		var free []int
+		var lowest int32 = -1 // deepest top level among bound attributes
+		for i, t := range l.Atom.Args {
+			switch {
+			case t.Kind == TermWildcard:
+			case t.Kind == TermVar && uses[t.Var] == 1:
+				free = append(free, i)
+			default:
+				lowest = max(lowest, top(attrs[i].Phys))
+			}
+		}
+		if !slices.ContainsFunc(free, func(i int) bool { return top(attrs[i].Phys) < lowest }) {
+			continue
+		}
+		// The instances every other variable of the rule occupies.
+		type slot struct {
+			dom  string
+			inst int
+		}
+		taken := make(map[slot]bool)
+		for v, inst := range asn {
+			if uses[v] != 1 || !slices.ContainsFunc(l.Atom.Args, func(t Term) bool { return t.Var == v }) {
+				taken[slot{varDomainOf(prog, rule, v), inst}] = true
+			}
+		}
+		picks := make(map[int]slot, len(free))
+		for _, i := range free {
+			dom := attrs[i].Dom
+			at := slot{dom.Name, b.u.PrimaryInstances(dom.Name)}
+			for taken[at] {
+				at.inst++
+			}
+			if at.inst >= dom.Instances() {
+				picks = nil
+				break
+			}
+			taken[at] = true
+			picks[i] = at
+		}
+		if picks == nil {
+			continue
+		}
+		if pivots == nil {
+			pivots = make([]map[string]*bdd.Domain, len(lits))
+		}
+		pivots[li] = make(map[string]*bdd.Domain, len(picks))
+		for i, at := range picks {
+			asn[l.Atom.Args[i].Var] = at.inst
+			need[at.dom] = max(need[at.dom], at.inst+1)
+			pivots[li][attrs[i].Name] = b.u.Phys(at.dom, at.inst)
+		}
+	}
+	return pivots
 }
 
 // QueryOptions configures one Eval.
@@ -287,11 +469,13 @@ func (b *QueryBase) Eval(src string, opts QueryOptions) (qr *QueryResult, err er
 		}
 	}
 	assignments := make(map[*Rule]map[string]int)
+	pivots := make(map[*Rule][]map[string]*bdd.Domain)
 	for _, rule := range prog.Rules {
 		if rule.IsFact() {
 			continue
 		}
 		asn, n := assignInstances(prog, rule)
+		pivots[rule] = b.pivotInstances(prog, rule, asn, n)
 		assignments[rule] = asn
 		for dom, k := range n {
 			bump(dom, k)
@@ -324,6 +508,7 @@ func (b *QueryBase) Eval(src string, opts QueryOptions) (qr *QueryResult, err er
 	s.initObs()
 	s.cMemoHits = s.reg.Counter("datalog.base_memo.hits")
 	s.cMemoMisses = s.reg.Counter("datalog.base_memo.misses")
+	s.cMemoPivoted = s.reg.Counter("datalog.base_memo.pivoted")
 	// Bind base relations in place; materialize the query's own
 	// relations on their natural instances, as NewSolver does.
 	for _, rd := range prog.Relations {
@@ -344,7 +529,7 @@ func (b *QueryBase) Eval(src string, opts QueryOptions) (qr *QueryResult, err er
 		if rule.IsFact() {
 			continue
 		}
-		cr, err := s.compileRule(rule, assignments[rule])
+		cr, err := s.compileRule(rule, assignments[rule], pivots[rule])
 		if err != nil {
 			s.releaseQueryState()
 			return nil, err

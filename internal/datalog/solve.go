@@ -70,9 +70,10 @@ type Options struct {
 	// Metrics, when set, receives a flat summary at the end of Solve:
 	// solve time, iteration and rule-application counts, per-rule
 	// timings, BDD stats (peak live nodes, GCs, per-cache hit ratios),
-	// and final relation cardinalities. Values are written as gauges, so
-	// a registry shared across several solves keeps the last solve's
-	// numbers per key.
+	// and final relation cardinalities. Each solve merges its registry
+	// in (obs.Metrics.Merge), so a registry shared across several
+	// solves sums their counters and timers, and keeps the last solve's
+	// value of each gauge (BDD stats, relation cardinalities).
 	Metrics *obs.Metrics
 	// Control, when set, is polled for cancellation and resource budgets
 	// throughout evaluation: inside the BDD operations, per rule
@@ -109,8 +110,9 @@ type SolverStats struct {
 	// BaseMemoHits and BaseMemoMisses count, for a query, the literal
 	// evaluations that read a base relation's wildcard projection from
 	// the QueryBase memo and those that filled it. Zero outside
-	// QueryBase.Eval.
-	BaseMemoHits, BaseMemoMisses int64
+	// QueryBase.Eval. BaseMemoPivoted counts the evaluations among
+	// them whose entry has the pivoted layout.
+	BaseMemoHits, BaseMemoMisses, BaseMemoPivoted int64
 }
 
 // RelationCard is one relation's final tuple count.
@@ -180,16 +182,18 @@ type Solver struct {
 	// base is the QueryBase a query-mode solver evaluates against (nil
 	// in batch mode); cMemoHits and cMemoMisses count the literals
 	// that found its wildcard projection memoized and those that
-	// filled it.
-	base        *QueryBase
-	cMemoHits   *obs.Counter
-	cMemoMisses *obs.Counter
+	// filled it, and cMemoPivoted those of either whose entry is
+	// pivoted.
+	base         *QueryBase
+	cMemoHits    *obs.Counter
+	cMemoMisses  *obs.Counter
+	cMemoPivoted *obs.Counter
 
 	// reg is the solver's private metrics registry: every count the
 	// solver keeps (rule applications, iterations, per-rule timers,
 	// solve time, BDD stats) lives here, and SolverStats is derived
-	// from it. opts.Metrics, if set, gets a flattened copy at the end
-	// of Solve.
+	// from it. opts.Metrics, if set, has it merged in at the end of
+	// Solve.
 	reg    *obs.Metrics
 	tr     obs.Tracer
 	cApps  *obs.Counter
@@ -341,7 +345,7 @@ func NewSolver(prog *Program, opts Options) (*Solver, error) {
 		if rule.IsFact() {
 			continue
 		}
-		cr, err := s.compileRule(rule, assignments[rule])
+		cr, err := s.compileRule(rule, assignments[rule], nil)
 		if err != nil {
 			return nil, err
 		}
@@ -446,6 +450,7 @@ func (s *Solver) Stats() SolverStats {
 	if s.base != nil {
 		out.BaseMemoHits = s.cMemoHits.Value()
 		out.BaseMemoMisses = s.cMemoMisses.Value()
+		out.BaseMemoPivoted = s.cMemoPivoted.Value()
 	}
 	for _, r := range s.prog.Rules {
 		ro := s.ruleObs[r]
@@ -523,9 +528,7 @@ func (s *Solver) Solve() (err error) {
 	s.reg.Set("datalog.backend.bdd.ops", float64(s.u.Ops()))
 	s.collectRelationCards()
 	if s.opts.Metrics != nil {
-		for k, v := range s.reg.Snapshot() {
-			s.opts.Metrics.Set(k, v)
-		}
+		s.opts.Metrics.Merge(s.reg)
 	}
 	return nil
 }

@@ -87,6 +87,28 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
+// merge adds o's observations. Each of o's buckets lands in the first
+// bucket of h whose bound is at least its own, which is exact when the
+// bounds agree.
+func (h *Histogram) merge(o *Histogram) {
+	counts := o.BucketCounts()
+	for i, c := range counts[:len(o.bounds)] {
+		if j := sort.SearchFloat64s(h.bounds, o.bounds[i]); j < len(h.bounds) {
+			h.counts[j].Add(c)
+		} else {
+			h.over.Add(c)
+		}
+	}
+	h.over.Add(counts[len(o.bounds)])
+	h.count.Add(o.Count())
+	for {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, floatBits(floatFrom(old)+o.Sum())) {
+			return
+		}
+	}
+}
+
 // ObserveDuration records a duration sample in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 

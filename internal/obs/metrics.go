@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -166,6 +167,33 @@ func (m *Metrics) EachHistogram(f func(name string, h *Histogram)) {
 
 // Set is shorthand for Gauge(name).Set(v).
 func (m *Metrics) Set(name string, v float64) { m.Gauge(name).Set(v) }
+
+// Merge adds every metric of src into m: counters add, timers add
+// their counts and totals, histograms add bucket by bucket, and gauges
+// take src's value (the last merge wins). A run that solves more than
+// once merges each solve's registry into one that covers them all.
+func (m *Metrics) Merge(src *Metrics) {
+	src.mu.Lock()
+	counters := maps.Clone(src.counters)
+	gauges := maps.Clone(src.gauges)
+	timers := maps.Clone(src.timers)
+	hists := maps.Clone(src.hists)
+	src.mu.Unlock()
+	for name, c := range counters {
+		m.Counter(name).Add(c.Value())
+	}
+	for name, g := range gauges {
+		m.Gauge(name).Set(g.Value())
+	}
+	for name, t := range timers {
+		d := m.Timer(name)
+		d.count.Add(t.Count())
+		d.nanos.Add(int64(t.Total()))
+	}
+	for name, h := range hists {
+		m.Histogram(name, h.bounds).merge(h)
+	}
+}
 
 // Snapshot flattens the registry into name → value. Counters and
 // gauges export under their own names; a timer named t exports

@@ -85,6 +85,30 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
+// TestMerge: merging two registries into a third adds counters,
+// timer counts and totals and histogram buckets, and keeps the last
+// value of each gauge.
+func TestMerge(t *testing.T) {
+	dst := New()
+	for i, v := range []float64{3, 5} {
+		src := New()
+		src.Counter("apps").Add(int64(i + 1))
+		src.Set("peak", v)
+		src.Timer("solve").Observe(time.Duration(i+1) * time.Second)
+		src.Histogram("lat", []float64{1, 2}).Observe(v / 2)
+		dst.Merge(src)
+	}
+	got := dst.Snapshot()
+	for k, v := range map[string]float64{"apps": 3, "peak": 5, "solve.count": 2, "solve.sec": 3, "lat.count": 2, "lat.sum": 4} {
+		if got[k] != v {
+			t.Errorf("merged %q = %v, want %v", k, got[k], v)
+		}
+	}
+	if b := dst.Histogram("lat", nil).BucketCounts(); b[0] != 0 || b[1] != 1 || b[2] != 1 {
+		t.Errorf("merged buckets %v, want [0 1 1]", b)
+	}
+}
+
 // TestConcurrentUpdates hammers one registry from many goroutines; run
 // under -race this is the data-race check for the atomic handles and
 // the registration mutex.

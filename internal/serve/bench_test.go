@@ -112,10 +112,34 @@ func BenchmarkServeQuery(b *testing.B) {
 
 // BenchmarkHeapQueryMiss times the ad-hoc heap query
 // q(v) :- vPC(_, v, "h") on one megamek cs replica, rotating over the
-// heaps and calling the replica directly, so no result cache answers
-// it. One warm-up query fills the replica's memo of ∃c.vPC first;
-// fill-ms reports what that cost.
+// heaps. The literal's constant heap lies below its free variable, so
+// it reads the pivoted memo entry of ∃c.vPC.
 func BenchmarkHeapQueryMiss(b *testing.B) {
+	facts, rep := megamekReplica(b)
+	benchMisses(b, rep, func(i int) string {
+		return ".relation q (variable : V) output\nq(v) :- vPC(_, v, " + quoted(facts.Heaps[i%len(facts.Heaps)]) + ").\n"
+	})
+}
+
+// BenchmarkAliasQueryMiss times the canned /aliases query on one
+// megamek cs replica, rotating over the variables. Its second literal
+// joins on the heap below the free variable, so it reads the pivoted
+// memo entry of ∃c.vPC.
+func BenchmarkAliasQueryMiss(b *testing.B) {
+	facts, rep := megamekReplica(b)
+	sh := shapeOf(rep.Base.HasRelation)
+	benchMisses(b, rep, func(i int) string {
+		src, err := sh.aliasesQuery(facts.Vars[i%len(facts.Vars)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		return src
+	})
+}
+
+// megamekReplica solves megamek context-sensitively and hydrates one
+// replica with the daemon's default query headroom.
+func megamekReplica(b *testing.B) (*extract.Facts, *Replica) {
 	facts, err := extract.Extract(synth.Generate(synth.BenchmarkByName("megamek").Params), extract.Options{})
 	if err != nil {
 		b.Fatal(err)
@@ -124,17 +148,15 @@ func BenchmarkHeapQueryMiss(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	snap, err := NewSnapshot(res.Solver)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rep, err := snap.Hydrate(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	query := func(i int) {
-		h := facts.Heaps[i%len(facts.Heaps)]
-		r, err := rep.Base.Eval(".relation q (variable : V) output\nq(v) :- vPC(_, v, "+quoted(h)+").\n", datalog.QueryOptions{})
+	return facts, hydrated(b, res)
+}
+
+// benchMisses evaluates query(i) on the replica directly, so no result
+// cache answers it. One warm-up query fills the replica's memo first;
+// fill-ms reports what that cost.
+func benchMisses(b *testing.B, rep *Replica, query func(i int) string) {
+	eval := func(i int) {
+		r, err := rep.Base.Eval(query(i), datalog.QueryOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,11 +164,11 @@ func BenchmarkHeapQueryMiss(b *testing.B) {
 		rep.MaybeGC()
 	}
 	t0 := time.Now()
-	query(0)
+	eval(0)
 	fill := time.Since(t0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		query(i + 1)
+		eval(i + 1)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(fill.Microseconds())/1000, "fill-ms")

@@ -262,7 +262,8 @@ func cannedModels(sh shape, v, h string) map[string]modelQuery {
 // heap-cs replicas, and ad-hoc queries mixing `_`, constants and
 // repeated variables answer exactly what a nested-loop evaluation of
 // the frozen relations gives — on the query that fills the memo and
-// on the repeat that reads it.
+// on the repeat that reads it. On cs and heap-cs, checkPivots first
+// pins which queries read pivoted entries.
 func TestMemoAnswersMatchMapModel(t *testing.T) {
 	for _, algo := range []string{"ci", "cs", "heap-cs"} {
 		t.Run(algo, func(t *testing.T) {
@@ -293,6 +294,9 @@ func TestMemoAnswersMatchMapModel(t *testing.T) {
 			if len(vars) < 2 || len(heaps) < 2 {
 				t.Fatalf("%s: too few names in %s: %v %v", algo, pred, vars, heaps)
 			}
+			if pred != "vP" {
+				checkPivots(t, rep, sh, pred, vars, heaps)
+			}
 			for i := range vars {
 				v, h := vars[i], heaps[i%len(heaps)]
 				templates := map[string]func(string) (string, error){
@@ -316,6 +320,7 @@ func TestMemoAnswersMatchMapModel(t *testing.T) {
 			h := heaps[0]
 			adhoc := []modelQuery{
 				{[]string{"v"}, []lit{{pred: "vPC", args: []term{wild, tv("v"), tc(h)}}}},
+				{[]string{"v", "w"}, []lit{{pred: "vPC", args: []term{wild, tv("v"), tv("h")}}, {pred: "vPC", args: []term{wild, tv("w"), tv("h")}}}},
 				{[]string{"v"}, []lit{{pred: "vPC", args: []term{wild, tv("v"), wild}}}},
 				{[]string{"c"}, []lit{{pred: "vPC", args: []term{tv("c"), wild, tc(h)}}}},
 				{[]string{"h"}, []lit{{pred: "hP", args: []term{tv("h"), wild, tv("h")}}}},
@@ -332,6 +337,78 @@ func TestMemoAnswersMatchMapModel(t *testing.T) {
 				t.Fatalf("memo unused: %d hits, %d nodes", hits, rep.Base.MemoNodes())
 			}
 		})
+	}
+}
+
+// checkPivots runs, on a replica's fresh memo, canned and heap queries
+// over pred (vPC or cvP) in a fixed order and checks each answer
+// against the model and each query's memo outcome. A /pointsto fills
+// the flat entry; a heap selection or the alias join's second literal
+// fills a pivoted entry beside it, with the variable on the headroom
+// instance; repeats read them. A heap query whose other literals
+// occupy every V instance keeps the flat layout.
+func checkPivots(t *testing.T, rep *Replica, sh shape, pred string, vars, heaps []string) {
+	t.Helper()
+	canned := func(name, v string) (string, modelQuery) {
+		src, err := map[string]func(string) (string, error){"pointsto": sh.pointstoQuery, "aliases": sh.aliasesQuery}[name](v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src, cannedModels(sh, v, heaps[0])[name]
+	}
+	heap := func(h string) (string, modelQuery) {
+		args := []term{wild, tv("v"), tc(h)}
+		if pred == "cvP" {
+			args = []term{wild, tv("v"), wild, tc(h)}
+		}
+		q := modelQuery{[]string{"v"}, []lit{{pred: pred, args: args}}}
+		return q.text(rep), q
+	}
+	type step struct {
+		name                  string
+		src                   string
+		q                     modelQuery
+		hits, misses, pivoted int64
+	}
+	var steps []step
+	add := func(name string, hits, misses, pivoted int64, src string, q modelQuery) {
+		steps = append(steps, step{name, src, q, hits, misses, pivoted})
+	}
+	ptsSrc, ptsQ := canned("pointsto", vars[0])
+	aliasSrc, aliasQ := canned("aliases", vars[1])
+	h0Src, h0Q := heap(heaps[0])
+	h1Src, h1Q := heap(heaps[1])
+	add("pointsto", 0, 1, 0, ptsSrc, ptsQ)
+	if pred == "vPC" {
+		add("heap", 0, 1, 1, h0Src, h0Q)
+		add("aliases", 2, 0, 1, aliasSrc, aliasQ)
+	} else {
+		// The heap selection drops hctx as well, so its entries differ
+		// from the alias join's.
+		add("aliases", 1, 1, 1, aliasSrc, aliasQ)
+		add("heap", 0, 1, 1, h0Src, h0Q)
+	}
+	add("heap again", 1, 0, 1, h1Src, h1Q)
+	// Every V instance taken: v keeps its natural one, and one vP0
+	// literal per other instance binds a variable of its own.
+	vP0 := rep.Rels["vP0"]
+	hp := vP0.Attrs()[1].Dom.ElemName(vP0.Tuples()[0][1])
+	full := h0Q
+	full.body = slices.Clone(full.body)
+	for i := 1; i < rep.U.Domain("V").Instances(); i++ {
+		full.body = append(full.body, lit{pred: "vP0", args: []term{tv(fmt.Sprintf("x%d", i)), tc(hp)}})
+	}
+	add("every V instance", 1, 0, 0, full.text(rep), full)
+	for _, st := range steps {
+		want := st.q.eval(t, rep)
+		got, stats := evalText(t, rep, st.src)
+		if strings.Join(got, " ") != strings.Join(want, " ") || len(got) == 0 {
+			t.Fatalf("%s: %d answers, model %d\nquery: %s\ngot  %v\nwant %v", st.name, len(got), len(want), st.src, got, want)
+		}
+		if stats.BaseMemoHits != st.hits || stats.BaseMemoMisses != st.misses || stats.BaseMemoPivoted != st.pivoted {
+			t.Fatalf("%s: %d hits, %d misses, %d pivoted; want %d, %d, %d\nquery: %s", st.name,
+				stats.BaseMemoHits, stats.BaseMemoMisses, stats.BaseMemoPivoted, st.hits, st.misses, st.pivoted, st.src)
+		}
 	}
 }
 
@@ -394,24 +471,39 @@ func TestMaybeGCCollectsOnAllocationSinceLastGC(t *testing.T) {
 }
 
 // TestMemoEmptyAfterUpdate: a live update hydrates a new generation
-// with an empty memo, and the first query there refills it from the
-// updated relations.
+// with an empty memo, and the first queries there refill it from the
+// updated relations — the flat entry of vP(v, _) and the pivoted entry
+// of hP(b, _, "h2"), whose bound target lies below its free base.
 func TestMemoEmptyAfterUpdate(t *testing.T) {
 	reg := obs.New()
 	_, hs, _ := liveServer(t, Config{Replicas: 1, MaxInFlight: 8, Metrics: reg, SampleInterval: -1})
 	const q = ".relation q (variable : V) output\nq(v) :- vP(v, _)."
+	const pq = ".relation q (base : H) output\nq(b) :- hP(b, _, \"h2\")."
 	gauge := func() float64 { return reg.Snapshot()["serve.replica.0.base_memo_nodes"] }
 	counter := func(k string) float64 { return reg.Snapshot()["serve.query.base_memo_"+k] }
+	bases := func() string {
+		t.Helper()
+		code, body := post(t, hs.URL+"/query", pq)
+		if code != 200 {
+			t.Fatalf("pivoted query: %d %s", code, body)
+		}
+		got := attrValues(t, body, "base")
+		sortStrings(got)
+		return strings.Join(got, " ")
+	}
 
 	code, body := post(t, hs.URL+"/query", q)
 	if code != 200 || slices.Contains(attrValues(t, body, "variable"), "v6") {
 		t.Fatalf("pre-update query: %d %s", code, body)
 	}
-	waitFor(t, "memo gauge", func() bool { return gauge() > 0 })
-	if counter("misses") != 1 || counter("hits") != 0 {
-		t.Fatalf("pre-update memo counters: %v misses, %v hits", counter("misses"), counter("hits"))
+	if got := bases(); got != "h1" {
+		t.Fatalf("pre-update pivoted query: %q, want h1", got)
 	}
-	if code, body = post(t, hs.URL+"/update", `{"add":{"vP0":[["v6","h3"]]}}`); code != 200 {
+	waitFor(t, "memo gauge", func() bool { return gauge() > 0 })
+	if counter("misses") != 2 || counter("hits") != 0 || counter("pivoted") != 1 {
+		t.Fatalf("pre-update memo counters: %v misses, %v hits, %v pivoted", counter("misses"), counter("hits"), counter("pivoted"))
+	}
+	if code, body = post(t, hs.URL+"/update", `{"add":{"vP0":[["v6","h3"]],"store":[["v6","f1","v2"]]}}`); code != 200 {
 		t.Fatalf("update: %d %s", code, body)
 	}
 	if g := gauge(); g != 0 {
@@ -421,9 +513,12 @@ func TestMemoEmptyAfterUpdate(t *testing.T) {
 	if code != 200 || !slices.Contains(attrValues(t, body, "variable"), "v6") {
 		t.Fatalf("post-update query misses the delta: %d %s", code, body)
 	}
+	if got := bases(); got != "h1 h3" {
+		t.Fatalf("post-update pivoted query: %q, want h1 h3", got)
+	}
 	waitFor(t, "refilled memo gauge", func() bool { return gauge() > 0 })
-	if counter("misses") != 2 {
-		t.Fatalf("post-update memo misses = %v, want 2", counter("misses"))
+	if counter("misses") != 4 || counter("pivoted") != 2 {
+		t.Fatalf("post-update memo counters: %v misses, %v pivoted; want 4, 2", counter("misses"), counter("pivoted"))
 	}
 }
 

@@ -174,10 +174,12 @@ type Server struct {
 	gInflight   *obs.Gauge
 	gLiveStates *obs.Gauge
 	gGeneration *obs.Gauge
-	// cMemoHits and cMemoMisses sum the finished queries' base-memo
-	// outcomes (datalog.SolverStats.BaseMemoHits/Misses).
-	cMemoHits   *obs.Counter
-	cMemoMisses *obs.Counter
+	// cMemoHits, cMemoMisses and cMemoPivoted sum the finished
+	// queries' base-memo outcomes (datalog.SolverStats.BaseMemoHits,
+	// BaseMemoMisses and BaseMemoPivoted).
+	cMemoHits    *obs.Counter
+	cMemoMisses  *obs.Counter
+	cMemoPivoted *obs.Counter
 }
 
 type job struct {
@@ -226,6 +228,7 @@ func newFromSnapshot(snap *Snapshot, cfg Config) (*Server, error) {
 	s.gGeneration = reg.Gauge("serve.generation")
 	s.cMemoHits = reg.Counter("serve.query.base_memo_hits")
 	s.cMemoMisses = reg.Counter("serve.query.base_memo_misses")
+	s.cMemoPivoted = reg.Counter("serve.query.base_memo_pivoted")
 	reg.Set("serve.replicas", float64(cfg.Replicas))
 	p, err := s.buildPool(snap, 1)
 	if err != nil {
@@ -430,6 +433,7 @@ func (s *Server) runJob(rep *Replica, j *job) {
 	}
 	s.cMemoHits.Add(res.Stats.BaseMemoHits)
 	s.cMemoMisses.Add(res.Stats.BaseMemoMisses)
+	s.cMemoPivoted.Add(res.Stats.BaseMemoPivoted)
 	s.gLiveStates.Add(1)
 	defer func() {
 		res.Close()
