@@ -21,6 +21,7 @@ import (
 	"bddbddb/internal/datalog"
 	"bddbddb/internal/experiments"
 	"bddbddb/internal/extract"
+	"bddbddb/internal/rel"
 	"bddbddb/internal/resilience"
 	"bddbddb/internal/synth"
 )
@@ -497,6 +498,76 @@ func BenchmarkAblationRangePrimitive(b *testing.B) {
 				m.Deref(r)
 			}
 		})
+	}
+}
+
+// BenchmarkMaterialize measures turning Algorithm 4's numbering into
+// the context relations the solve starts from: hC and IEC under the
+// Algorithm 5 order, hcH under Algorithm 8's "C+HC" block. Each
+// iteration materializes into a fresh universe, so producedNodes counts
+// every node the build allocates — the result plus its garbage, all of
+// which stays live until the solve's first collection.
+func BenchmarkMaterialize(b *testing.B) {
+	for _, name := range []string{"megamek", "pmd"} {
+		p := load(b, name)
+		n, err := callgraph.Number(p.Graph)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f := p.Facts
+		csize := n.ContextDomainSize(1 << 62)
+		universe := func(heap bool) *rel.Universe {
+			u := rel.NewUniverse()
+			u.Declare("I", uint64(len(f.Invokes)))
+			u.Declare("M", uint64(len(f.Methods)))
+			u.Declare("H", uint64(len(f.Heaps)))
+			u.Declare("C", csize)
+			block := "C"
+			if heap {
+				u.Declare("HC", csize)
+				block = "C+HC"
+			}
+			u.EnsureInstances("C", 2)
+			if err := u.Finalize(rel.FinalizeOptions{Order: []string{"I", "M", block, "H"}}); err != nil {
+				b.Fatal(err)
+			}
+			return u
+		}
+		for _, tc := range []struct {
+			rel  string
+			heap bool
+			run  func(u *rel.Universe) (*rel.Relation, error)
+		}{
+			{"hC", false, func(u *rel.Universe) (*rel.Relation, error) {
+				return n.MaterializeHC(u, "hC", u.A("c", "C", 0), u.A("h", "H", 0), f.AllocMethod), nil
+			}},
+			{"hcH", true, func(u *rel.Universe) (*rel.Relation, error) {
+				return n.MaterializeHeapContexts(u, "hcH", u.A("c", "C", 0), u.A("hc", "HC", 0), u.A("h", "H", 0), f.AllocMethod, nil)
+			}},
+			{"IEC", false, func(u *rel.Universe) (*rel.Relation, error) {
+				return n.MaterializeIEC(u, "IEC", u.A("caller", "C", 0), u.A("invoke", "I", 0), u.A("callee", "C", 1), u.A("method", "M", 0))
+			}},
+		} {
+			b.Run(name+"/"+tc.rel, func(b *testing.B) {
+				var produced int64
+				var nodes int
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					u := universe(tc.heap)
+					before := u.M.ProducedNodes()
+					b.StartTimer()
+					r, err := tc.run(u)
+					b.StopTimer()
+					if err != nil {
+						b.Fatal(err)
+					}
+					produced += u.M.ProducedNodes() - before
+					nodes = u.M.NodeCount(r.Root())
+				}
+				b.ReportMetric(float64(produced)/float64(b.N), "producedNodes/op")
+				b.ReportMetric(float64(nodes), "resultNodes")
+			})
+		}
 	}
 }
 

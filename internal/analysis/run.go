@@ -437,9 +437,7 @@ func runCloned(f *extract.Facts, g *callgraph.Graph, cfg Config, src string) (*R
 		}
 		s.ReplaceRelation("IEC", iec)
 		hcDecl := s.Relation("hC").Attrs()
-		allocMethod := make([]int, len(f.AllocMethod))
-		copy(allocMethod, f.AllocMethod)
-		hc := n.MaterializeHC(s.Universe(), "hC", hcDecl[0], hcDecl[1], allocMethod)
+		hc := n.MaterializeHC(s.Universe(), "hC", hcDecl[0], hcDecl[1], f.AllocMethod)
 		s.ReplaceRelation("hC", hc)
 		// domC holds every context — programs bind the paper's implicitly
 		// universal head contexts against it (Algorithm 6 rule (23), the
@@ -556,9 +554,7 @@ func runHeapCloned(f *extract.Facts, g *callgraph.Graph, cfg Config) (*Result, e
 		}
 		s.ReplaceRelation("IEC", iec)
 		hcDecl := s.Relation("hcH").Attrs()
-		allocMethod := make([]int, len(f.AllocMethod))
-		copy(allocMethod, f.AllocMethod)
-		hch, err := n.MaterializeHeapContexts(s.Universe(), "hcH", hcDecl[0], hcDecl[1], hcDecl[2], allocMethod, noHeap)
+		hch, err := n.MaterializeHeapContexts(s.Universe(), "hcH", hcDecl[0], hcDecl[1], hcDecl[2], f.AllocMethod, noHeap)
 		if err != nil {
 			return err
 		}

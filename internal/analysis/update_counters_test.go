@@ -29,7 +29,9 @@ var updateCounterKeys = []string{
 // cumulative over the solver's life and repeat exactly from run to
 // run, so any change to how rules are planned or evaluated on either
 // path moves them. Re-record them only for an intended change, with
-// its reason.
+// its reason. bdd.produced_nodes was last re-recorded when IEC and hC
+// became a balanced union of grouped parts: the same roots with 193
+// fewer intermediate nodes; no other counter moved.
 func TestUpdateCountersPinned(t *testing.T) {
 	prog := synth.Generate(synth.Params{
 		Name: "upd", Seed: 11,
@@ -88,17 +90,17 @@ func TestUpdateCountersPinned(t *testing.T) {
 		"datalog.iterations": 3, "datalog.rule_applications": 17,
 		"datalog.op.load": 49, "datalog.op.join_project": 49, "datalog.op.reshape": 52,
 		"datalog.op.norm_cache_hits": 16, "datalog.op.norm_cache_misses": 20,
-		"bdd.produced_nodes": 6310,
+		"bdd.produced_nodes": 6117,
 	}, {
 		"datalog.iterations": 5, "datalog.rule_applications": 27,
 		"datalog.op.load": 73, "datalog.op.join_project": 73, "datalog.op.reshape": 76,
 		"datalog.op.norm_cache_hits": 19, "datalog.op.norm_cache_misses": 31,
-		"bdd.produced_nodes": 6710,
+		"bdd.produced_nodes": 6517,
 	}, {
 		"datalog.iterations": 8, "datalog.rule_applications": 43,
 		"datalog.op.load": 119, "datalog.op.join_project": 119, "datalog.op.reshape": 124,
 		"datalog.op.norm_cache_hits": 35, "datalog.op.norm_cache_misses": 48,
-		"bdd.produced_nodes": 7131,
+		"bdd.produced_nodes": 6938,
 	}}
 	for i, step := range []string{"solve", "add-only update", "removal"} {
 		if !reflect.DeepEqual(got[i], want[i]) {

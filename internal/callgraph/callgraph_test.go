@@ -350,32 +350,6 @@ func TestMaterializeHC(t *testing.T) {
 	}
 }
 
-func TestMaterializeMethodContexts(t *testing.T) {
-	g := figure1Graph()
-	n, err := Number(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := rel.NewUniverse()
-	u.Declare("C", 16)
-	u.Declare("M", 8)
-	if err := u.Finalize(rel.FinalizeOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	mc := n.MaterializeMethodContexts(u, "mC", u.A("c", "C", 0), u.A("m", "M", 0))
-	perMethod := map[uint64]int{}
-	mc.Iterate(func(vals []uint64) bool {
-		perMethod[vals[1]]++
-		return true
-	})
-	want := []int{1, 2, 2, 4, 2, 6}
-	for m, w := range want {
-		if perMethod[uint64(m)] != w {
-			t.Fatalf("method %d has %d contexts, want %d", m, perMethod[uint64(m)], w)
-		}
-	}
-}
-
 func TestContextDomainSize(t *testing.T) {
 	n, err := Number(figure1Graph())
 	if err != nil {

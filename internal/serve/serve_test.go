@@ -462,3 +462,38 @@ func TestNormalizeQueryQuotes(t *testing.T) {
 		t.Fatalf("normalized query %q", q)
 	}
 }
+
+// TestSnapshotReleasedAfterHydration: once a pool's replicas are
+// hydrated the server drops the snapshot's serialized DAG, while its
+// size, node count and fingerprint stay as computed at NewSnapshot; a
+// later Hydrate reports an error instead of reading the missing dump.
+func TestSnapshotReleasedAfterHydration(t *testing.T) {
+	sv := testSolver(t)
+	fresh, err := NewSnapshot(sv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(sv, Config{Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	snap := s.current().snap
+	if snap.dag != nil {
+		t.Fatal("serialized DAG kept after the pool was hydrated")
+	}
+	if snap.Fingerprint() != fresh.Fingerprint() || snap.Bytes() != fresh.Bytes() || snap.Nodes() != fresh.Nodes() {
+		t.Errorf("released snapshot reports %s/%d bytes/%d nodes, want %s/%d/%d",
+			snap.Fingerprint(), snap.Bytes(), snap.Nodes(), fresh.Fingerprint(), fresh.Bytes(), fresh.Nodes())
+	}
+	if snap.Bytes() == 0 || snap.Nodes() == 0 {
+		t.Errorf("empty snapshot metadata: %d bytes, %d nodes", snap.Bytes(), snap.Nodes())
+	}
+	if _, err := snap.Hydrate(nil); err == nil {
+		t.Error("Hydrate of a released snapshot succeeded")
+	}
+	// A snapshot that no pool has released still hydrates.
+	if _, err := fresh.Hydrate(nil); err != nil {
+		t.Errorf("Hydrate of an unreleased snapshot: %v", err)
+	}
+}

@@ -261,7 +261,8 @@ func newFromSnapshot(snap *Snapshot, cfg Config) (*Server, error) {
 }
 
 // buildPool hydrates a full replica set from snap and starts its
-// workers. On hydration failure the partial pool is torn down.
+// workers, then releases snap's serialized DAG, which nothing reads
+// after hydration. On hydration failure the partial pool is torn down.
 func (s *Server) buildPool(snap *Snapshot, gen uint64) (*pool, error) {
 	p := &pool{
 		gen:  gen,
@@ -287,6 +288,7 @@ func (s *Server) buildPool(snap *Snapshot, gen uint64) (*pool, error) {
 		p.wg.Add(1)
 		go s.worker(i, rep, p)
 	}
+	snap.release()
 	return p, nil
 }
 

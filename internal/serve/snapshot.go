@@ -29,12 +29,18 @@ import (
 // meaningful under the identical variable order), per-domain primary
 // instance counts, and each relation's schema with the physical
 // instance index of every attribute.
+//
+// The dump is only needed to hydrate replicas: the server releases it
+// once a generation's pool is hydrated, keeping the size, node count
+// and fingerprint computed when the snapshot was taken.
 type Snapshot struct {
-	domains    []domainMeta
-	blockOrder []string
-	relations  []relMeta
-	dag        []byte
-	nodeCount  int
+	domains     []domainMeta
+	blockOrder  []string
+	relations   []relMeta
+	dag         []byte
+	size        int
+	nodeCount   int
+	fingerprint string
 }
 
 type domainMeta struct {
@@ -89,24 +95,28 @@ func NewSnapshot(s *datalog.Solver) (*Snapshot, error) {
 		return nil, err
 	}
 	sn.dag = buf.Bytes()
+	sn.size = len(sn.dag)
 	// 12 bytes per node record; used to size replica node tables so
 	// hydration doesn't start with a cascade of grows.
-	sn.nodeCount = (len(sn.dag) - 8 - 4 - 4 - 4*len(roots)) / 12
+	sn.nodeCount = (sn.size - 8 - 4 - 4 - 4*len(roots)) / 12
+	sum := sha256.Sum256(sn.dag)
+	sn.fingerprint = hex.EncodeToString(sum[:])[:12]
 	return sn, nil
 }
 
 // Bytes returns the size of the serialized DAG.
-func (sn *Snapshot) Bytes() int { return len(sn.dag) }
+func (sn *Snapshot) Bytes() int { return sn.size }
 
 // Fingerprint identifies the snapshot's contents: the first 12 hex
 // digits of the SHA-256 of the serialized relation DAG. /healthz and
 // the metrics exposition report it, so an operator can tell whether
 // two replicas (or a daemon and a BENCH file) answer from the same
 // solved state.
-func (sn *Snapshot) Fingerprint() string {
-	sum := sha256.Sum256(sn.dag)
-	return hex.EncodeToString(sum[:])[:12]
-}
+func (sn *Snapshot) Fingerprint() string { return sn.fingerprint }
+
+// release drops the serialized DAG; a later Hydrate fails. The server
+// calls it once every replica of the snapshot's pool is hydrated.
+func (sn *Snapshot) release() { sn.dag = nil }
 
 // Nodes returns the number of distinct BDD nodes in the snapshot.
 func (sn *Snapshot) Nodes() int { return sn.nodeCount }
@@ -131,6 +141,9 @@ type Replica struct {
 // levels still line up) that give ad-hoc queries physical headroom
 // beyond what the original program's rules needed.
 func (sn *Snapshot) Hydrate(extraInstances map[string]int) (*Replica, error) {
+	if sn.dag == nil {
+		return nil, fmt.Errorf("serve: snapshot %s was released after its replicas were hydrated", sn.fingerprint)
+	}
 	u := rel.NewUniverse()
 	for _, dm := range sn.domains {
 		d := u.Declare(dm.name, dm.size)
