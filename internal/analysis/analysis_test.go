@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"bddbddb/internal/datalog"
 	"bddbddb/internal/extract"
 	"bddbddb/internal/program"
 	"bddbddb/internal/synth"
@@ -494,10 +495,20 @@ func TestAblationNoIncrementalizationSameResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunOnTheFly(f, Config{NoIncrementalization: true})
+	// The ablation is a solver option: build Algorithm 3's solver with
+	// it directly, inputs loaded as RunOnTheFly loads them.
+	opts := baseOptions(f, Config{}, ciOrder)
+	opts.NoIncrementalization = true
+	s, err := datalog.NewSolver(datalog.MustParse(Algorithm3Src), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fillCommon(s, f)
+	fill(s, "assign0", f.Assign)
+	if err := s.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	b := &Result{Solver: s, Facts: f}
 	samePairs(t, vpOf(t, b), vpOf(t, a), "no-incrementalization ablation")
 }
 

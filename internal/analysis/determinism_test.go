@@ -12,37 +12,48 @@ import (
 // any dependence on Go map iteration order shows up here as a drift of
 // produced nodes, peak live nodes or cache hits between the runs.
 //
-// Produced and peak live nodes are also pinned: they count the garbage
-// the context materialization and the solve leave between collections,
-// so a change that makes more of it fails here. Re-record them only for
-// an intended change, with its reason.
+// Produced and peak live nodes are also pinned, for every entry point
+// in entryPoints: they count the garbage the inputs, the context
+// materialization and the solve leave between collections, so a change
+// that makes more of it, or that reorders how an entry point builds its
+// inputs, fails here. Re-record them only for an intended change, with
+// its reason.
 func TestSolveCountersRepeat(t *testing.T) {
 	f := synthFacts(t, "jetty")
-	for _, tc := range []struct {
-		name     string
-		run      func() (*Result, error)
-		produced int64
-		peakLive int
-	}{
-		{"cs", func() (*Result, error) { return RunContextSensitive(f, nil, Config{}) }, 163964, 163966},
-		{"heap-cs", func() (*Result, error) { return RunHeapCloned(f, nil, Config{}) }, 340512, 340514},
-	} {
-		stats := func() bdd.Stats {
-			r, err := tc.run()
-			if err != nil {
-				t.Fatal(err)
+	pins := map[string][2]int64{ // entry point -> {produced, peak live}
+		"algo1_ci":      {27210, 27212},
+		"algo2_cif":     {30582, 30584},
+		"algo3_otf":     {55904, 51141},
+		"algo5_cs":      {163964, 163966},
+		"algo5_csotf":   {3702911, 3201894},
+		"algo6_type":    {145486, 128813},
+		"algo7_threads": {49309, 49311},
+		"algo8_heapcs":  {340512, 340514},
+		"type_ci":       {18671, 18673},
+	}
+	for _, ep := range entryPoints {
+		t.Run(ep.name, func(t *testing.T) {
+			pin, ok := pins[ep.name]
+			if !ok {
+				t.Fatalf("no pinned counters for entry point %s", ep.name)
 			}
-			st := r.Solver.Universe().M.Stats()
-			st.GCTime = 0 // wall time, not a counter
-			return st
-		}
-		a, b := stats(), stats()
-		if a != b {
-			t.Errorf("%s: BDD counters differ between identical solves:\n%+v\n%+v", tc.name, a, b)
-		}
-		if a.Produced != tc.produced || a.PeakLive != tc.peakLive {
-			t.Errorf("%s: produced %d nodes, peak live %d; pinned %d and %d",
-				tc.name, a.Produced, a.PeakLive, tc.produced, tc.peakLive)
-		}
+			stats := func() bdd.Stats {
+				r, err := ep.run(f, Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := r.Solver.Universe().M.Stats()
+				st.GCTime = 0 // wall time, not a counter
+				return st
+			}
+			a, b := stats(), stats()
+			if a != b {
+				t.Errorf("BDD counters differ between identical solves:\n%+v\n%+v", a, b)
+			}
+			if a.Produced != pin[0] || int64(a.PeakLive) != pin[1] {
+				t.Errorf("produced %d nodes, peak live %d; pinned %d and %d",
+					a.Produced, a.PeakLive, pin[0], pin[1])
+			}
+		})
 	}
 }

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"bddbddb/internal/datalog"
 	"bddbddb/internal/extract"
+	"bddbddb/internal/obs"
 	"bddbddb/internal/resilience"
 	"bddbddb/internal/synth"
 )
@@ -28,8 +30,9 @@ func synthFacts(t *testing.T, name string) *extract.Facts {
 	return f
 }
 
-// entryPoints lists every analysis entry point (Algorithms 1-7) with a
-// program that exercises it and a comparator over its primary output.
+// entryPoints lists every analysis entry point (Algorithms 1-8 and the
+// context-insensitive type analysis) with a program that exercises it
+// and a comparator over its primary output.
 // degrades marks the context-sensitive entry points that fall back to
 // the context-insensitive result on budget/cancel instead of failing.
 var entryPoints = []struct {
@@ -60,6 +63,10 @@ var entryPoints = []struct {
 	{"algo7_threads", threadSrc, false,
 		func(f *extract.Facts, cfg Config) (*Result, error) { return RunThreadEscape(f, nil, cfg) },
 		sameEscape},
+	{"algo8_heapcs", polySrc, true,
+		func(f *extract.Facts, cfg Config) (*Result, error) { return RunHeapCloned(f, nil, cfg) },
+		samePointsTo},
+	{"type_ci", polySrc, false, RunTypeAnalysisCI, sameRelation("vTA")},
 }
 
 func samePointsTo(t *testing.T, got, want *Result) {
@@ -187,5 +194,83 @@ func checkFailureOrDegraded(t *testing.T, res *Result, err error, want error) {
 	}
 	if len(res.PointsToPairs()) == 0 {
 		t.Fatal("degraded result is unusable: no points-to pairs")
+	}
+}
+
+// armOnNumbering is a tracer that arms a fault once the cloned phase of
+// a context-sensitive run starts (Algorithm 4 numbering), so the fault
+// skips call-graph discovery. It also tracks how many spans are open.
+type armOnNumbering struct {
+	armed bool
+	open  int
+}
+
+func (a *armOnNumbering) Begin(name string, _ ...obs.Arg) {
+	a.open++
+	if name == "analysis.numbering" {
+		a.armed = true
+	}
+}
+func (a *armOnNumbering) End(...obs.Arg)                     { a.open-- }
+func (a *armOnNumbering) Instant(string, ...obs.Arg)         {}
+func (a *armOnNumbering) Counter(string, map[string]float64) {}
+
+// TestDegradedResultKeepsDomainSlack trips the budget of every
+// degrading entry point after discovery, once in the cloned solve
+// (stratum.start) and once while its table first grows (bdd.grow,
+// before the solve starts), and requires a degraded result sized like
+// the primary solve: with Config.DomainSlack spare names, so a live
+// update can still add a variable. The aborted phase's span must be
+// closed, so the fallback is not traced inside it.
+func TestDegradedResultKeepsDomainSlack(t *testing.T) {
+	const slack = 64
+	f := synthFacts(t, "jetty")
+	for _, fault := range []string{resilience.FaultStratumStart, resilience.FaultBDDGrow} {
+		for _, ep := range entryPoints {
+			if !ep.degrades {
+				continue
+			}
+			t.Run(fault+"/"+ep.name, func(t *testing.T) {
+				tr := &armOnNumbering{}
+				fired := false
+				restore := resilience.SetFaultHook(func(name string) {
+					if tr.armed && name == fault {
+						tr.armed = false // one shot: the fallback must finish
+						fired = true
+						resilience.Abort(&resilience.BudgetError{Resource: "nodes", Limit: 1, Used: 2})
+					}
+				})
+				defer restore()
+				// NodeSize 1 is clamped to the manager minimum, so the
+				// cloned solve's table grows before its first stratum.
+				res, err := ep.run(f, Config{DomainSlack: slack, Tracer: tr, NodeSize: 1})
+				if !fired {
+					t.Fatalf("fault point %s never fired after discovery", fault)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tr.open != 0 {
+					t.Fatalf("%d spans left open", tr.open)
+				}
+				if !res.Degraded || !errors.Is(res.DegradedCause, resilience.ErrBudgetExceeded) {
+					t.Fatalf("want a degraded result after a budget trip, got Degraded=%v cause=%v", res.Degraded, res.DegradedCause)
+				}
+				if got, want := res.Solver.Universe().Domain("V").Size, uint64(len(f.Vars)+slack); got != want {
+					t.Fatalf("degraded V domain has %d elements, want %d", got, want)
+				}
+				ls, err := Live(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wd := datalog.WireDelta{Add: map[string][]datalog.WireTuple{
+					"vP0": {{{Name: "degraded.new.var", Named: true}, {Name: f.Heaps[0], Named: true}}},
+				}}
+				if _, err := ls.Begin(resilience.NewController(context.Background(), resilience.Budget{}), wd); err != nil {
+					t.Fatalf("live update naming a new variable: %v", err)
+				}
+				ls.Commit()
+			})
+		}
 	}
 }

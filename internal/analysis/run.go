@@ -42,8 +42,6 @@ type Config struct {
 	HeapContextLimit uint64
 	// ExtraSrc appends query fragments (Section 5) to the program.
 	ExtraSrc string
-	// NoIncrementalization disables semi-naive evaluation (ablation).
-	NoIncrementalization bool
 	// Plan is read by nothing.
 	//
 	// Deprecated: kept only so existing callers that set it still
@@ -95,17 +93,10 @@ func (c Config) withControl() Config {
 	return c
 }
 
-// primaryOpts applies the primary-solve-only configuration: the
-// PreSolve input-delta hook. Auxiliary solves go through auxConfig,
-// which does not carry it.
-func (c Config) primaryOpts(opts *datalog.Options) {
-	opts.PreSolve = c.PreSolve
-}
-
-// auxConfig strips the primary-solve-only settings for an auxiliary
-// solve (e.g. call-graph discovery) while keeping the shared controller
-// and observability sinks. Order is dropped too: it describes the
-// primary program's domains.
+// auxConfig strips the primary-solve-only settings (PreSolve, ExtraSrc,
+// DomainSlack) for an auxiliary solve (e.g. call-graph discovery) while
+// keeping the shared controller and observability sinks. Order is
+// dropped too: it describes the primary program's domains.
 func (c Config) auxConfig() Config {
 	return Config{
 		NodeSize: c.NodeSize, CacheSize: c.CacheSize,
@@ -189,10 +180,9 @@ func baseOptions(f *extract.Facts, cfg Config, order []string) datalog.Options {
 			"N": f.Names,
 			"M": f.Methods,
 		},
-		NoIncrementalization: cfg.NoIncrementalization,
-		Tracer:               cfg.Tracer,
-		Metrics:              cfg.Metrics,
-		Control:              cfg.ctl,
+		Tracer:  cfg.Tracer,
+		Metrics: cfg.Metrics,
+		Control: cfg.ctl,
 	}
 }
 
@@ -284,39 +274,76 @@ func Run(algo string, f *extract.Facts, cfg Config) (*Result, error) {
 func RunContextInsensitive(f *extract.Facts, typeFilter bool, cfg Config) (_ *Result, err error) {
 	cfg = cfg.withControl()
 	defer resilience.Recover(&err)
-	src := Algorithm1Src
 	if typeFilter {
-		src = Algorithm2Src
+		return runCHA(f, cfg, Algorithm2Src)
 	}
+	return runCHA(f, cfg, Algorithm1Src)
+}
+
+// solveProgram is the one pipeline step every algorithm runs: parse
+// src plus the query fragments, compile it with domains sized from the
+// facts (sizes adds or overrides domains the facts do not size), let
+// materialize replace the cloned inputs (nil for programs without
+// any), load the extracted relations plus fillExtra's, and solve.
+// Compile, materialize and fill each have their own analysis.* span.
+func solveProgram(f *extract.Facts, cfg Config, src string, order []string, sizes map[string]uint64,
+	materialize func(*datalog.Solver) error, fillExtra func(*datalog.Solver)) (*datalog.Solver, error) {
 	prog, err := datalog.Parse(src + cfg.ExtraSrc)
 	if err != nil {
 		return nil, err
 	}
-	opts := baseOptions(f, cfg, ciOrder)
-	cfg.primaryOpts(&opts)
-	s, err := compileTraced(prog, opts, cfg.Tracer)
-	if err != nil {
+	opts := baseOptions(f, cfg, order)
+	opts.PreSolve = cfg.PreSolve
+	for d, n := range sizes {
+		opts.DomainSizes[d] = n
+	}
+	var s *datalog.Solver
+	if err := phase(cfg.Tracer, "analysis.compile", func() (err error) {
+		s, err = datalog.NewSolver(prog, opts)
+		return err
+	}, obs.A("rules", len(prog.Rules))); err != nil {
 		return nil, err
 	}
-	obs.Begin(cfg.Tracer, "analysis.cha")
-	g := CHACallGraph(f)
-	obs.End(cfg.Tracer)
-	obs.Begin(cfg.Tracer, "analysis.fill")
-	fillCommon(s, f)
-	fill(s, "assign", AssignEdges(f, g, false))
-	obs.End(cfg.Tracer)
+	if materialize != nil {
+		if err := phase(cfg.Tracer, "analysis.materialize", func() error { return materialize(s) }); err != nil {
+			return nil, err
+		}
+	}
+	phase(cfg.Tracer, "analysis.fill", func() error {
+		fillCommon(s, f)
+		if fillExtra != nil {
+			fillExtra(s)
+		}
+		return nil
+	})
 	if err := s.Solve(); err != nil {
 		return nil, err
 	}
-	return &Result{Solver: s, Facts: f, Graph: g}, nil
+	return s, nil
 }
 
-// compileTraced wraps solver construction (rule compilation, universe
-// finalization) in an "analysis.compile" span.
-func compileTraced(prog *datalog.Program, opts datalog.Options, tr obs.Tracer) (*datalog.Solver, error) {
-	obs.Begin(tr, "analysis.compile", obs.A("rules", len(prog.Rules)))
+// phase runs fn inside the span name. The span is closed even when fn
+// aborts (a budget trip deep in a BDD operation), so the fallback of a
+// degraded run is not traced inside it.
+func phase(tr obs.Tracer, name string, fn func() error, args ...obs.Arg) error {
+	obs.Begin(tr, name, args...)
 	defer obs.End(tr)
-	return datalog.NewSolver(prog, opts)
+	return fn()
+}
+
+// runCHA runs a context-insensitive program over the CHA call graph,
+// its invocation edges loaded as assign.
+func runCHA(f *extract.Facts, cfg Config, src string) (*Result, error) {
+	obs.Begin(cfg.Tracer, "analysis.cha")
+	g := CHACallGraph(f)
+	obs.End(cfg.Tracer)
+	s, err := solveProgram(f, cfg, src, ciOrder, nil, nil, func(s *datalog.Solver) {
+		fill(s, "assign", AssignEdges(f, g, false))
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Solver: s, Facts: f, Graph: g}, nil
 }
 
 // RunOnTheFly runs Algorithm 3: context-insensitive points-to with call
@@ -324,21 +351,10 @@ func compileTraced(prog *datalog.Program, opts datalog.Options, tr obs.Tracer) (
 func RunOnTheFly(f *extract.Facts, cfg Config) (_ *Result, err error) {
 	cfg = cfg.withControl()
 	defer resilience.Recover(&err)
-	prog, err := datalog.Parse(Algorithm3Src + cfg.ExtraSrc)
+	s, err := solveProgram(f, cfg, Algorithm3Src, ciOrder, nil, nil, func(s *datalog.Solver) {
+		fill(s, "assign0", f.Assign)
+	})
 	if err != nil {
-		return nil, err
-	}
-	opts := baseOptions(f, cfg, ciOrder)
-	cfg.primaryOpts(&opts)
-	s, err := compileTraced(prog, opts, cfg.Tracer)
-	if err != nil {
-		return nil, err
-	}
-	obs.Begin(cfg.Tracer, "analysis.fill")
-	fillCommon(s, f)
-	fill(s, "assign0", f.Assign)
-	obs.End(cfg.Tracer)
-	if err := s.Solve(); err != nil {
 		return nil, err
 	}
 	return &Result{Solver: s, Facts: f}, nil
@@ -360,9 +376,10 @@ func DiscoverCallGraph(f *extract.Facts, cfg Config) (_ *callgraph.Graph, err er
 
 // discoverResult runs Algorithm 3 under an auxiliary config (cfg.Order
 // is not forwarded — it describes the context-sensitive program's
-// domains, and Algorithm 3 has no C domain) and keeps the whole Result,
-// graph attached, so context-sensitive callers can reuse it as their
-// degradation fallback.
+// domains, and Algorithm 3 has no C domain — and neither is
+// DomainSlack, so discovery is sized by the facts alone) and keeps the
+// whole Result, graph attached, so context-sensitive callers can reuse
+// it as their degradation fallback.
 func discoverResult(f *extract.Facts, cfg Config) (*Result, error) {
 	obs.Begin(cfg.Tracer, "analysis.discover")
 	defer obs.End(cfg.Tracer)
@@ -379,9 +396,10 @@ func discoverResult(f *extract.Facts, cfg Config) (*Result, error) {
 // canceled, the analysis falls back to the context-insensitive result —
 // still sound, just without context distinctions — instead of failing.
 // ci is the already-computed Algorithm 3 result when call-graph
-// discovery ran (free to reuse); otherwise a fresh bounded-free fallback
-// run is attempted. Internal errors and fallback failures propagate the
-// original cause.
+// discovery ran. It is reused when the primary solve asked for no
+// domain slack; otherwise (or when there is none) a fresh fallback run
+// sized like the primary solve is made, detached from the budget.
+// Internal errors and fallback failures propagate the original cause.
 func degrade(f *extract.Facts, ci *Result, cfg Config, cause error) (*Result, error) {
 	if !errors.Is(cause, resilience.ErrBudgetExceeded) && !errors.Is(cause, resilience.ErrCanceled) {
 		return nil, cause
@@ -389,16 +407,15 @@ func degrade(f *extract.Facts, ci *Result, cfg Config, cause error) (*Result, er
 	if cfg.Metrics != nil {
 		cfg.Metrics.Counter("analysis.degraded").Inc()
 	}
-	if ci == nil {
+	if ci == nil || cfg.DomainSlack > 0 {
 		// Detach the fallback from the exhausted budget / canceled
 		// context: a degraded answer is only useful if it can finish.
+		// Keep the slack, so live updates can still add names.
 		fb := cfg.auxConfig()
-		fb.Context = context.Background()
-		fb.Budget = resilience.Budget{}
-		fb.ctl = nil
+		fb.Context, fb.Budget, fb.ctl = nil, resilience.Budget{}, nil
+		fb.DomainSlack = cfg.DomainSlack
 		var err error
-		ci, err = RunOnTheFly(f, fb)
-		if err != nil {
+		if ci, err = RunOnTheFly(f, fb); err != nil {
 			return nil, cause
 		}
 	}
@@ -407,55 +424,93 @@ func degrade(f *extract.Facts, ci *Result, cfg Config, cause error) (*Result, er
 	return ci, nil
 }
 
-// runCloned runs a context-sensitive program (Algorithm 5 or 6) over
-// the cloned call graph: Algorithm 4 numbering materialized into IEC
-// and hC, then the context-insensitive rules over the expanded graph.
-func runCloned(f *extract.Facts, g *callgraph.Graph, cfg Config, src string) (*Result, error) {
-	obs.Begin(cfg.Tracer, "analysis.numbering")
-	n, err := callgraph.NumberControlled(g, cfg.Tracer, cfg.ctl)
-	obs.End(cfg.Tracer)
-	if err != nil {
+// onGraph runs an analysis over call graph g. When g is nil it is
+// discovered first with Algorithm 3. When degrades is set, a budget
+// trip or cancellation anywhere in run falls back to the
+// context-insensitive result (see degrade) instead of failing.
+func onGraph(f *extract.Facts, g *callgraph.Graph, cfg Config, degrades bool,
+	run func(*callgraph.Graph) (*Result, error)) (*Result, error) {
+	var ci *Result // Algorithm 3 result, reused on degradation
+	if g == nil {
+		var err error
+		if ci, err = discoverResult(f, cfg); err != nil {
+			return nil, fmt.Errorf("analysis: call graph discovery: %w", err)
+		}
+		g = ci.Graph
+	}
+	r, err := func() (_ *Result, err error) {
+		defer resilience.Recover(&err)
+		return run(g)
+	}()
+	if err != nil && degrades {
+		return degrade(f, ci, cfg, err)
+	}
+	return r, err
+}
+
+// runCloned runs a context-sensitive program over the cloned call
+// graph: Algorithm 4 numbers g, and the numbering is materialized into
+// IEC plus either hC (Algorithms 5 and 6) or, with heap set, Algorithm
+// 8's hcH heap-context diagonal and noHeapContext escape set.
+func runCloned(f *extract.Facts, g *callgraph.Graph, cfg Config, src string, heap bool) (*Result, error) {
+	var n *callgraph.Numbering
+	if err := phase(cfg.Tracer, "analysis.numbering", func() (err error) {
+		n, err = callgraph.NumberControlled(g, cfg.Tracer, cfg.ctl)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	prog, err := datalog.Parse(src + cfg.ExtraSrc)
-	if err != nil {
-		return nil, err
+	cSize := n.ContextDomainSize(cfg.contextLimit())
+	order, sizes := csOrder, map[string]uint64{"C": cSize}
+	var noHeap []bool
+	if heap {
+		// HC is sized like C: clone hc mirrors context c, with value 0
+		// reserved for the context-insensitive clone.
+		order, sizes["HC"] = heapOrder, cSize
+		noHeap = noHeapContexts(f, n, cSize, cfg.HeapContextLimit)
 	}
-	opts := baseOptions(f, cfg, csOrder)
-	cfg.primaryOpts(&opts)
-	opts.DomainSizes["C"] = n.ContextDomainSize(cfg.contextLimit())
-	s, err := compileTraced(prog, opts, cfg.Tracer)
-	if err != nil {
-		return nil, err
-	}
-	obs.Begin(cfg.Tracer, "analysis.materialize")
-	err = func() error {
-		iecDecl := s.Relation("IEC").Attrs()
-		iec, err := n.MaterializeIEC(s.Universe(), "IEC", iecDecl[0], iecDecl[1], iecDecl[2], iecDecl[3])
+	materialize := func(s *datalog.Solver) error {
+		u := s.Universe()
+		d := s.Relation("IEC").Attrs()
+		iec, err := n.MaterializeIEC(u, "IEC", d[0], d[1], d[2], d[3])
 		if err != nil {
 			return err
 		}
 		s.ReplaceRelation("IEC", iec)
-		hcDecl := s.Relation("hC").Attrs()
-		hc := n.MaterializeHC(s.Universe(), "hC", hcDecl[0], hcDecl[1], f.AllocMethod)
-		s.ReplaceRelation("hC", hc)
+		if heap {
+			d := s.Relation("hcH").Attrs()
+			hch, err := n.MaterializeHeapContexts(u, "hcH", d[0], d[1], d[2], f.AllocMethod, noHeap)
+			if err != nil {
+				return err
+			}
+			s.ReplaceRelation("hcH", hch)
+		} else {
+			d := s.Relation("hC").Attrs()
+			s.ReplaceRelation("hC", n.MaterializeHC(u, "hC", d[0], d[1], f.AllocMethod))
+		}
 		// domC holds every context — programs bind the paper's implicitly
 		// universal head contexts against it (Algorithm 6 rule (23), the
 		// mod-ref query's mVC base case).
 		if s.HasRelation("domC") {
 			attr := s.Relation("domC").Attrs()[0]
-			s.ReplaceRelation("domC", s.Universe().FullDomain("domC", attr))
+			s.ReplaceRelation("domC", u.FullDomain("domC", attr))
 		}
 		return nil
-	}()
-	obs.End(cfg.Tracer)
-	if err != nil {
-		return nil, err
 	}
-	obs.Begin(cfg.Tracer, "analysis.fill")
-	fillCommon(s, f)
-	obs.End(cfg.Tracer)
-	if err := s.Solve(); err != nil {
+	var fillExtra func(*datalog.Solver)
+	if heap {
+		fillExtra = func(s *datalog.Solver) {
+			var nhc [][]uint64
+			for h, no := range noHeap {
+				if no {
+					nhc = append(nhc, []uint64{uint64(h)})
+				}
+			}
+			s.Relation("noHeapContext").AddTuples(nhc)
+		}
+	}
+	s, err := solveProgram(f, cfg, src, order, sizes, materialize, fillExtra)
+	if err != nil {
 		return nil, err
 	}
 	return &Result{Solver: s, Facts: f, Graph: g, Numbering: n}, nil
@@ -469,34 +524,22 @@ func runCloned(f *extract.Facts, g *callgraph.Graph, cfg Config, src string) (*R
 func RunContextSensitive(f *extract.Facts, g *callgraph.Graph, cfg Config) (_ *Result, err error) {
 	cfg = cfg.withControl()
 	defer resilience.Recover(&err)
-	var ci *Result // Algorithm 3 result, reused on degradation
-	if g == nil {
-		ci, err = discoverResult(f, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: call graph discovery: %w", err)
-		}
-		g = ci.Graph
-	}
-	r, err := runCloned(f, g, cfg, Algorithm5Src)
-	if err != nil {
-		return degrade(f, ci, cfg, err)
-	}
-	return r, nil
+	return onGraph(f, g, cfg, true, func(g *callgraph.Graph) (*Result, error) {
+		return runCloned(f, g, cfg, Algorithm5Src, false)
+	})
 }
 
 // RunContextSensitiveOnTheFly runs the Section 4.2 variant: Algorithm 4
 // numbers a conservative CHA call graph, and the context-sensitive
 // solve discovers which of its invocation edges are actually live
-// (relation IECd) while computing vPC.
+// (relation IECd) while computing vPC. It degrades like
+// RunContextSensitive, with a fresh Algorithm 3 run as the fallback.
 func RunContextSensitiveOnTheFly(f *extract.Facts, cfg Config) (_ *Result, err error) {
 	cfg = cfg.withControl()
 	defer resilience.Recover(&err)
-	r, err := runCloned(f, CHACallGraph(f), cfg, Algorithm5OTFSrc)
-	if err != nil {
-		// No Algorithm 3 result exists here; degrade runs one afresh.
-		return degrade(f, nil, cfg, err)
-	}
-	return r, nil
+	return onGraph(f, CHACallGraph(f), cfg, true, func(g *callgraph.Graph) (*Result, error) {
+		return runCloned(f, g, cfg, Algorithm5OTFSrc, false)
+	})
 }
 
 // noHeapContexts computes Algorithm 8's escape-hatch set: true for
@@ -519,72 +562,6 @@ func noHeapContexts(f *extract.Facts, n *callgraph.Numbering, contextDomainSize 
 	return out
 }
 
-// runHeapCloned runs Algorithm 8 over the cloned call graph: Algorithm
-// 4 numbering materialized into IEC plus the hcH heap-context diagonal,
-// then the heap-cloned rules.
-func runHeapCloned(f *extract.Facts, g *callgraph.Graph, cfg Config) (*Result, error) {
-	obs.Begin(cfg.Tracer, "analysis.numbering")
-	n, err := callgraph.NumberControlled(g, cfg.Tracer, cfg.ctl)
-	obs.End(cfg.Tracer)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := datalog.Parse(Algorithm8Src + cfg.ExtraSrc)
-	if err != nil {
-		return nil, err
-	}
-	opts := baseOptions(f, cfg, heapOrder)
-	cfg.primaryOpts(&opts)
-	cSize := n.ContextDomainSize(cfg.contextLimit())
-	opts.DomainSizes["C"] = cSize
-	// HC is sized like C: clone hc mirrors context c, with value 0
-	// reserved for the context-insensitive clone.
-	opts.DomainSizes["HC"] = cSize
-	s, err := compileTraced(prog, opts, cfg.Tracer)
-	if err != nil {
-		return nil, err
-	}
-	noHeap := noHeapContexts(f, n, cSize, cfg.HeapContextLimit)
-	obs.Begin(cfg.Tracer, "analysis.materialize")
-	err = func() error {
-		iecDecl := s.Relation("IEC").Attrs()
-		iec, err := n.MaterializeIEC(s.Universe(), "IEC", iecDecl[0], iecDecl[1], iecDecl[2], iecDecl[3])
-		if err != nil {
-			return err
-		}
-		s.ReplaceRelation("IEC", iec)
-		hcDecl := s.Relation("hcH").Attrs()
-		hch, err := n.MaterializeHeapContexts(s.Universe(), "hcH", hcDecl[0], hcDecl[1], hcDecl[2], f.AllocMethod, noHeap)
-		if err != nil {
-			return err
-		}
-		s.ReplaceRelation("hcH", hch)
-		if s.HasRelation("domC") {
-			attr := s.Relation("domC").Attrs()[0]
-			s.ReplaceRelation("domC", s.Universe().FullDomain("domC", attr))
-		}
-		return nil
-	}()
-	obs.End(cfg.Tracer)
-	if err != nil {
-		return nil, err
-	}
-	obs.Begin(cfg.Tracer, "analysis.fill")
-	fillCommon(s, f)
-	var nhc [][]uint64
-	for h, no := range noHeap {
-		if no {
-			nhc = append(nhc, []uint64{uint64(h)})
-		}
-	}
-	s.Relation("noHeapContext").AddTuples(nhc)
-	obs.End(cfg.Tracer)
-	if err := s.Solve(); err != nil {
-		return nil, err
-	}
-	return &Result{Solver: s, Facts: f, Graph: g, Numbering: n}, nil
-}
-
 // RunHeapCloned runs Algorithm 8 — context-sensitive points-to with
 // heap cloning. When g is nil the call graph is discovered first with
 // Algorithm 3. Budget exhaustion and cancellation degrade gracefully to
@@ -592,19 +569,9 @@ func runHeapCloned(f *extract.Facts, g *callgraph.Graph, cfg Config) (*Result, e
 func RunHeapCloned(f *extract.Facts, g *callgraph.Graph, cfg Config) (_ *Result, err error) {
 	cfg = cfg.withControl()
 	defer resilience.Recover(&err)
-	var ci *Result // Algorithm 3 result, reused on degradation
-	if g == nil {
-		ci, err = discoverResult(f, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: call graph discovery: %w", err)
-		}
-		g = ci.Graph
-	}
-	r, err := runHeapCloned(f, g, cfg)
-	if err != nil {
-		return degrade(f, ci, cfg, err)
-	}
-	return r, nil
+	return onGraph(f, g, cfg, true, func(g *callgraph.Graph) (*Result, error) {
+		return runCloned(f, g, cfg, Algorithm8Src, true)
+	})
 }
 
 // RunTypeAnalysisCI runs the context-insensitive (0-CFA-like) type
@@ -613,27 +580,7 @@ func RunHeapCloned(f *extract.Facts, g *callgraph.Graph, cfg Config) (_ *Result,
 func RunTypeAnalysisCI(f *extract.Facts, cfg Config) (_ *Result, err error) {
 	cfg = cfg.withControl()
 	defer resilience.Recover(&err)
-	prog, err := datalog.Parse(TypeAnalysisCISrc + cfg.ExtraSrc)
-	if err != nil {
-		return nil, err
-	}
-	opts := baseOptions(f, cfg, ciOrder)
-	cfg.primaryOpts(&opts)
-	s, err := compileTraced(prog, opts, cfg.Tracer)
-	if err != nil {
-		return nil, err
-	}
-	obs.Begin(cfg.Tracer, "analysis.cha")
-	g := CHACallGraph(f)
-	obs.End(cfg.Tracer)
-	obs.Begin(cfg.Tracer, "analysis.fill")
-	fillCommon(s, f)
-	fill(s, "assign", AssignEdges(f, g, false))
-	obs.End(cfg.Tracer)
-	if err := s.Solve(); err != nil {
-		return nil, err
-	}
-	return &Result{Solver: s, Facts: f, Graph: g}, nil
+	return runCHA(f, cfg, TypeAnalysisCISrc)
 }
 
 // RunTypeAnalysis runs Algorithm 6, the context-sensitive type
@@ -641,11 +588,7 @@ func RunTypeAnalysisCI(f *extract.Facts, cfg Config) (_ *Result, err error) {
 func RunTypeAnalysis(f *extract.Facts, g *callgraph.Graph, cfg Config) (_ *Result, err error) {
 	cfg = cfg.withControl()
 	defer resilience.Recover(&err)
-	if g == nil {
-		g, err = DiscoverCallGraph(f, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: call graph discovery: %w", err)
-		}
-	}
-	return runCloned(f, g, cfg, Algorithm6Src)
+	return onGraph(f, g, cfg, false, func(g *callgraph.Graph) (*Result, error) {
+		return runCloned(f, g, cfg, Algorithm6Src, false)
+	})
 }

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"sort"
 
 	"bddbddb/internal/callgraph"
@@ -113,29 +112,24 @@ func heapType(f *extract.Facts, h uint64) uint64 {
 func RunThreadEscape(f *extract.Facts, g *callgraph.Graph, cfg Config) (_ *Result, err error) {
 	cfg = cfg.withControl()
 	defer resilience.Recover(&err)
-	if g == nil {
-		g, err = DiscoverCallGraph(f, cfg)
+	return onGraph(f, g, cfg, false, func(g *callgraph.Graph) (*Result, error) {
+		obs.Begin(cfg.Tracer, "analysis.thread_contexts")
+		tc := AssignThreadContexts(f, g)
+		obs.End(cfg.Tracer, obs.A("contexts", tc.NumContexts))
+		s, err := solveProgram(f, cfg, Algorithm7Src, ctOrder, map[string]uint64{"CT": tc.NumContexts}, nil,
+			func(s *datalog.Solver) { fillThreadInputs(s, f, g, tc) })
 		if err != nil {
-			return nil, fmt.Errorf("analysis: call graph discovery: %w", err)
+			return nil, err
 		}
-	}
-	obs.Begin(cfg.Tracer, "analysis.thread_contexts")
-	tc := AssignThreadContexts(f, g)
-	obs.End(cfg.Tracer, obs.A("contexts", tc.NumContexts))
+		return &Result{Solver: s, Facts: f, Graph: g, threadContexts: tc}, nil
+	})
+}
 
-	prog, err := datalog.Parse(Algorithm7Src + cfg.ExtraSrc)
-	if err != nil {
-		return nil, err
-	}
-	opts := baseOptions(f, cfg, ctOrder)
-	cfg.primaryOpts(&opts)
-	opts.DomainSizes["CT"] = tc.NumContexts
-	s, err := compileTraced(prog, opts, cfg.Tracer)
-	if err != nil {
-		return nil, err
-	}
-	obs.Begin(cfg.Tracer, "analysis.fill")
-	fillCommon(s, f)
+// fillThreadInputs loads Algorithm 7's thread-context inputs: assign
+// over g (thread-spawn edges included), the eqCT diagonal, the
+// per-context allocation sites HT, and the context-qualified initial
+// points-to vP0T.
+func fillThreadInputs(s *datalog.Solver, f *extract.Facts, g *callgraph.Graph, tc *ThreadContexts) {
 	fill(s, "assign", AssignEdges(f, g, true))
 
 	// eqCT diagonal for the inequality in escaped().
@@ -208,13 +202,4 @@ func RunThreadEscape(f *extract.Facts, g *callgraph.Graph, cfg Config) (_ *Resul
 		}
 	}
 	s.Relation("vP0T").AddTuples(vp0t)
-
-	obs.End(cfg.Tracer) // analysis.fill
-
-	if err := s.Solve(); err != nil {
-		return nil, err
-	}
-	res := &Result{Solver: s, Facts: f, Graph: g}
-	res.threadContexts = tc
-	return res, nil
 }
