@@ -274,3 +274,32 @@ func TestDegradedResultKeepsDomainSlack(t *testing.T) {
 		}
 	}
 }
+
+// TestDegradeKeepsQueryFragmentCause trips the budget of the cloned
+// solve of a context-sensitive run that carries a query fragment. A
+// context-insensitive fallback cannot hold the fragment's relations
+// (ModRefQuerySrc reads vPC), so the run must fail with the budget
+// error instead of returning a degraded solver without "mod".
+func TestDegradeKeepsQueryFragmentCause(t *testing.T) {
+	f := synthFacts(t, "jetty")
+	tr := &armOnNumbering{}
+	fired := false
+	restore := resilience.SetFaultHook(func(name string) {
+		if tr.armed && name == resilience.FaultStratumStart {
+			tr.armed = false
+			fired = true
+			resilience.Abort(&resilience.BudgetError{Resource: "nodes", Limit: 1, Used: 2})
+		}
+	})
+	defer restore()
+	res, err := RunContextSensitive(f, nil, Config{ExtraSrc: ModRefQuerySrc, Tracer: tr})
+	if !fired {
+		t.Fatal("stratum.start never fired after numbering")
+	}
+	if err == nil {
+		t.Fatalf("want the budget error, got a result (Degraded=%v, has mod=%v)", res.Degraded, res.Solver.HasRelation("mod"))
+	}
+	if !errors.Is(err, resilience.ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want the budget cause", err)
+	}
+}

@@ -399,9 +399,15 @@ func discoverResult(f *extract.Facts, cfg Config) (*Result, error) {
 // discovery ran. It is reused when the primary solve asked for no
 // domain slack; otherwise (or when there is none) a fresh fallback run
 // sized like the primary solve is made, detached from the budget.
-// Internal errors and fallback failures propagate the original cause.
+// Internal errors and fallback failures propagate the original cause,
+// and so does any trip when Config.ExtraSrc is set: the query fragments
+// read context-sensitive relations (vPC, IEC) that a context-insensitive
+// fallback cannot hold, so a degraded result would lack their relations.
 func degrade(f *extract.Facts, ci *Result, cfg Config, cause error) (*Result, error) {
 	if !errors.Is(cause, resilience.ErrBudgetExceeded) && !errors.Is(cause, resilience.ErrCanceled) {
+		return nil, cause
+	}
+	if cfg.ExtraSrc != "" {
 		return nil, cause
 	}
 	if cfg.Metrics != nil {

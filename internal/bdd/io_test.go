@@ -3,7 +3,10 @@ package bdd
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
+	"strings"
 	"testing"
 
 	"bddbddb/internal/resilience"
@@ -306,6 +309,205 @@ func FuzzReadDAG(f *testing.F) {
 		m.GC()
 		if live := m.LiveNodes(); live != base {
 			t.Fatalf("live nodes after read (err %v) and GC: %d, want baseline %d", err, live, base)
+		}
+	})
+}
+
+// sameFunctions compares roots of m and m2 by truth table over nvars.
+func sameFunctions(t *testing.T, m *Manager, a []Node, m2 *Manager, b []Node, nvars int) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%d roots, want %d", len(b), len(a))
+	}
+	assign := make([]bool, nvars)
+	for bits := 0; bits < 1<<nvars; bits++ {
+		for i := range assign {
+			assign[i] = bits&(1<<i) != 0
+		}
+		for r := range a {
+			if m.Eval(a[r], assign) != m2.Eval(b[r], assign) {
+				t.Fatalf("root %d differs at assignment %0*b", r, nvars, bits)
+			}
+		}
+	}
+}
+
+// TestDAGDeltaChain writes a full dump and then a chain of deltas from
+// one writer while the source manager collects and reuses slots
+// between dumps, reads them into a reader in a second manager, and
+// checks every generation's roots, the delta sizes, and that the
+// structural hashes match a fresh writer's.
+func TestDAGDeltaChain(t *testing.T) {
+	const nvars = 7
+	m := New(1<<10, 1<<8)
+	m.AddVars(nvars)
+	m2 := New(1<<10, 1<<8)
+	m2.AddVars(nvars)
+	w := m.NewDAGWriter()
+	r := m2.NewDAGReader()
+	vars := make([]Node, nvars)
+	for i := range vars {
+		vars[i] = m.Var(int32(i))
+	}
+	cur := []Node{m.And(vars[0], vars[1]), m.Or(vars[2], vars[3])}
+	var prev []Node
+	for step := 0; step < 12; step++ {
+		var buf bytes.Buffer
+		before := w.Len()
+		n, err := w.Write(&buf, cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Len()-before != n {
+			t.Fatalf("step %d: wrote %d records but issued %d ids", step, n, w.Len()-before)
+		}
+		if step > 0 && n > 2*nvars {
+			t.Fatalf("step %d: delta holds %d records for a one-step change", step, n)
+		}
+		got, err := r.Read(&buf)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if r.Len() != w.Len() {
+			t.Fatalf("step %d: reader holds %d ids, writer %d", step, r.Len(), w.Len())
+		}
+		sameFunctions(t, m, cur, m2, got, nvars)
+		fresh := m.NewDAGWriter()
+		if _, err := fresh.Write(io.Discard, cur); err != nil {
+			t.Fatal(err)
+		}
+		for i, h := range w.RootHashes() {
+			if h != fresh.RootHashes()[i] {
+				t.Fatalf("step %d root %d: chained hash %x, fresh %x", step, i, h, fresh.RootHashes()[i])
+			}
+		}
+		fresh.Release()
+		for _, n := range prev {
+			m2.Deref(n)
+		}
+		prev = got
+		// Next generation: replace one root, drop the old one, and let
+		// both managers collect so freed slots are reused.
+		k := step % len(cur)
+		next := m.Xor(cur[k], vars[(step+4)%nvars])
+		m.Deref(cur[k])
+		cur[k] = next
+		m.GC()
+		m2.GC()
+	}
+	// A delta over the wrong base and a second full dump are refused
+	// without changing the reader.
+	var full, delta bytes.Buffer
+	if err := m.WriteDAG(&full, cur); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Read(&full); err == nil {
+		t.Fatal("reader with ids accepted a second full dump")
+	}
+	other := m.NewDAGWriter()
+	if _, err := other.Write(io.Discard, cur[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.Write(&delta, cur); err != nil {
+		t.Fatal(err)
+	}
+	held := r.Len()
+	if _, err := r.Read(&delta); err == nil || !strings.Contains(err.Error(), "base") {
+		t.Fatalf("delta over the wrong base: err %v", err)
+	}
+	if r.Len() != held {
+		t.Fatalf("rejected delta changed the reader: %d ids, want %d", r.Len(), held)
+	}
+	other.Release()
+	// Releasing everything returns both managers to their variables.
+	w.Release()
+	r.Release()
+	for _, n := range prev {
+		m2.Deref(n)
+	}
+	for _, n := range cur {
+		m.Deref(n)
+	}
+	for _, v := range vars {
+		m.Deref(v)
+	}
+	if live := m.GC(); live != 2 {
+		t.Fatalf("source manager holds %d nodes after release, want the 2 terminals", live)
+	}
+	if live := m2.GC(); live != 2 {
+		t.Fatalf("reader's manager holds %d nodes after release, want the 2 terminals", live)
+	}
+}
+
+// FuzzReadDAGDelta feeds arbitrary bytes to a reader that already
+// holds a base dump: it must never panic, a rejected read must leave no
+// node behind, a delta naming another base must be rejected, and a
+// release after any read must return the manager to empty.
+func FuzzReadDAGDelta(f *testing.F) {
+	m := New(1<<10, 1<<8)
+	m.AddVars(6)
+	x0, x1, x2, x5 := m.Var(0), m.Var(1), m.Var(2), m.Var(5)
+	a := m.And(x0, x1)
+	baseRoots := []Node{a, m.Or(a, x2)}
+	var base bytes.Buffer
+	w := m.NewDAGWriter()
+	if _, err := w.Write(&base, baseRoots); err != nil {
+		f.Fatal(err)
+	}
+	baseDump := bytes.Clone(base.Bytes())
+	var delta, wrong bytes.Buffer
+	if _, err := w.Write(&delta, []Node{m.Xor(a, x5), baseRoots[1], True}); err != nil {
+		f.Fatal(err)
+	}
+	// A delta written over a different base: the writer above after a
+	// further delta.
+	if _, err := w.Write(&wrong, []Node{m.Imp(m.And(x0, x5), m.Not(x2)), a}); err != nil {
+		f.Fatal(err)
+	}
+	for _, d := range [][]byte{delta.Bytes(), wrong.Bytes()} {
+		f.Add(d)
+		for _, cut := range []int{len(d) / 2, len(d) - 5, len(d) - 1} {
+			if cut > 0 {
+				f.Add(d[:cut])
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, dump []byte) {
+		m := New(1<<10, 1<<8)
+		m.AddVars(6)
+		empty := m.GC()
+		r := m.NewDAGReader()
+		roots, err := r.Read(bytes.NewReader(baseDump))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range roots {
+			m.Deref(n)
+		}
+		held := m.GC()
+		ids := r.Len()
+		got, err := r.Read(bytes.NewReader(dump))
+		if errors.Is(err, resilience.ErrInternal) {
+			t.Fatalf("Read panicked: %v", err)
+		}
+		if len(dump) >= 12 && bytes.Equal(dump[:8], deltaMagic[:]) &&
+			binary.LittleEndian.Uint32(dump[8:12]) != uint32(ids) && err == nil {
+			t.Fatalf("delta over base %d accepted by a reader of %d ids", binary.LittleEndian.Uint32(dump[8:12]), ids)
+		}
+		if err != nil {
+			if r.Len() != ids {
+				t.Fatalf("rejected read (%v) left %d ids, want %d", err, r.Len(), ids)
+			}
+			if live := m.GC(); live != held {
+				t.Fatalf("live nodes after rejected read (%v) and GC: %d, want %d", err, live, held)
+			}
+		}
+		for _, n := range got {
+			m.Deref(n)
+		}
+		r.Release()
+		if live := m.GC(); live != empty {
+			t.Fatalf("live nodes after release: %d, want %d", live, empty)
 		}
 	})
 }

@@ -172,6 +172,22 @@ func (b *QueryBase) ElemIndex(domain, name string) (uint64, bool) {
 // call it.
 func (b *QueryBase) MemoNodes() int { return b.memoNodes }
 
+// Release drops the memo's references and empties it, so its entries
+// become garbage at the manager's next collection. The base relations
+// belong to the caller, who releases them. Like Eval, only the base's
+// owner may call it; an Eval afterwards refills the memo.
+func (b *QueryBase) Release() {
+	seen := make(map[*rel.Relation]bool, len(b.memo))
+	for _, e := range b.memo {
+		if !seen[e.r] {
+			seen[e.r] = true
+			b.u.M.Deref(e.r.Root())
+		}
+	}
+	clear(b.memo)
+	b.memoNodes = 0
+}
+
 // projected returns the memo entry a query literal over the base
 // relation src starts from: src with the sorted attributes ms.wild
 // projected out, laid out as ms.pivot says. The first call for a key

@@ -5,7 +5,7 @@ import "sync/atomic"
 // Registered fault-point names. Each marks a place a run can be made
 // to fail deterministically from tests: the BDD table growing, a
 // stratum starting its evaluation, and the four stages of the live-update lifecycle (delta application,
-// incremental re-solve, standby-replica hydration, generation swap).
+// incremental re-solve, publishing to the replicas, generation swap).
 const (
 	FaultBDDGrow         = "bdd.grow"
 	FaultStratumStart    = "stratum.start"

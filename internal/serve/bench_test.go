@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -149,6 +150,95 @@ func megamekReplica(b *testing.B) (*extract.Facts, *Replica) {
 		b.Fatal(err)
 	}
 	return facts, hydrated(b, res)
+}
+
+// BenchmarkPublish measures one live update's publish on a megamek cs
+// server (two replicas, query headroom 1), once patching the serving
+// replicas and once forcing the full path (a full snapshot hydrated
+// into a new pool), for one added and for one removed vP0 tuple. An
+// add op adds a fresh tuple; a remove op first adds one, untimed, and
+// then removes it. publish-ms/op is the update's wall time less its
+// incremental solve; deltaNodes/op is the size of the patches' delta
+// dumps.
+func BenchmarkPublish(b *testing.B) {
+	facts, err := extract.Extract(synth.Generate(synth.BenchmarkByName("megamek").Params), extract.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := analysis.RunContextSensitive(facts, nil, analysis.Config{DomainSlack: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	live, err := analysis.Live(res)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := obs.New()
+	s, err := New(res.Solver, Config{Replicas: 2, QueryHeadroom: 1, Updater: live, Metrics: reg, SampleInterval: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	have := make(map[[2]uint64]bool, len(facts.VP0))
+	for _, t := range facts.VP0 {
+		have[[2]uint64{t[0], t[1]}] = true
+	}
+	next := 0
+	fresh := func() datalog.WireTuple {
+		for ; ; next++ {
+			v, h := uint64(len(facts.Vars)-1-next%len(facts.Vars)), uint64(next/len(facts.Vars)%len(facts.Heaps))
+			if !have[[2]uint64{v, h}] {
+				have[[2]uint64{v, h}] = true
+				next++
+				return datalog.WireTuple{{Num: v}, {Num: h}}
+			}
+		}
+	}
+	apply := func(b *testing.B, full bool, wd datalog.WireDelta) UpdateResult {
+		if full {
+			s.dropWriter()
+		}
+		r, err := s.ApplyUpdate(context.Background(), wd)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if want := map[bool]string{true: "full", false: "patch"}[full]; r.Publish != want {
+			b.Fatalf("publish %q, want %q", r.Publish, want)
+		}
+		return r
+	}
+	for _, op := range []string{"add", "remove"} {
+		for _, mode := range []string{"patch", "full"} {
+			b.Run(mode+"/"+op, func(b *testing.B) {
+				full := mode == "full"
+				hist := reg.Histogram("serve.update.delta_nodes", obs.SizeBuckets())
+				var publish time.Duration
+				var patches int64
+				var nodes float64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					t := fresh()
+					add := datalog.WireDelta{Add: map[string][]datalog.WireTuple{"vP0": {t}}}
+					if op == "remove" {
+						b.StopTimer()
+						apply(b, full, add)
+						b.StartTimer()
+						add = datalog.WireDelta{Remove: map[string][]datalog.WireTuple{"vP0": {t}}}
+					}
+					n0, sum0 := hist.Count(), hist.Sum()
+					r := apply(b, full, add)
+					publish += time.Duration(r.DurationSec*float64(time.Second)) - r.Stats.Duration
+					patches += hist.Count() - n0
+					nodes += hist.Sum() - sum0
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(publish.Microseconds())/1000/float64(b.N), "publish-ms/op")
+				if patches > 0 {
+					b.ReportMetric(nodes/float64(patches), "deltaNodes/op")
+				}
+			})
+		}
+	}
 }
 
 // benchMisses evaluates query(i) on the replica directly, so no result

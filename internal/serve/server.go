@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bddbddb/internal/bdd"
 	"bddbddb/internal/datalog"
 	"bddbddb/internal/obs"
 	"bddbddb/internal/resilience"
@@ -116,21 +117,41 @@ func (c *Config) fill() {
 	}
 }
 
-// pool is one snapshot generation's worker set: the hydrated replicas,
-// their job channel, and the bookkeeping that lets a swapped-out
-// generation retire only after its last in-flight request finishes.
+// pool is one replica set: the workers that own the hydrated replicas,
+// the job channel they share, and one control channel per worker,
+// through which a live update patches each replica between jobs. A
+// pool serves one generation after another until a full publish
+// replaces it.
 type pool struct {
+	jobs chan *job
+	ctl  []chan func(views)
+	wg   sync.WaitGroup // worker goroutines
+	// gens counts the pool's generations that serve or still drain. A
+	// replaced pool closes its job channel once the count reaches zero.
+	gens sync.WaitGroup
+}
+
+// views holds one worker's replica views by generation: the serving
+// generation's, an update's next one while it is published, and
+// retired ones until their last request finishes. Only the worker's
+// goroutine touches it.
+type views map[uint64]*Replica
+
+// generation is one published state: its snapshot metadata, replica
+// 0's query base (immutable name tables for validation), the pool
+// whose workers hold its views, and the bookkeeping that lets it
+// retire only after its last in-flight request finishes.
+type generation struct {
 	gen  uint64
 	snap *Snapshot
 	sh   shape
-	val  *datalog.QueryBase // replica 0's base: immutable name tables for validation
-	jobs chan *job
-	wg   sync.WaitGroup // worker goroutines
-	// pending counts requests holding this pool. Acquired under the
-	// server's read lock (so a swap, which takes the write lock, can
-	// never miss an acquisition), waited on by the retire goroutine
-	// before the job channel closes — no send-on-closed-channel, no
-	// dropped request.
+	val  *datalog.QueryBase
+	pool *pool
+	// pending counts requests holding this generation. Acquired under
+	// the server's read lock (so a swap, which takes the write lock,
+	// can never miss an acquisition), waited on by the retire goroutine
+	// before the workers drop the generation's views — no job ever
+	// reaches a worker after its view is gone.
 	pending sync.WaitGroup
 }
 
@@ -156,13 +177,21 @@ type Server struct {
 
 	// mu guards cur, the serving generation. Requests acquire it via
 	// acquire() (read lock + pending count); ApplyUpdate swaps it under
-	// the write lock. retired tracks swapped-out pools still draining.
+	// the write lock. retired tracks swapped-out generations still
+	// draining.
 	mu      sync.RWMutex
-	cur     *pool
+	cur     *generation
 	retired sync.WaitGroup
 	// updateMu serializes updates: a second concurrent update is
 	// rejected with 409, not queued.
 	updateMu chan struct{}
+	// dw is bound to the live solver's manager and holds the dump ids
+	// of the serving pool's full snapshot and every patch since; nil
+	// when the next publish must be full (see canPatch). fullIDs is its
+	// id count right after that full dump. Both belong to the update
+	// path (updateMu) after New.
+	dw      *bdd.DAGWriter
+	fullIDs int
 
 	draining  atomic.Bool
 	inflight  atomic.Int64
@@ -183,6 +212,7 @@ type Server struct {
 }
 
 type job struct {
+	gen  uint64 // the generation whose view answers it
 	ctx  context.Context
 	src  string
 	rid  string // request ID, stamped into the query's resilience errors
@@ -192,15 +222,26 @@ type job struct {
 }
 
 // New snapshots the solved solver and starts cfg.Replicas workers.
-// The solver's relations are serialized once; the solver itself is not
-// retained.
+// The solver's relations are serialized once. When sv is the solver
+// cfg.Updater updates, the server keeps the snapshot's dump ids (and
+// references to the nodes they name in sv's manager), so a live update
+// publishes only the nodes it created; otherwise the solver itself is
+// not retained.
 func New(sv *datalog.Solver, cfg Config) (*Server, error) {
 	cfg.fill()
-	snap, err := NewSnapshot(sv)
+	w := sv.Universe().M.NewDAGWriter()
+	snap, err := fullSnapshot(sv, w)
 	if err != nil {
+		w.Release()
 		return nil, err
 	}
-	return newFromSnapshot(snap, cfg)
+	s, err := newFromSnapshot(snap, cfg)
+	if err != nil || cfg.Updater == nil || cfg.Updater.Solver() != sv {
+		w.Release()
+		return s, err
+	}
+	s.dw, s.fullIDs = w, w.Len()
+	return s, nil
 }
 
 func newFromSnapshot(snap *Snapshot, cfg Config) (*Server, error) {
@@ -230,12 +271,13 @@ func newFromSnapshot(snap *Snapshot, cfg Config) (*Server, error) {
 	s.cMemoMisses = reg.Counter("serve.query.base_memo_misses")
 	s.cMemoPivoted = reg.Counter("serve.query.base_memo_pivoted")
 	reg.Set("serve.replicas", float64(cfg.Replicas))
-	p, err := s.buildPool(snap, 1)
+	g, err := s.buildPool(snap, 1)
 	if err != nil {
 		return nil, err
 	}
-	s.cur = p
-	s.gGeneration.Set(float64(p.gen))
+	g.pool.gens.Add(1)
+	s.cur = g
+	s.gGeneration.Set(float64(g.gen))
 	mux := http.NewServeMux()
 	mux.HandleFunc("/pointsto", s.handlePointsTo)
 	mux.HandleFunc("/aliases", s.handleAliases)
@@ -260,15 +302,13 @@ func newFromSnapshot(snap *Snapshot, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// buildPool hydrates a full replica set from snap and starts its
-// workers, then releases snap's serialized DAG, which nothing reads
-// after hydration. On hydration failure the partial pool is torn down.
-func (s *Server) buildPool(snap *Snapshot, gen uint64) (*pool, error) {
-	p := &pool{
-		gen:  gen,
-		snap: snap,
-		jobs: make(chan *job, s.cfg.MaxInFlight),
-	}
+// buildPool hydrates a full replica set from snap, starts its workers
+// with generation gen's views, then releases snap's serialized DAG,
+// which nothing reads after hydration. On hydration failure the
+// partial pool is torn down.
+func (s *Server) buildPool(snap *Snapshot, gen uint64) (*generation, error) {
+	p := &pool{jobs: make(chan *job, s.cfg.MaxInFlight)}
+	g := &generation{gen: gen, snap: snap, pool: p}
 	extra := make(map[string]int, len(snap.domains))
 	for _, dm := range snap.domains {
 		extra[dm.name] = s.cfg.QueryHeadroom
@@ -276,58 +316,102 @@ func (s *Server) buildPool(snap *Snapshot, gen uint64) (*pool, error) {
 	for i := 0; i < s.cfg.Replicas; i++ {
 		rep, err := snap.Hydrate(extra)
 		if err != nil {
-			close(p.jobs)
-			p.wg.Wait()
+			p.close()
 			return nil, fmt.Errorf("serve: hydrating replica %d: %w", i, err)
 		}
 		if i == 0 {
-			p.val = rep.Base
-			p.sh = shapeOf(rep.Base.HasRelation)
+			g.val = rep.Base
+			g.sh = shapeOf(rep.Base.HasRelation)
 		}
 		s.pushReplicaStats(i, rep)
+		ctl := make(chan func(views))
+		p.ctl = append(p.ctl, ctl)
 		p.wg.Add(1)
-		go s.worker(i, rep, p)
+		go s.worker(i, p, ctl, views{gen: rep})
 	}
 	snap.release()
-	return p, nil
+	return g, nil
 }
 
-// acquire pins the serving pool for one request: the returned pool's
-// job channel is guaranteed open until the matching pending.Done().
-func (s *Server) acquire() *pool {
+// close stops the pool's workers once they have taken every job.
+func (p *pool) close() {
+	close(p.jobs)
+	p.wg.Wait()
+}
+
+// onWorkers runs f on every worker's goroutine, between its jobs, and
+// returns once all have run it. The workers must still run: a pool
+// stops only after its last generation has retired (retire, Close).
+func (p *pool) onWorkers(f func(i int, v views)) {
+	done := make(chan struct{}, len(p.ctl))
+	for i, c := range p.ctl {
+		c <- func(v views) {
+			defer func() { done <- struct{}{} }()
+			f(i, v)
+		}
+	}
+	for range p.ctl {
+		<-done
+	}
+}
+
+// dropViews releases generation gen's view on every worker.
+func (p *pool) dropViews(gen uint64) {
+	p.onWorkers(func(_ int, v views) {
+		if rep := v[gen]; rep != nil {
+			rep.release()
+			delete(v, gen)
+		}
+	})
+}
+
+// acquire pins the serving generation for one request: its views and
+// its pool's job channel are guaranteed to stay until the matching
+// pending.Done().
+func (s *Server) acquire() *generation {
 	s.mu.RLock()
-	p := s.cur
-	p.pending.Add(1)
+	g := s.cur
+	g.pending.Add(1)
 	s.mu.RUnlock()
-	return p
+	return g
 }
 
-// current reads the serving pool for metadata (schema, health,
+// current reads the serving generation for metadata (schema, health,
 // fingerprint) without pinning it.
-func (s *Server) current() *pool {
+func (s *Server) current() *generation {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.cur
 }
 
 // retire drains a swapped-out generation in the background: once the
-// last request holding it finishes, the job channel closes and its
-// workers (and their BDD managers) become garbage.
+// last request holding it finishes, its views are dropped (on a pool
+// that a patch kept serving) or, when a full publish replaced its pool
+// and no other generation of the pool is left, the pool's job channel
+// closes and its workers (and their BDD managers) become garbage.
 //
-// It then collects at once. The update built the new generation while
-// the old one was still live, so a collection that fell inside that
-// window marked both and set the next heap target to twice their sum;
-// until the next collection the heap could grow to it. Collecting after
-// the old generation is unreachable resets the target to twice the one
-// generation that serves, so the daemon's peak footprint no longer
-// depends on when the runtime happened to collect during an update.
-func (s *Server) retire(old *pool) {
+// A replaced pool is then collected at once. The full publish built
+// the new pool while the old one was still live, so a collection that
+// fell inside that window marked both and set the next heap target to
+// twice their sum; until the next collection the heap could grow to
+// it. Collecting after the old pool is unreachable resets the target
+// to twice the one pool that serves. A patched swap leaves no second
+// pool, and collecting after each one costs more throughput than the
+// memory it saves (EXPERIMENTS.md, "Patched publishes").
+func (s *Server) retire(old *generation, replaced bool) {
 	s.retired.Add(1)
 	go func() {
 		defer s.retired.Done()
 		old.pending.Wait()
-		close(old.jobs)
-		old.wg.Wait()
+		p := old.pool
+		if !replaced {
+			p.dropViews(old.gen)
+			p.gens.Done()
+			return
+		}
+		p.gens.Done()
+		p.gens.Wait()
+		p.close()
 		old = nil
 		runtime.GC()
 	}()
@@ -336,8 +420,9 @@ func (s *Server) retire(old *pool) {
 // Replicas returns the worker-pool size.
 func (s *Server) Replicas() int { return s.cfg.Replicas }
 
-// SnapshotNodes returns the BDD node count of the frozen snapshot each
-// replica hydrates.
+// SnapshotNodes returns the BDD node count of the last full snapshot,
+// the one the serving replicas were hydrated from; patches since then
+// do not change it.
 func (s *Server) SnapshotNodes() int { return s.current().snap.Nodes() }
 
 // Generation returns the serving snapshot generation (1 at startup,
@@ -361,11 +446,16 @@ func (s *Server) Close() {
 		s.sampler.Stop()
 	}
 	s.closeOnce.Do(func() {
-		p := s.current()
-		p.pending.Wait()
-		close(p.jobs)
-		p.wg.Wait()
+		// Wait out an update still publishing; none starts afterwards.
+		s.updateMu <- struct{}{}
+		g := s.current()
+		g.pending.Wait()
+		// Retiring generations may still drop views on the serving
+		// pool's workers, so they finish before the workers stop.
 		s.retired.Wait()
+		g.pool.close()
+		// Drop the writer's references into the live solver.
+		s.dropWriter()
 	})
 }
 
@@ -377,13 +467,24 @@ func (s *Server) Sampler() *obs.Sampler { return s.sampler }
 func (s *Server) Fingerprint() string { return s.current().snap.Fingerprint() }
 
 // worker owns one replica for its pool's lifetime: jobs arrive over
-// the pool's channel and run on this goroutine only, so the replica's
-// BDD manager never sees concurrency.
-func (s *Server) worker(i int, rep *Replica, p *pool) {
+// the pool's channel, and patches and view drops over the worker's
+// control channel, and all run on this goroutine only, so the
+// replica's BDD manager never sees concurrency. A job runs on the view
+// of the generation it was admitted under.
+func (s *Server) worker(i int, p *pool, ctl <-chan func(views), v views) {
 	defer p.wg.Done()
-	for j := range p.jobs {
-		s.runJob(rep, j)
-		s.pushReplicaStats(i, rep)
+	for {
+		select {
+		case f := <-ctl:
+			f(v)
+		case j, ok := <-p.jobs:
+			if !ok {
+				return
+			}
+			rep := v[j.gen]
+			s.runJob(rep, j)
+			s.pushReplicaStats(i, rep)
+		}
 	}
 }
 
@@ -458,10 +559,10 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, src string) {
 		s.shed(w, "draining")
 		return
 	}
-	p := s.acquire()
-	defer p.pending.Done()
-	w.Header().Set("X-Generation", fmt.Sprint(p.gen))
-	key := fmt.Sprintf("g%d|%s", p.gen, src)
+	g := s.acquire()
+	defer g.pending.Done()
+	w.Header().Set("X-Generation", fmt.Sprint(g.gen))
+	key := fmt.Sprintf("g%d|%s", g.gen, src)
 	if s.cfg.CacheEntries >= 0 {
 		if body := s.cache.Get(key); body != nil {
 			w.Header().Set("X-Cache", "hit")
@@ -480,9 +581,9 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, src string) {
 		return
 	}
 	defer func() { s.gInflight.Set(float64(s.inflight.Add(-1))) }()
-	j := &job{ctx: r.Context(), src: src, rid: requestID(w), done: make(chan struct{})}
+	j := &job{gen: g.gen, ctx: r.Context(), src: src, rid: requestID(w), done: make(chan struct{})}
 	select {
-	case p.jobs <- j:
+	case g.pool.jobs <- j:
 	case <-r.Context().Done():
 		s.writeError(w, resilience.NewController(r.Context(), resilience.Budget{}).Err())
 		return

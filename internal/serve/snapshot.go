@@ -14,25 +14,31 @@ package serve
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 
 	"bddbddb/internal/bdd"
 	"bddbddb/internal/datalog"
 	"bddbddb/internal/rel"
 )
 
-// Snapshot is the immutable, serialized form of a solved relation set:
-// one shared-structure BDD dump (bdd.WriteDAG) of every relation root
-// plus the metadata needed to rebuild an identical universe — domain
+// Snapshot is the immutable description of one generation's relation
+// set: the metadata needed to rebuild an identical universe — domain
 // sizes and element names, the finalized block order (levels are only
 // meaningful under the identical variable order), per-domain primary
 // instance counts, and each relation's schema with the physical
-// instance index of every attribute.
+// instance index of every attribute — plus, for a snapshot taken in
+// full, one shared-structure BDD dump (bdd.WriteDAG) of every relation
+// root.
 //
 // The dump is only needed to hydrate replicas: the server releases it
 // once a generation's pool is hydrated, keeping the size, node count
-// and fingerprint computed when the snapshot was taken.
+// and fingerprint computed when the snapshot was taken. A generation
+// published by patching the serving replicas (see Snapshot.next) has no
+// dump of its own; its Bytes and Nodes keep reporting the last full
+// dump, the one its replicas were hydrated from.
 type Snapshot struct {
 	domains     []domainMeta
 	blockOrder  []string
@@ -66,6 +72,14 @@ type attrMeta struct {
 // solver must not mutate them afterwards (the daemon solves, snapshots,
 // and never touches the origin solver again).
 func NewSnapshot(s *datalog.Solver) (*Snapshot, error) {
+	w := s.Universe().M.NewDAGWriter()
+	defer w.Release()
+	return fullSnapshot(s, w)
+}
+
+// fullSnapshot is NewSnapshot through w, which must not have written
+// yet. w keeps the dump's ids, so later patches can continue them.
+func fullSnapshot(s *datalog.Solver, w *bdd.DAGWriter) (*Snapshot, error) {
 	u := s.Universe()
 	sn := &Snapshot{blockOrder: u.BlockOrder()}
 	for _, d := range u.Domains() {
@@ -76,11 +90,9 @@ func NewSnapshot(s *datalog.Solver) (*Snapshot, error) {
 			elemNames: d.ElemNames(),
 		})
 	}
-	var roots []bdd.Node
 	for _, rd := range s.RelationDecls() {
-		r := s.Relation(rd.Name)
 		rm := relMeta{name: rd.Name, kind: rd.Kind}
-		for _, a := range r.Attrs() {
+		for _, a := range s.Relation(rd.Name).Attrs() {
 			inst := a.Dom.InstanceIndex(a.Phys)
 			if inst < 0 {
 				return nil, fmt.Errorf("serve: relation %s attribute %s bound outside its domain's instances", rd.Name, a.Name)
@@ -88,50 +100,125 @@ func NewSnapshot(s *datalog.Solver) (*Snapshot, error) {
 			rm.attrs = append(rm.attrs, attrMeta{name: a.Name, dom: a.Dom.Name, inst: inst})
 		}
 		sn.relations = append(sn.relations, rm)
-		roots = append(roots, r.Root())
 	}
+	roots := relationRoots(s)
 	var buf bytes.Buffer
-	if err := u.M.WriteDAG(&buf, roots); err != nil {
+	n, err := w.Write(&buf, roots)
+	if err != nil {
 		return nil, err
 	}
 	sn.dag = buf.Bytes()
 	sn.size = len(sn.dag)
-	// 12 bytes per node record; used to size replica node tables so
-	// hydration doesn't start with a cascade of grows.
-	sn.nodeCount = (sn.size - 8 - 4 - 4 - 4*len(roots)) / 12
-	sum := sha256.Sum256(sn.dag)
-	sn.fingerprint = hex.EncodeToString(sum[:])[:12]
+	// Used to size replica node tables so hydration doesn't start with
+	// a cascade of grows.
+	sn.nodeCount = n
+	sn.fingerprint = fingerprint(w)
 	return sn, nil
 }
 
-// Bytes returns the size of the serialized DAG.
+// relationRoots lists the roots of s's declared relations in
+// declaration order, the order of a snapshot's relations.
+func relationRoots(s *datalog.Solver) []bdd.Node {
+	var roots []bdd.Node
+	for _, rd := range s.RelationDecls() {
+		roots = append(roots, s.Relation(rd.Name).Root())
+	}
+	return roots
+}
+
+// fingerprint hashes the structural hashes of the roots w wrote last,
+// so it depends on the relations' contents only: a patched generation
+// and a full snapshot of the same solver agree, and a patch computes it
+// without walking the unchanged nodes.
+func fingerprint(w *bdd.DAGWriter) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, rh := range w.RootHashes() {
+		binary.LittleEndian.PutUint64(buf[:], rh)
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))[:12]
+}
+
+// patch carries one live update from the live solver to the serving
+// replicas: a delta dump of the relation roots, continuing the ids of
+// the full dump the replicas were hydrated from and of every patch
+// since, and the element-name tables the update grew.
+type patch struct {
+	dag   []byte
+	names map[string][]string
+	nodes int // node records in dag
+}
+
+// next cuts the patch from sn's generation to s's current relations
+// through w, the writer of sn's full dump and of every patch since, and
+// returns the new generation's snapshot: sn's metadata with the grown
+// name tables and the new fingerprint. s must be the solver sn was
+// taken from (w is bound to its manager), so its relations and domains
+// are sn's, in sn's order.
+func (sn *Snapshot) next(s *datalog.Solver, w *bdd.DAGWriter) (*Snapshot, *patch, error) {
+	var buf bytes.Buffer
+	n, err := w.Write(&buf, relationRoots(s))
+	if err != nil {
+		return nil, nil, err
+	}
+	p := &patch{dag: buf.Bytes(), names: make(map[string][]string), nodes: n}
+	ns := *sn
+	ns.dag = nil
+	ns.domains = slices.Clone(sn.domains)
+	for i, d := range s.Universe().Domains() {
+		dm := &ns.domains[i]
+		if names := d.ElemNames(); len(names) != len(dm.elemNames) {
+			dm.elemNames = names
+			p.names[d.Name] = names
+		}
+	}
+	ns.fingerprint = fingerprint(w)
+	return &ns, p, nil
+}
+
+// Bytes returns the size of the last full serialized DAG: this
+// snapshot's own, or for a patched generation the one its replicas
+// were hydrated from.
 func (sn *Snapshot) Bytes() int { return sn.size }
 
 // Fingerprint identifies the snapshot's contents: the first 12 hex
-// digits of the SHA-256 of the serialized relation DAG. /healthz and
-// the metrics exposition report it, so an operator can tell whether
-// two replicas (or a daemon and a BENCH file) answer from the same
-// solved state.
+// digits of a SHA-256 over the relation roots' structural hashes.
+// /healthz and the metrics exposition report it, so an operator can
+// tell whether two replicas (or a daemon and a BENCH file) answer from
+// the same solved state.
 func (sn *Snapshot) Fingerprint() string { return sn.fingerprint }
 
 // release drops the serialized DAG; a later Hydrate fails. The server
 // calls it once every replica of the snapshot's pool is hydrated.
 func (sn *Snapshot) release() { sn.dag = nil }
 
-// Nodes returns the number of distinct BDD nodes in the snapshot.
+// Nodes returns the number of distinct BDD nodes in the last full
+// dump (see Bytes).
 func (sn *Snapshot) Nodes() int { return sn.nodeCount }
 
 // Replica is one independent hydration of a snapshot: its own BDD
 // manager, universe, frozen relations, and a QueryBase ready to
 // evaluate queries. A replica is single-threaded; the server gives
-// each worker goroutine exclusive ownership of one.
+// each worker goroutine exclusive ownership of one. A live update
+// patches it in place: patch reads the update's delta into the same
+// manager and returns a second view of it, holding the new
+// generation's relations and QueryBase, beside the one still serving.
 type Replica struct {
 	U    *rel.Universe
 	Rels map[string]*rel.Relation
 	Base *datalog.QueryBase
 
-	// gcProduced is the manager's produced-node count and gcFree its
-	// free table slots right after the last collection (or hydration).
+	*replicaState
+}
+
+// replicaState is what every view of one replica shares with the
+// others: the reader that continues the dump ids of the snapshot and
+// its patches, and the collection bookkeeping. gcProduced is the
+// manager's produced-node count and gcFree its free table slots right
+// after the last collection (or hydration).
+type replicaState struct {
+	dag        *bdd.DAGReader
 	gcProduced int64
 	gcFree     int
 }
@@ -166,13 +253,22 @@ func (sn *Snapshot) Hydrate(extraInstances map[string]int) (*Replica, error) {
 	}); err != nil {
 		return nil, err
 	}
-	roots, err := u.M.ReadDAG(bytes.NewReader(sn.dag))
+	st := &replicaState{dag: u.M.NewDAGReader()}
+	roots, err := st.dag.Read(bytes.NewReader(sn.dag))
 	if err != nil {
 		return nil, err
 	}
-	rep := &Replica{U: u, Rels: make(map[string]*rel.Relation, len(sn.relations))}
-	var ordered []*rel.Relation
-	for i, rm := range sn.relations {
+	rep := newView(u, st, sn.relations, roots)
+	rep.noteCollected()
+	return rep, nil
+}
+
+// newView binds referenced roots, one per relation of rels, as a
+// replica view over u.
+func newView(u *rel.Universe, st *replicaState, rels []relMeta, roots []bdd.Node) *Replica {
+	rep := &Replica{U: u, Rels: make(map[string]*rel.Relation, len(rels)), replicaState: st}
+	ordered := make([]*rel.Relation, 0, len(rels))
+	for i, rm := range rels {
 		attrs := make([]rel.Attr, len(rm.attrs))
 		for j, am := range rm.attrs {
 			attrs[j] = u.A(am.name, am.dom, am.inst)
@@ -183,16 +279,41 @@ func (sn *Snapshot) Hydrate(extraInstances map[string]int) (*Replica, error) {
 		ordered = append(ordered, r)
 	}
 	rep.Base = datalog.NewQueryBase(u, ordered)
-	rep.noteCollected()
-	return rep, nil
+	return rep
+}
+
+// patch applies p, cut for generation sn, to the replica's manager and
+// returns that generation's view. r keeps serving its own generation
+// until it is released. A failed read leaves r as it was, but the
+// replica cannot take another patch (the writer drops its ids after
+// any failed publish).
+func (r *Replica) patch(sn *Snapshot, p *patch) (*Replica, error) {
+	for name, names := range p.names {
+		r.U.Domain(name).SetElemNames(names)
+	}
+	roots, err := r.dag.Read(bytes.NewReader(p.dag))
+	if err != nil {
+		return nil, err
+	}
+	return newView(r.U, r.replicaState, sn.relations, roots), nil
+}
+
+// release drops the view's relation roots and its query memo; the
+// nodes only they held become garbage at the next MaybeGC collection.
+func (r *Replica) release() {
+	for _, rl := range r.Rels {
+		r.U.M.Deref(rl.Root())
+	}
+	r.Base.Release()
 }
 
 // MaybeGC collects the replica's manager once the nodes allocated
 // since the last collection exceed half the free space that collection
-// left. The frozen snapshot roots and the query base's memo entries
-// are referenced and always survive. A rule on the live count alone
-// ("live > half the table") would collect at every check once the
-// snapshot and the memo fill most of the table, reclaiming little.
+// left. The frozen snapshot roots, the nodes the dump reader holds and
+// the query base's memo entries are referenced and always survive. A
+// rule on the live count alone ("live > half the table") would collect
+// at every check once the snapshot and the memo fill most of the table,
+// reclaiming little.
 func (r *Replica) MaybeGC() {
 	if r.U.M.ProducedNodes()-r.gcProduced <= int64(r.gcFree/2) {
 		return
