@@ -226,33 +226,87 @@ func (m *Manager) WriteDAG(w io.Writer, roots []Node) error {
 
 // DAGReader rebuilds a DAGWriter's sequence of dumps in another
 // manager: a full dump first, then deltas, each over exactly the ids
-// the reader holds. It keeps an id → Node table whose nodes it keeps
-// referenced, so every id a later delta names is still in the manager,
-// until Release.
+// the reader holds. Its id → Node table keeps every node alive until
+// Release, so every id a later delta names is still in the manager:
+// the full dump's nodes through references to its roots, and each
+// delta's nodes through a reference each (an untrusted delta need not
+// make every record reachable from its roots).
+//
+// Like the writer, the reader drops the table after the full dump and
+// rebuilds it at the first delta by walking the dump's roots, which
+// issues the writer's ids again. It keeps the dump's id count and an
+// order checksum to refuse a dump the walk cannot reproduce: one with
+// a record no root reaches, a record that repeats another, or records
+// in another order.
 type DAGReader struct {
 	m     *Manager
 	pin   bool
-	nodes []Node // by dump id
+	nodes []Node // by dump id; nil between a full dump and the first delta
+	roots []Node // the full dump's roots, referenced
+	n     int    // ids held, terminals included
+	full  int    // ids of the full dump
+	sum   uint64 // orderSum of the full dump's table
 }
 
 // NewDAGReader returns an empty reader bound to m. Its first Read must
 // be a full dump.
 func (m *Manager) NewDAGReader() *DAGReader {
-	return &DAGReader{m: m, pin: true, nodes: []Node{False, True}}
+	return &DAGReader{m: m, pin: true, nodes: []Node{False, True}, n: 2}
 }
 
 // Len returns the number of ids the reader holds, terminals included.
-func (r *DAGReader) Len() int { return len(r.nodes) }
+func (r *DAGReader) Len() int { return r.n }
 
 // Release drops the reader's references; the reader must not be used
 // afterwards.
 func (r *DAGReader) Release() {
 	if r.pin {
-		for _, n := range r.nodes[2:] {
+		for _, n := range r.roots {
 			r.m.Deref(n)
 		}
+		if r.nodes != nil {
+			for _, n := range r.nodes[r.full:] {
+				r.m.Deref(n)
+			}
+		}
 	}
-	r.nodes = nil
+	*r = DAGReader{m: r.m}
+}
+
+// orderSum is an order-sensitive checksum of a table's nodes.
+func orderSum(nodes []Node) uint64 {
+	var h uint64
+	for _, n := range nodes[2:] {
+		h = mix64(h + uint64(n))
+	}
+	return h
+}
+
+// rebuild recovers the full dump's table by walking its roots in order,
+// postorder with the low child first, as the writer issued the ids.
+func (r *DAGReader) rebuild() error {
+	m := r.m
+	seen := make([]bool, len(m.nodes))
+	nodes := make([]Node, 2, r.full)
+	nodes[0], nodes[1] = False, True
+	var walk func(n Node)
+	walk = func(n Node) {
+		if n <= True || seen[n] {
+			return
+		}
+		seen[n] = true
+		walk(m.nodes[n].low)
+		walk(m.nodes[n].high)
+		nodes = append(nodes, n)
+	}
+	for _, root := range r.roots {
+		walk(root)
+	}
+	if len(nodes) != r.full || orderSum(nodes) != r.sum {
+		return fmt.Errorf("bdd: the full dag dump's %d ids do not follow its roots (a walk issues %d); it takes no delta", r.full, len(nodes))
+	}
+	r.nodes = nodes
+	return nil
 }
 
 // Read rebuilds one dump and returns its roots, each referenced on
@@ -271,7 +325,12 @@ func (r *DAGReader) Release() {
 // next GC.
 func (r *DAGReader) Read(in io.Reader) (_ []Node, err error) {
 	m := r.m
-	base := len(r.nodes)
+	base := r.n
+	if r.nodes == nil {
+		if err := r.rebuild(); err != nil {
+			return nil, err
+		}
+	}
 	var roots []Node
 	defer func() {
 		if err != nil {
@@ -350,7 +409,17 @@ func (r *DAGReader) Read(in io.Reader) (_ []Node, err error) {
 		}
 		roots = append(roots, m.Ref(r.nodes[id]))
 	}
-	if r.pin {
+	r.n = len(r.nodes)
+	switch {
+	case !r.pin:
+	case base == 2:
+		for _, root := range roots {
+			if root > True {
+				r.roots = append(r.roots, m.Ref(root))
+			}
+		}
+		r.full, r.sum, r.nodes = r.n, orderSum(r.nodes), nil
+	default:
 		for _, n := range r.nodes[base:] {
 			m.Ref(n)
 		}
@@ -363,5 +432,5 @@ func (r *DAGReader) Read(in io.Reader) (_ []Node, err error) {
 // caller; no other node it builds is referenced. It validates its input
 // as DAGReader.Read does.
 func (m *Manager) ReadDAG(r io.Reader) ([]Node, error) {
-	return (&DAGReader{m: m, nodes: []Node{False, True}}).Read(r)
+	return (&DAGReader{m: m, nodes: []Node{False, True}, n: 2}).Read(r)
 }

@@ -511,3 +511,63 @@ func FuzzReadDAGDelta(f *testing.F) {
 		}
 	})
 }
+
+// TestDAGReaderRefusesDeltaOverNonCanonicalDump reads full dumps whose
+// ids a walk from their roots does not reproduce, which the reader
+// accepts but cannot rebuild its table from: the first delta over
+// them is refused.
+func TestDAGReaderRefusesDeltaOverNonCanonicalDump(t *testing.T) {
+	dump := func(magic [8]byte, base int, records [][3]uint32, roots ...uint32) []byte {
+		var b bytes.Buffer
+		b.Write(magic[:])
+		put := func(v uint32) { binary.Write(&b, binary.LittleEndian, v) }
+		if magic == deltaMagic {
+			put(uint32(base))
+		}
+		put(uint32(len(records)))
+		for _, r := range records {
+			put(r[0])
+			put(r[1])
+			put(r[2])
+		}
+		put(uint32(len(roots)))
+		for _, r := range roots {
+			put(r)
+		}
+		return b.Bytes()
+	}
+	for _, tc := range []struct {
+		name    string
+		records [][3]uint32
+		root    uint32
+	}{
+		// id 3 (x1) is reached by no root.
+		{"unreachable record", [][3]uint32{{2, 0, 1}, {1, 0, 1}}, 2},
+		// The walk reaches x2 (the low child) first, so it would be id 2.
+		{"records out of walk order", [][3]uint32{{1, 0, 1}, {2, 0, 1}, {0, 3, 2}}, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New(1<<10, 1<<8)
+			m.AddVars(3)
+			r := m.NewDAGReader()
+			roots, err := r.Read(bytes.NewReader(dump(dagMagic, 2, tc.records, tc.root)))
+			if err != nil {
+				t.Fatalf("full dump: %v", err)
+			}
+			held := r.Len()
+			if _, err := r.Read(bytes.NewReader(dump(deltaMagic, held, nil, tc.root))); err == nil || !strings.Contains(err.Error(), "do not follow its roots") {
+				t.Fatalf("delta over it: err %v", err)
+			}
+			if r.Len() != held {
+				t.Fatalf("refused delta changed the reader: %d ids, want %d", r.Len(), held)
+			}
+			for _, n := range roots {
+				m.Deref(n)
+			}
+			r.Release()
+			if live := m.GC(); live != 2 {
+				t.Fatalf("%d nodes live after release, want the 2 terminals", live)
+			}
+		})
+	}
+}

@@ -14,6 +14,9 @@ type Options struct {
 	// the sizes it will actually run with, not the declared
 	// placeholders.
 	DomainSizes map[string]uint64
+	// ErrorsOnly skips the DL100-series lint warnings, for callers that
+	// act on errors alone.
+	ErrorsOnly bool
 }
 
 // Program runs every check against the program and returns the
@@ -34,7 +37,9 @@ func ProgramOpts(p *ast.Program, opts Options) Diags {
 		c.rule(r)
 	}
 	c.stratification()
-	c.usage()
+	if !opts.ErrorsOnly {
+		c.usage()
+	}
 	c.diags.Sort()
 	return c.diags
 }

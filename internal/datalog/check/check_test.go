@@ -207,3 +207,23 @@ func TestDiagsSortIsPositional(t *testing.T) {
 		t.Fatalf("sorted order wrong: %v", ds)
 	}
 }
+
+// TestErrorsOnlySkipsLintWarnings: with ErrorsOnly the lint warnings
+// are not computed, and errors are reported as without it.
+func TestErrorsOnlySkipsLintWarnings(t *testing.T) {
+	src := ".domain V 4\n.relation unused (v : V) input\n.relation p (v : V) output\np(v) :- q(v).\n"
+	prog, diags, err := datalog.ParseAndCheck("test.datalog", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hasCode(diags, check.CodeUnusedRel, "unused") {
+		t.Fatalf("full check misses the unused-relation warning: %v", diags)
+	}
+	only := check.ProgramOpts(prog, check.Options{ErrorsOnly: true})
+	if len(only.Warnings()) != 0 {
+		t.Fatalf("ErrorsOnly reported warnings: %v", only.Warnings())
+	}
+	if got, want := only.String(), diags.Errors().String(); got != want || want == "" {
+		t.Fatalf("ErrorsOnly errors %q, full check's %q", got, want)
+	}
+}

@@ -33,27 +33,36 @@ func ParseFile(file, src string) (*Program, error) {
 // the checker found, warnings and errors both; the program is safe to
 // solve only when diags.HasErrors() is false.
 func ParseAndCheck(file, src string) (*Program, check.Diags, error) {
-	toks, err := lexAll(file, src)
-	if err != nil {
+	prog := &Program{File: file}
+	if err := parseInto(prog, src); err != nil {
 		return nil, nil, err
 	}
-	p := &parser{file: file, toks: toks}
-	prog := &Program{File: file}
+	return prog, check.Program(prog), nil
+}
+
+// parseInto parses src and appends its declarations and rules to prog,
+// attributing diagnostics to prog.File.
+func parseInto(prog *Program, src string) error {
+	toks, err := lexAll(prog.File, src)
+	if err != nil {
+		return err
+	}
+	p := &parser{file: prog.File, toks: toks}
 	for !p.at(tokEOF) {
 		switch {
 		case p.at(tokDirective):
 			if err := p.directive(prog); err != nil {
-				return nil, nil, err
+				return err
 			}
 		default:
 			r, err := p.rule()
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			prog.Rules = append(prog.Rules, r)
 		}
 	}
-	return prog, check.Program(prog), nil
+	return nil
 }
 
 // MustParse is Parse for programs embedded in source; it panics on error.

@@ -62,8 +62,11 @@ type QueryBase struct {
 	rels    map[string]*rel.Relation
 	names   []string // base relation names in registration order
 	prelude string
-	// preludeLines rebases diagnostic positions so errors point into
-	// the user's query text, not the invisible prelude.
+	// preludeProg is the prelude, parsed once; each query's program
+	// starts from its declarations. preludeLines rebases diagnostic
+	// positions so errors point into the user's query text, not the
+	// invisible prelude.
+	preludeProg  *Program
 	preludeLines int
 	elemNames    map[string][]string
 	elemIdx      map[string]map[string]uint64
@@ -150,6 +153,10 @@ func NewQueryBase(u *rel.Universe, rels []*rel.Relation) *QueryBase {
 		b.preludeLines++
 	}
 	b.prelude = sb.String()
+	b.preludeProg = &Program{File: "query"}
+	if err := parseInto(b.preludeProg, b.prelude); err != nil {
+		panic(fmt.Sprintf("datalog: generated query prelude does not parse: %v", err))
+	}
 	return b
 }
 
@@ -426,11 +433,18 @@ func (s *Solver) releaseQueryState() {
 // On success the caller owns the result and must Close it.
 func (b *QueryBase) Eval(src string, opts QueryOptions) (qr *QueryResult, err error) {
 	defer resilience.Recover(&err)
-	prog, diags, err := ParseAndCheck("query", b.prelude+src)
-	if err != nil {
+	// The query is parsed as if appended to the prelude text: its lines
+	// follow the prelude's, and its program starts from the prelude's
+	// declarations. Warnings are not reported, so none are computed.
+	prog := &Program{
+		File:      b.preludeProg.File,
+		Domains:   slices.Clone(b.preludeProg.Domains),
+		Relations: slices.Clone(b.preludeProg.Relations),
+	}
+	if err := parseInto(prog, strings.Repeat("\n", b.preludeLines)+src); err != nil {
 		return nil, b.rebase(err)
 	}
-	if err := diags.Err(); err != nil {
+	if err := check.ProgramOpts(prog, check.Options{ErrorsOnly: true}).Err(); err != nil {
 		return nil, b.rebase(err)
 	}
 	// The prelude declared every domain the universe has; anything new
