@@ -128,11 +128,6 @@ type Manager struct {
 	stats   Stats
 	tracer  obs.Tracer
 	control *resilience.Controller
-
-	// minFreeAfterGC: if a GC leaves fewer free slots than this fraction
-	// of the table (in percent), the next allocation failure grows the
-	// table instead of thrashing.
-	minFreePct int
 }
 
 // New creates a Manager with the given initial arena size (number of
@@ -141,10 +136,7 @@ type Manager struct {
 func New(nodeSize, cacheSize int) *Manager {
 	nodeSize = ceilPow2(max(nodeSize, 1<<10))
 	cacheSize = ceilPow2(max(cacheSize, 1<<8))
-	m := &Manager{
-		minFreePct: 20,
-		varSets:    make(map[string]Node),
-	}
+	m := &Manager{varSets: make(map[string]Node)}
 	m.applyCache.init(cacheSize)
 	m.notCache.init(cacheSize)
 	m.quantCache.init(cacheSize)

@@ -2,7 +2,9 @@ package bdd
 
 import (
 	"bufio"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"io"
 
@@ -106,6 +108,33 @@ func (w *DAGWriter) Len() int { return w.n }
 // children's hashes only, so roots that represent the same functions
 // under one variable order hash equally in any managers.
 func (w *DAGWriter) RootHashes() []uint64 { return w.last }
+
+// RootHashes returns the structural hashes of roots, as a DAGWriter
+// would after writing them, without writing a dump.
+func (m *Manager) RootHashes(roots []Node) []uint64 {
+	w := &DAGWriter{m: m, n: 2}
+	w.index(roots, nil)
+	out := make([]uint64, len(roots))
+	for i, r := range roots {
+		out[i] = w.hashes[w.id(r)]
+	}
+	return out
+}
+
+// Fingerprint formats a list of root structural hashes as a content
+// fingerprint: the first 12 hex digits of a SHA-256 over them. It
+// depends on the roots' functions and order only, so two managers
+// with one variable order agree on equal relation lists, however
+// their nodes were built or numbered.
+func Fingerprint(rootHashes []uint64) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, rh := range rootHashes {
+		binary.LittleEndian.PutUint64(buf[:], rh)
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))[:12]
+}
 
 // Write dumps the DAGs rooted at roots: a full dump if w has written
 // nothing yet, otherwise a delta holding the reachable nodes no earlier

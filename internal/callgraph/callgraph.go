@@ -15,6 +15,7 @@ import (
 
 	"bddbddb/internal/obs"
 	"bddbddb/internal/resilience"
+	"bddbddb/internal/scc"
 )
 
 // Edge is one invocation edge: invocation site Invoke (an I index) in
@@ -46,83 +47,17 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// SCC computes strongly connected components with Tarjan's algorithm
-// (iterative, so deep call chains cannot overflow the stack). Returns
-// the component id per method; ids are in reverse topological order of
-// the condensation (successors have smaller ids).
-func (g *Graph) SCC() []int {
+// SCC computes the strongly connected components of the call graph
+// (scc.Components over the caller -> callee edges, in edge order).
+// Returns the component id per method and the component count; ids
+// are in reverse topological order of the condensation (successors
+// have smaller ids).
+func (g *Graph) SCC() (comp []int, n int) {
 	succ := make([][]int, g.NumMethods)
 	for _, e := range g.Edges {
 		succ[e.Caller] = append(succ[e.Caller], e.Callee)
 	}
-	comp := make([]int, g.NumMethods)
-	for i := range comp {
-		comp[i] = -1
-	}
-	index := make([]int, g.NumMethods)
-	low := make([]int, g.NumMethods)
-	onStack := make([]bool, g.NumMethods)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []int
-	counter := 0
-	nComp := 0
-
-	type frame struct {
-		v, childIdx int
-	}
-	for root := 0; root < g.NumMethods; root++ {
-		if index[root] != -1 {
-			continue
-		}
-		frames := []frame{{root, 0}}
-		index[root] = counter
-		low[root] = counter
-		counter++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.childIdx < len(succ[f.v]) {
-				w := succ[f.v][f.childIdx]
-				f.childIdx++
-				if index[w] == -1 {
-					index[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{w, 0})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
-			}
-			// Post-visit.
-			v := f.v
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := frames[len(frames)-1].v
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = nComp
-					if w == v {
-						break
-					}
-				}
-				nComp++
-			}
-		}
-	}
-	return comp
+	return scc.Components(succ)
 }
 
 // EdgeMap describes how one invocation edge renumbers contexts:
@@ -173,13 +108,7 @@ func NumberControlled(g *Graph, tr obs.Tracer, ctl *resilience.Controller) (*Num
 		return nil, err
 	}
 	obs.Begin(tr, "callgraph.scc", obs.A("methods", g.NumMethods), obs.A("edges", len(g.Edges)))
-	comp := g.SCC()
-	nComp := 0
-	for _, c := range comp {
-		if c+1 > nComp {
-			nComp = c + 1
-		}
-	}
+	comp, nComp := g.SCC()
 	obs.End(tr, obs.A("components", nComp))
 	obs.Begin(tr, "callgraph.number")
 	defer obs.End(tr)

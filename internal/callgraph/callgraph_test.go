@@ -76,13 +76,7 @@ func TestFigure2EdgeRanges(t *testing.T) {
 
 // bruteForcePathCounts enumerates reduced call paths explicitly.
 func bruteForcePathCounts(g *Graph) []*big.Int {
-	comp := g.SCC()
-	nComp := 0
-	for _, c := range comp {
-		if c+1 > nComp {
-			nComp = c + 1
-		}
-	}
+	comp, nComp := g.SCC()
 	// Reduced multigraph edges between components.
 	type redge struct{ from, to int }
 	var redges []redge

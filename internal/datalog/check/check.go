@@ -292,7 +292,7 @@ func (c *checker) rule(r *ast.Rule) {
 // stratification checks DL030: no negated dependence inside a recursive
 // cycle, reported with the actual predicate cycle.
 func (c *checker) stratification() {
-	if nc := FindNegationCycle(c.prog); nc != nil {
+	if _, nc := Stratify(c.prog); nc != nil {
 		c.errorf(CodeStratify, nc.Line, nc.Col, "program is not stratified: %s", nc)
 	}
 }

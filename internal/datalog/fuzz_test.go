@@ -51,5 +51,14 @@ func FuzzParseAndCheck(f *testing.F) {
 		for _, r := range prog.Rules {
 			_ = r.String()
 		}
+		// The checker and the solvers share one stratification, so
+		// stratify refuses exactly the programs diagnosed DL030.
+		hasDL030 := false
+		for _, d := range diags {
+			hasDL030 = hasDL030 || d.Code == check.CodeStratify
+		}
+		if _, err := stratify(prog); (err != nil) != hasDL030 {
+			t.Fatalf("stratify error %v, DL030 diagnosed: %v", err, hasDL030)
+		}
 	})
 }

@@ -3,8 +3,6 @@ package datalog
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,10 +30,10 @@ import (
 // downstream strata whose effective change turns out to be add-only
 // still take the fast path.
 //
-// Every update is transactional: the pre-update value of each relation
-// the delta can reach is cloned up front, and any failure — validation,
-// budget, cancellation, or an injected fault — rolls the solver back to
-// it bit-identically.
+// Every update is transactional: the pre-update value of each input the
+// delta edits is cloned up front, and each re-evaluated stratum's heads
+// just before it runs; any failure — validation, budget, cancellation,
+// or an injected fault — rolls the solver back to them bit-identically.
 
 // ErrUpdateRejected classifies update deltas that are well-formed JSON
 // but not applicable: unknown relations, derived (non-input) targets,
@@ -157,8 +155,6 @@ type IncrementalSolver struct {
 	// defined marks relations that are the head of at least one
 	// non-fact rule — the derived relations updates may not touch.
 	defined map[string]bool
-	// headStratum maps each derived predicate to its stratum index.
-	headStratum map[string]int
 	// factTuples is the per-relation baseline the program's fact rules
 	// assert — what a derived relation holds before any stratum runs,
 	// and what a stratum recompute resets its heads to.
@@ -176,21 +172,15 @@ func NewIncrementalSolver(s *Solver) (*IncrementalSolver, error) {
 		return nil, fmt.Errorf("datalog: incremental solver cannot wrap a query-base solver")
 	}
 	inc := &IncrementalSolver{
-		s:           s,
-		defined:     make(map[string]bool),
-		headStratum: make(map[string]int),
-		factTuples:  make(map[string][][]uint64),
+		s:          s,
+		defined:    make(map[string]bool),
+		factTuples: make(map[string][][]uint64),
 	}
 	for _, rule := range s.prog.Rules {
 		if rule.IsFact() {
 			continue
 		}
 		inc.defined[rule.Head.Pred] = true
-	}
-	for i, st := range s.strata {
-		for _, p := range st.preds {
-			inc.headStratum[p] = i
-		}
 	}
 	for _, rule := range s.prog.Rules {
 		if !rule.IsFact() {
@@ -368,48 +358,6 @@ func (t *UpdateTxn) Rollback() {
 	t.undo = nil
 }
 
-// affectedHeads returns the derived predicates transitively reachable
-// from the changed inputs through the rule dependency graph, in
-// stratum order — the set of relations an update can possibly change.
-func (inc *IncrementalSolver) affectedHeads(changed map[string]bool) []string {
-	reach := make(map[string]bool, len(changed))
-	for p := range changed {
-		reach[p] = true
-	}
-	for {
-		grown := false
-		for _, rule := range inc.s.prog.Rules {
-			if rule.IsFact() || reach[rule.Head.Pred] {
-				continue
-			}
-			for _, l := range rule.Body {
-				if reach[l.Atom.Pred] {
-					reach[rule.Head.Pred] = true
-					grown = true
-					break
-				}
-			}
-		}
-		if !grown {
-			break
-		}
-	}
-	var heads []string
-	for p := range reach {
-		if inc.defined[p] {
-			heads = append(heads, p)
-		}
-	}
-	sort.Slice(heads, func(i, j int) bool {
-		si, sj := inc.headStratum[heads[i]], inc.headStratum[heads[j]]
-		if si != sj {
-			return si < sj
-		}
-		return heads[i] < heads[j]
-	})
-	return heads
-}
-
 // relFromTuples materializes rows as a relation with like's schema.
 func relFromTuples(u *rel.Universe, name string, like *rel.Relation, rows [][]uint64) *rel.Relation {
 	r := u.NewRelation(name, like.Attrs()...)
@@ -449,12 +397,8 @@ func (inc *IncrementalSolver) Update(ctl *resilience.Controller, d Delta) (*Upda
 		for name := range d.Remove {
 			changedInputs[name] = true
 		}
-		affected := inc.affectedHeads(changedInputs)
 		for name := range changedInputs {
 			txn.undo[name] = s.rels[name].Clone("undo:" + name)
-		}
-		for _, h := range affected {
-			txn.undo[h] = s.rels[h].Clone("undo:" + h)
 		}
 
 		// Apply the delta to the inputs. changedAdd holds each changed
@@ -530,48 +474,25 @@ func (inc *IncrementalSolver) Update(ctl *resilience.Controller, d Delta) (*Upda
 		}
 
 		resilience.FaultPoint(resilience.FaultUpdateResolve)
+		// One forward pass in evaluation order: a stratum runs when an
+		// outside predicate it reads changed, and only then keeps its
+		// heads' values for undo — they are still the pre-update ones,
+		// since only the stratum itself writes them.
 		for i, st := range s.strata {
-			reads := make(map[string]bool)
-			heads := make(map[string]bool)
-			for _, rule := range st.rules {
-				if rule.IsFact() {
-					continue
-				}
-				heads[rule.Head.Pred] = true
-				for _, l := range rule.Body {
-					reads[l.Atom.Pred] = true
-				}
-			}
-			touched := false
-			for p := range reads {
-				if !heads[p] && changedAny[p] {
+			touched, fast := false, !s.opts.NoIncrementalization
+			for _, p := range st.reads {
+				if changedAny[p] {
 					touched = true
-					break
+					fast = fast && !st.negated[p] && !changedShrunk[p] && changedAdd[p] != nil
 				}
 			}
 			if !touched {
 				continue
 			}
+			for _, h := range st.preds {
+				txn.undo[h] = s.rels[h].Clone("undo:" + h)
+			}
 			txn.Stats.StrataResolved++
-			fast := !s.opts.NoIncrementalization
-			for _, rule := range st.rules {
-				if rule.IsFact() {
-					continue
-				}
-				for _, l := range rule.Body {
-					if l.Negated && changedAny[l.Atom.Pred] {
-						fast = false
-					}
-				}
-			}
-			if fast {
-				for p := range reads {
-					if !heads[p] && changedAny[p] && (changedShrunk[p] || changedAdd[p] == nil) {
-						fast = false
-						break
-					}
-				}
-			}
 			if fast {
 				inc.propagateStratum(i, st, changedAdd)
 				txn.Stats.StrataFast++
@@ -754,23 +675,20 @@ func (inc *IncrementalSolver) Rebase(ctl *resilience.Controller, d Delta) (*Solv
 	return ns, nil
 }
 
-// ContentFingerprint hashes every declared relation's contents into a
-// 16-hex-digit digest via one shared BDD DAG dump. BDDs are canonical
-// under a fixed variable layout, so two solvers built from the same
-// program and options have equal fingerprints exactly when every
-// relation holds the same tuple set — the differential suites'
-// bit-identity check.
+// ContentFingerprint identifies the contents of every declared
+// relation: bdd.Fingerprint of their roots' structural hashes, in
+// declaration order — the value serve.Snapshot.Fingerprint (and so
+// /healthz) reports for the same relations. BDDs are canonical under a
+// fixed variable layout, so two solvers built from the same program
+// and options have equal fingerprints when every relation holds the
+// same tuple set, and, short of a hash collision, different ones
+// otherwise — the differential suites' bit-identity check.
 func (s *Solver) ContentFingerprint() (string, error) {
 	roots := make([]bdd.Node, 0, len(s.prog.Relations))
 	for _, rd := range s.prog.Relations {
 		roots = append(roots, s.rels[rd.Name].Root())
 	}
-	var buf bytes.Buffer
-	if err := s.u.M.WriteDAG(&buf, roots); err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:])[:16], nil
+	return bdd.Fingerprint(s.u.M.RootHashes(roots)), nil
 }
 
 // LiveSolver is the full degradation ladder over one solver: resolve

@@ -292,19 +292,34 @@ func TestUpdateTxnRollback(t *testing.T) {
 	}
 }
 
+// TestUpdateFaultRollsBack aborts an update at each of its fault
+// points. The stratum.start fault fires in the second stratum the
+// update re-evaluates, after the first (vP's) has grown its head, so
+// the rollback must restore undo state taken stratum by stratum.
 func TestUpdateFaultRollsBack(t *testing.T) {
-	for _, point := range []string{resilience.FaultUpdateApply, resilience.FaultUpdateResolve} {
+	for _, point := range []string{resilience.FaultUpdateApply, resilience.FaultUpdateResolve, resilience.FaultStratumStart} {
 		t.Run(point, func(t *testing.T) {
 			s := newIncSolver(t, incOpts(), incInputs())
 			before := mustFingerprint(t, s)
+			vPBefore := s.Relation("vP").Size()
 			inc, err := NewIncrementalSolver(s)
 			if err != nil {
 				t.Fatal(err)
 			}
+			starts := 0
 			restore := resilience.SetFaultHook(func(name string) {
-				if name == point {
-					resilience.Abort(&resilience.BudgetError{Resource: "nodes", Limit: 1, Used: 2})
+				if name != point {
+					return
 				}
+				if point == resilience.FaultStratumStart {
+					if starts++; starts < 2 {
+						return
+					}
+					if s.Relation("vP").Size().Cmp(vPBefore) == 0 {
+						t.Error("the first re-evaluated stratum left vP unchanged")
+					}
+				}
+				resilience.Abort(&resilience.BudgetError{Resource: "nodes", Limit: 1, Used: 2})
 			})
 			_, err = inc.Update(ctl(), Delta{Add: map[string][][]uint64{"vP0": {{4, 2}}}})
 			restore()

@@ -212,13 +212,9 @@ func (ns *NaiveSolver) Solve() error {
 }
 
 func (ns *NaiveSolver) solveStratum(st *stratum) error {
-	inStratum := make(map[string]bool)
-	for _, p := range st.preds {
-		inStratum[p] = true
-	}
 	isRecursive := func(rule *Rule) bool {
 		for _, lit := range rule.Body {
-			if !lit.Negated && inStratum[lit.Atom.Pred] {
+			if !lit.Negated && st.in[lit.Atom.Pred] {
 				return true
 			}
 		}
@@ -259,7 +255,7 @@ func (ns *NaiveSolver) solveStratum(st *stratum) error {
 		for _, rule := range recur {
 			headTable := ns.rels[rule.Head.Pred]
 			for pos, lit := range orderedLiterals(rule) {
-				if lit.Negated || !inStratum[lit.Atom.Pred] {
+				if lit.Negated || !st.in[lit.Atom.Pred] {
 					continue
 				}
 				d := delta[lit.Atom.Pred]

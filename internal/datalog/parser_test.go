@@ -221,12 +221,24 @@ ntc(a, b) :- !tc(a, b).
 	if len(strata) != 2 {
 		t.Fatalf("got %d strata, want 2", len(strata))
 	}
-	if strata[0].preds[0] != "tc" || !strata[0].recursive {
+	if strata[0].preds[0] != "tc" || !recursive(strata[0]) {
 		t.Fatalf("first stratum %+v", strata[0])
 	}
-	if strata[1].preds[0] != "ntc" || strata[1].recursive {
+	if strata[1].preds[0] != "ntc" || recursive(strata[1]) {
 		t.Fatalf("second stratum %+v", strata[1])
 	}
+}
+
+// recursive reports whether a rule of st reads a predicate of st.
+func recursive(st *stratum) bool {
+	for _, rule := range st.rules {
+		for _, lit := range rule.Body {
+			if st.in[lit.Atom.Pred] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func TestStratifyMutualRecursionOneStratum(t *testing.T) {

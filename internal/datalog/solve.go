@@ -618,10 +618,7 @@ func (s *Solver) withStratum(idx int, st *stratum, eval func(run *stratumRun)) {
 		s.tr.Begin(fmt.Sprintf("stratum %d", idx), obs.A("rules", len(st.rules)))
 		defer func() { s.tr.End() }()
 	}
-	run := &stratumRun{inStratum: make(map[string]bool), card: s.cardFn()}
-	for _, p := range st.preds {
-		run.inStratum[p] = true
-	}
+	run := &stratumRun{inStratum: st.in, card: s.cardFn()}
 	for _, rule := range st.rules {
 		if rule.IsFact() {
 			continue
@@ -801,10 +798,6 @@ func (s *Solver) Explain(w io.Writer) {
 	}
 	card := s.cardFn()
 	for si, st := range s.strata {
-		inStratum := make(map[string]bool)
-		for _, p := range st.preds {
-			inStratum[p] = true
-		}
 		fmt.Fprintf(w, "== stratum %d ==\n", si)
 		for _, rule := range st.rules {
 			if rule.IsFact() {
@@ -817,7 +810,7 @@ func (s *Solver) Explain(w io.Writer) {
 			opt := plan.Optimize(cr.naive, card)
 			fmt.Fprintln(w, " after:")
 			opt.Format(w, card)
-			for _, pos := range cr.recursivePositions(inStratum) {
+			for _, pos := range cr.recursivePositions(st.in) {
 				dv := plan.Optimize(cr.naive.WithDelta(pos), card)
 				fmt.Fprintf(w, " after (Δ%s at %d):\n", cr.naive.Lits[pos].Pred, pos)
 				dv.Format(w, card)

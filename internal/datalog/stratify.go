@@ -1,175 +1,58 @@
 package datalog
 
-import (
-	"fmt"
-	"sort"
-
-	"bddbddb/internal/datalog/check"
-)
+import "bddbddb/internal/datalog/check"
 
 // stratum is one evaluation unit: a strongly connected component of the
 // predicate dependence graph, with the rules defining its predicates.
 type stratum struct {
-	preds []string // predicates defined here (sorted, for determinism)
-	rules []*Rule  // rules whose head is in preds, in program order
-	// recursive reports whether any rule's body refers back into this
-	// stratum (the semi-naive loop is only needed then).
-	recursive bool
+	preds []string        // predicates defined here (sorted, for determinism)
+	in    map[string]bool // membership set of preds
+	rules []*Rule         // rules whose head is in preds, in program order
+	// reads lists the outside predicates the non-fact rules read, in
+	// rule and literal order; negated has an entry for each, true when
+	// some rule reads it under negation.
+	reads   []string
+	negated map[string]bool
 }
 
-// stratify splits the program into strata: SCCs of the predicate graph
-// in topological order. It rejects programs where a negation occurs
-// inside a cycle (not stratified), which is the same subclass bddbddb
-// accepts (Section 2.1).
+// stratify splits the program into strata: the components of the
+// checker's predicate-dependency graph (check.Stratify) in evaluation
+// order, each with the rules defining its predicates. Components with
+// no rules (pure inputs) need no evaluation and are dropped. It rejects
+// programs where a negation occurs inside a cycle (not stratified),
+// which is the same subclass bddbddb accepts (Section 2.1).
 func stratify(prog *Program) ([]*stratum, error) {
-	type edge struct {
-		from, to string
-		negated  bool
+	comps, nc := check.Stratify(prog)
+	if nc != nil {
+		return nil, check.Errorf(check.CodeStratify, prog.File, nc.Line, nc.Col,
+			"program is not stratified: %s", nc)
 	}
-	var edges []edge
-	nodes := make(map[string]bool)
-	for _, r := range prog.Relations {
-		nodes[r.Name] = true
+	all := make([]*stratum, len(comps))
+	byPred := make(map[string]*stratum)
+	for i, preds := range comps {
+		st := &stratum{preds: preds, in: make(map[string]bool, len(preds)), negated: make(map[string]bool)}
+		for _, p := range preds {
+			st.in[p] = true
+			byPred[p] = st
+		}
+		all[i] = st
 	}
 	for _, rule := range prog.Rules {
+		st := byPred[rule.Head.Pred]
+		st.rules = append(st.rules, rule)
 		for _, lit := range rule.Body {
-			edges = append(edges, edge{from: lit.Atom.Pred, to: rule.Head.Pred, negated: lit.Negated})
-		}
-	}
-	succ := make(map[string][]string)
-	for _, e := range edges {
-		succ[e.from] = append(succ[e.from], e.to)
-	}
-
-	// Tarjan's strongly connected components.
-	index := make(map[string]int)
-	low := make(map[string]int)
-	onStack := make(map[string]bool)
-	var stack []string
-	var counter int
-	comp := make(map[string]int) // predicate -> component id
-	var compMembers [][]string
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		counter++
-		index[v] = counter
-		low[v] = counter
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range succ[v] {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			id := len(compMembers)
-			var members []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp[w] = id
-				members = append(members, w)
-				if w == v {
-					break
-				}
-			}
-			sort.Strings(members)
-			compMembers = append(compMembers, members)
-		}
-	}
-	var names []string
-	for n := range nodes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if _, seen := index[n]; !seen {
-			strongconnect(n)
-		}
-	}
-
-	// Reject negation within a component, reporting the actual predicate
-	// cycle (the checker's DL030 analysis reconstructs the path).
-	for _, e := range edges {
-		if e.negated && comp[e.from] == comp[e.to] {
-			if nc := check.FindNegationCycle(prog); nc != nil {
-				return nil, check.Errorf(check.CodeStratify, prog.File, nc.Line, nc.Col,
-					"program is not stratified: %s", nc)
-			}
-			return nil, fmt.Errorf("program is not stratified: %s is defined through its own negation (via %s)",
-				e.to, e.from)
-		}
-	}
-
-	// Topologically order the condensation with a Kahn pass so that a
-	// stratum is evaluated only after everything it reads.
-	compSucc := make(map[int]map[int]bool)
-	indeg := make(map[int]int)
-	for _, e := range edges {
-		a, b := comp[e.from], comp[e.to]
-		if a == b {
-			continue
-		}
-		if compSucc[a] == nil {
-			compSucc[a] = make(map[int]bool)
-		}
-		if !compSucc[a][b] {
-			compSucc[a][b] = true
-			indeg[b]++
-		}
-	}
-	var topo []int
-	var ready []int
-	for i := range compMembers {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	sort.Ints(ready)
-	for len(ready) > 0 {
-		c := ready[0]
-		ready = ready[1:]
-		topo = append(topo, c)
-		var next []int
-		for d := range compSucc[c] {
-			indeg[d]--
-			if indeg[d] == 0 {
-				next = append(next, d)
-			}
-		}
-		sort.Ints(next)
-		ready = append(ready, next...)
-	}
-	if len(topo) != len(compMembers) {
-		return nil, fmt.Errorf("internal: condensation has a cycle")
-	}
-
-	// Build strata in topological order; drop strata with no rules
-	// (pure-input components need no evaluation).
-	var out []*stratum
-	for _, c := range topo {
-		st := &stratum{preds: compMembers[c]}
-		inComp := make(map[string]bool)
-		for _, p := range st.preds {
-			inComp[p] = true
-		}
-		for _, rule := range prog.Rules {
-			if !inComp[rule.Head.Pred] {
+			p := lit.Atom.Pred
+			if st.in[p] {
 				continue
 			}
-			st.rules = append(st.rules, rule)
-			for _, lit := range rule.Body {
-				if inComp[lit.Atom.Pred] {
-					st.recursive = true
-				}
+			if _, seen := st.negated[p]; !seen {
+				st.reads = append(st.reads, p)
 			}
+			st.negated[p] = st.negated[p] || lit.Negated
 		}
+	}
+	var out []*stratum
+	for _, st := range all {
 		if len(st.rules) > 0 {
 			out = append(out, st)
 		}

@@ -118,7 +118,7 @@ func (h *hashTracker) check(t testing.TB, s *Server, sv *datalog.Solver) {
 			t.Fatalf("generation %d: replica %d's %s differs from the live solver's", g.gen, i, g.snap.relations[k].name)
 		}
 	}
-	if want := fingerprint(h.live); s.Fingerprint() != want {
+	if want := bdd.Fingerprint(h.live.RootHashes()); s.Fingerprint() != want {
 		t.Fatalf("generation %d: fingerprint %s, a fresh snapshot's %s", g.gen, s.Fingerprint(), want)
 	}
 }
@@ -266,5 +266,70 @@ func TestPatchGarbageBound(t *testing.T) {
 	}
 	if full == 0 {
 		t.Fatal("no update crossed the garbage bound")
+	}
+}
+
+// TestContentFingerprintMatchesSnapshot: the solver's ContentFingerprint
+// and the snapshot fingerprint /healthz reports are one definition. On
+// a megamek cs solve they agree before any update, and after a patched
+// update the live solver's value is the one /healthz reports.
+func TestContentFingerprintMatchesSnapshot(t *testing.T) {
+	facts, err := extract.Extract(synth.Generate(synth.BenchmarkByName("megamek").Params), extract.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := analysis.RunContextSensitive(facts, nil, analysis.Config{DomainSlack: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := res.Solver.ContentFingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn, err := NewSnapshot(res.Solver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sn.Fingerprint() != before {
+		t.Fatalf("snapshot fingerprint %s, solver's %s", sn.Fingerprint(), before)
+	}
+	live, err := analysis.Live(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(res.Solver, Config{Replicas: 1, QueryHeadroom: 1, Updater: live, SampleInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := newTestHTTP(t, s)
+	have := make(map[[2]uint64]bool, len(facts.VP0))
+	for _, tp := range facts.VP0 {
+		have[[2]uint64{tp[0], tp[1]}] = true
+	}
+	p := [2]uint64{0, 0}
+	for have[p] {
+		p[1]++
+	}
+	wd := datalog.WireDelta{Add: map[string][]datalog.WireTuple{"vP0": {{{Num: p[0]}, {Num: p[1]}}}}}
+	r, err := s.ApplyUpdate(context.Background(), wd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Publish != "patch" {
+		t.Fatalf("publish %q, want patch", r.Publish)
+	}
+	after, err := live.Solver().ContentFingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body, _ := get(t, base+"/healthz")
+	var h struct {
+		Fingerprint string `json:"snapshot_fingerprint"`
+	}
+	if err := json.Unmarshal([]byte(body), &h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Fingerprint != after || after == before {
+		t.Fatalf("after the update: /healthz %s, live solver %s, before %s", h.Fingerprint, after, before)
 	}
 }

@@ -13,9 +13,6 @@ package serve
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"slices"
 
@@ -112,7 +109,7 @@ func fullSnapshot(s *datalog.Solver, w *bdd.DAGWriter) (*Snapshot, error) {
 	// Used to size replica node tables so hydration doesn't start with
 	// a cascade of grows.
 	sn.nodeCount = n
-	sn.fingerprint = fingerprint(w)
+	sn.fingerprint = bdd.Fingerprint(w.RootHashes())
 	return sn, nil
 }
 
@@ -124,20 +121,6 @@ func relationRoots(s *datalog.Solver) []bdd.Node {
 		roots = append(roots, s.Relation(rd.Name).Root())
 	}
 	return roots
-}
-
-// fingerprint hashes the structural hashes of the roots w wrote last,
-// so it depends on the relations' contents only: a patched generation
-// and a full snapshot of the same solver agree, and a patch computes it
-// without walking the unchanged nodes.
-func fingerprint(w *bdd.DAGWriter) string {
-	h := sha256.New()
-	var buf [8]byte
-	for _, rh := range w.RootHashes() {
-		binary.LittleEndian.PutUint64(buf[:], rh)
-		h.Write(buf[:])
-	}
-	return hex.EncodeToString(h.Sum(nil))[:12]
 }
 
 // patch carries one live update from the live solver to the serving
@@ -173,7 +156,7 @@ func (sn *Snapshot) next(s *datalog.Solver, w *bdd.DAGWriter) (*Snapshot, *patch
 			p.names[d.Name] = names
 		}
 	}
-	ns.fingerprint = fingerprint(w)
+	ns.fingerprint = bdd.Fingerprint(w.RootHashes())
 	return &ns, p, nil
 }
 
@@ -182,8 +165,10 @@ func (sn *Snapshot) next(s *datalog.Solver, w *bdd.DAGWriter) (*Snapshot, *patch
 // were hydrated from.
 func (sn *Snapshot) Bytes() int { return sn.size }
 
-// Fingerprint identifies the snapshot's contents: the first 12 hex
-// digits of a SHA-256 over the relation roots' structural hashes.
+// Fingerprint identifies the snapshot's contents: bdd.Fingerprint of
+// the relation roots' structural hashes, the value the live solver's
+// datalog.Solver.ContentFingerprint reports. A patched generation gets
+// it from the patch's root hashes, without walking unchanged nodes.
 // /healthz and the metrics exposition report it, so an operator can
 // tell whether two replicas (or a daemon and a BENCH file) answer from
 // the same solved state.
