@@ -106,7 +106,6 @@ func main() {
 	grace := flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight requests")
 	accessLog := flag.String("access-log", "", "append one JSON line per request to this file (\"-\" = stderr)")
 	sampleInterval := flag.Duration("sample-interval", time.Second, "background substrate sampler period for /debug/timeseries (negative disables)")
-	sampleCap := flag.Int("sample-cap", 0, "sampler ring capacity in samples (0 = 600)")
 	updateFile := flag.String("update-file", "", "JSON delta file re-read and applied on SIGHUP")
 	updateSlack := flag.Int("update-slack", 64, "spare domain capacity for element names arriving in live updates")
 	updateTimeout := flag.Duration("update-timeout", 2*time.Minute, "per-update budget before degrading to a full background re-solve")
@@ -161,7 +160,6 @@ func main() {
 			Tracer:         sess.Tracer,
 			AccessLog:      alog,
 			SampleInterval: *sampleInterval,
-			SampleCap:      *sampleCap,
 		},
 	})
 	stop()

@@ -141,9 +141,7 @@ func RunHandCoded(f *extract.Facts) (*HandCoded, error) {
 		l4.Free()
 		hc.Stats.RuleApplications++
 
-		if u.M.LiveNodes()*100 > u.M.Stats().TableSize*75 {
-			u.GC()
-		}
+		u.M.MaybeGC()
 		if !changed {
 			break
 		}

@@ -137,13 +137,7 @@ type Result struct {
 	// error that tripped the downgrade.
 	Degraded      bool
 	DegradedCause error
-
-	threadContexts *ThreadContexts
 }
-
-// ThreadContextScheme returns the thread-context assignment of a
-// RunThreadEscape result (nil otherwise).
-func (r *Result) ThreadContextScheme() *ThreadContexts { return r.threadContexts }
 
 // Stats returns the solver statistics.
 func (r *Result) Stats() datalog.SolverStats { return r.Solver.Stats() }

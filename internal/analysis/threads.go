@@ -121,7 +121,7 @@ func RunThreadEscape(f *extract.Facts, g *callgraph.Graph, cfg Config) (_ *Resul
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Solver: s, Facts: f, Graph: g, threadContexts: tc}, nil
+		return &Result{Solver: s, Facts: f, Graph: g}, nil
 	})
 }
 

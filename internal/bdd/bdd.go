@@ -9,8 +9,10 @@
 // Reference discipline: every Node returned by an exported operation is
 // referenced on behalf of the caller and must be released with Deref (or
 // kept forever). Operations never garbage-collect mid-run; when the arena
-// is exhausted it grows. Garbage is reclaimed by explicit GC calls, which
-// the higher layers issue between solver iterations.
+// is exhausted it grows. Garbage is reclaimed at the points where the
+// higher layers hold no unreferenced nodes (between solver iterations,
+// after a served query) by MaybeGC, which decides whether a collection
+// is due.
 package bdd
 
 import (
@@ -113,6 +115,12 @@ type Manager struct {
 
 	markStack []Node // GC's explicit mark stack, reused across collections
 
+	// gcProduced and gcFree are stats.Produced and freeNum right after
+	// the table was created, last collected or last grown: the point
+	// MaybeGC measures from.
+	gcProduced int64
+	gcFree     int
+
 	nvars int32
 
 	applyCache cache3
@@ -170,6 +178,7 @@ func (m *Manager) initTable(n int) {
 	}
 	m.rehash()
 	m.stats.TableSize = n
+	m.markCollectionPoint()
 }
 
 // AddVars appends n fresh variables and returns the level of the first.
@@ -265,12 +274,6 @@ func (m *Manager) notePeak() {
 }
 
 func (m *Manager) level(n Node) int32 { return m.nodes[n].level() }
-
-// Low returns the low (variable=0) child of n. n must not be a terminal.
-func (m *Manager) Low(n Node) Node { return m.nodes[n].low }
-
-// High returns the high (variable=1) child of n. n must not be a terminal.
-func (m *Manager) High(n Node) Node { return m.nodes[n].high }
 
 // Level returns the variable level of node n, or a value >= NumVars()
 // for terminals.
@@ -413,6 +416,32 @@ func (m *Manager) grow() {
 	}
 	m.rehash()
 	m.stats.TableSize = len(m.nodes)
+	m.markCollectionPoint()
+}
+
+// MaybeGC is the one collection policy: callers offer a collection
+// whenever they hold no unreferenced nodes, and MaybeGC collects only
+// when both
+//   - more than 3/4 of the table's slots are live, and
+//   - the nodes produced since the last collection or growth exceed
+//     half the slots that were free right after it.
+//
+// The first condition leaves a roomy table alone. The second keeps a
+// table mostly filled by nodes that always survive (a serving replica's
+// frozen snapshot roots, its dump reader's ids and its query memo) from
+// being collected at every check while reclaiming almost nothing: it
+// waits until enough has been produced since then for a collection to
+// be worth its pause.
+func (m *Manager) MaybeGC() {
+	if m.LiveNodes()*4 > len(m.nodes)*3 && m.stats.Produced-m.gcProduced > int64(m.gcFree/2) {
+		m.GC()
+	}
+}
+
+// markCollectionPoint records the point MaybeGC measures from.
+func (m *Manager) markCollectionPoint() {
+	m.gcProduced = m.stats.Produced
+	m.gcFree = m.freeNum
 }
 
 // GC reclaims all nodes not reachable from externally referenced nodes,
@@ -467,6 +496,7 @@ func (m *Manager) GC() int {
 	}
 	m.rehash()
 	m.clearCaches()
+	m.markCollectionPoint()
 	m.stats.GCTime += time.Since(start)
 	if t := m.tracer; t != nil {
 		t.End(obs.A("live_after", live+2))

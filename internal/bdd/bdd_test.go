@@ -451,6 +451,88 @@ func TestGCThenRebuildIsConsistent(t *testing.T) {
 	}
 }
 
+// TestMaybeGCPolicy: MaybeGC collects only when more than 3/4 of the
+// table is live and the nodes produced since the last collection or
+// growth exceed half the slots free right after it; a collection and a
+// growth each reset that point.
+func TestMaybeGCPolicy(t *testing.T) {
+	m := New(1<<10, 1<<8)
+	m.AddVars(7)
+	// pool holds the 64 minterms over levels 1..6 (126 nodes), and
+	// produce(n, keep) makes n fresh nodes (0, pool[a], pool[b]), one
+	// allocation each.
+	var pool []Node
+	for v := 0; v < 64; v++ {
+		c := True
+		for l := int32(6); l >= 1; l-- {
+			if v>>(l-1)&1 == 1 {
+				c = m.makeNode(l, False, c)
+			} else {
+				c = m.makeNode(l, c, False)
+			}
+		}
+		pool = append(pool, m.Ref(c))
+	}
+	next := 0
+	produce := func(n int, keep bool) {
+		for ; n > 0; n-- {
+			for next/64 == next%64 {
+				next++
+			}
+			x := m.makeNode(0, pool[next/64], pool[next%64])
+			next++
+			if keep {
+				m.Ref(x)
+			}
+		}
+	}
+	offer := func(step string, wantGCs int64) {
+		t.Helper()
+		m.MaybeGC()
+		if m.stats.GCs != wantGCs {
+			t.Fatalf("%s: %d collections at %d of %d live, %d produced since the last of %d free; want %d",
+				step, m.stats.GCs, m.LiveNodes(), len(m.nodes), m.stats.Produced-m.gcProduced, m.gcFree, wantGCs)
+		}
+	}
+	atPoint := func(step string) {
+		t.Helper()
+		if m.gcProduced != m.stats.Produced || m.gcFree != m.freeNum {
+			t.Fatalf("%s: measuring from produced %d, free %d; want %d, %d",
+				step, m.gcProduced, m.gcFree, m.stats.Produced, m.freeNum)
+		}
+	}
+
+	// From creation (1,022 free): far more than 511 produced, but the
+	// table must pass 768 live first.
+	produce(768-m.LiveNodes(), false)
+	offer("3/4 live", 0)
+	produce(1, false)
+	offer("past 3/4 live", 1)
+	atPoint("after MaybeGC's collection")
+
+	// 600 kept nodes, then a collection: 728 live, 296 free. Past 3/4
+	// live, MaybeGC still waits for 149 nodes produced.
+	produce(600, true)
+	m.GC()
+	atPoint("after GC")
+	produce(100, false)
+	offer("past 3/4 live, 100 produced", 2)
+	produce(48, false)
+	offer("148 produced", 2)
+	produce(1, false)
+	offer("149 produced", 3)
+
+	// Fill the table with kept nodes until it grows: the node that
+	// grew it is the one produced since.
+	for m.stats.Grows == 0 {
+		produce(1, true)
+	}
+	if m.gcProduced != m.stats.Produced-1 || m.gcFree != 1<<10 {
+		t.Fatalf("after growth: measuring from produced %d, free %d; want %d, %d",
+			m.gcProduced, m.gcFree, m.stats.Produced-1, 1<<10)
+	}
+}
+
 func TestTableGrowth(t *testing.T) {
 	m := New(1<<10, 1<<8) // tiny table; force growth
 	m.AddVars(20)

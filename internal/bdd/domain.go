@@ -147,17 +147,6 @@ func (d *Domain) Set() Node {
 	return d.varset
 }
 
-// MakeSetOf builds a varset covering all the given domains' variables.
-// Referenced for the caller.
-func (m *Manager) MakeSetOf(ds ...*Domain) Node {
-	var levels []int32
-	for _, d := range ds {
-		d.checkFinalized()
-		levels = append(levels, d.levels...)
-	}
-	return m.MakeSet(levels)
-}
-
 // Eq returns the BDD for "this domain's value == val". Referenced.
 func (d *Domain) Eq(val uint64) Node {
 	d.checkFinalized()

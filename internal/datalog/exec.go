@@ -32,7 +32,9 @@ func (s *Solver) execPlan(cr *compiledRule, p *plan.Plan, delta *rel.Relation) *
 	defer func() {
 		d := time.Since(start)
 		ro.timer.Observe(d)
-		s.hRuleApply.Observe(d.Seconds())
+		if s.hRuleApply != nil {
+			s.hRuleApply.Observe(d.Seconds())
+		}
 		if s.tr != nil {
 			s.tr.End()
 		}
@@ -44,11 +46,7 @@ func (s *Solver) execPlan(cr *compiledRule, p *plan.Plan, delta *rel.Relation) *
 	for k, idx := range p.Order {
 		cur, curOwned := s.evalLit(cr, p, idx, delta)
 		jp := p.Joins[k]
-		s.countOp(jp)
-		opStart := s.u.M.ProducedNodes()
-		if s.tr != nil {
-			s.tr.Begin("op.JoinProject")
-		}
+		opStart := s.beginOp(jp)
 		if acc == nil {
 			if len(jp.Drop) > 0 {
 				next := cur.ProjectOut("acc", jp.Drop...)
@@ -69,10 +67,7 @@ func (s *Solver) execPlan(cr *compiledRule, p *plan.Plan, delta *rel.Relation) *
 			}
 			acc, accOwned = next, true
 		}
-		s.hOpNodes.Observe(float64(s.u.M.ProducedNodes() - opStart))
-		if s.tr != nil {
-			s.tr.End()
-		}
+		s.endOp(opStart)
 		if acc.IsEmpty() {
 			// Everything downstream is a join; empty stays empty.
 			if accOwned {
@@ -82,11 +77,7 @@ func (s *Solver) execPlan(cr *compiledRule, p *plan.Plan, delta *rel.Relation) *
 		}
 	}
 	for _, o := range p.HeadOps {
-		s.countOp(o)
-		opStart := s.u.M.ProducedNodes()
-		if s.tr != nil {
-			s.tr.Begin("op." + o.Kind())
-		}
+		opStart := s.beginOp(o)
 		var next *rel.Relation
 		switch o := o.(type) {
 		case *plan.BindFull:
@@ -100,10 +91,7 @@ func (s *Solver) execPlan(cr *compiledRule, p *plan.Plan, delta *rel.Relation) *
 		default:
 			panic(fmt.Sprintf("datalog: unexpected head op %T in %s", o, cr.rule))
 		}
-		s.hOpNodes.Observe(float64(s.u.M.ProducedNodes() - opStart))
-		if s.tr != nil {
-			s.tr.End()
-		}
+		s.endOp(opStart)
 		if accOwned {
 			acc.Free()
 		}
@@ -217,11 +205,7 @@ func (s *Solver) runPipeline(l *plan.Lit, src *rel.Relation, gone []string) *rel
 			}
 			o = &plan.Project{Drop: drop, Out: p.Out}
 		}
-		s.countOp(o)
-		opStart := s.u.M.ProducedNodes()
-		if s.tr != nil {
-			s.tr.Begin("op." + o.Kind())
-		}
+		opStart := s.beginOp(o)
 		var next *rel.Relation
 		switch o := o.(type) {
 		case *plan.SelectConst:
@@ -237,10 +221,7 @@ func (s *Solver) runPipeline(l *plan.Lit, src *rel.Relation, gone []string) *rel
 		default:
 			panic(fmt.Sprintf("datalog: unexpected literal op %T for %s", o, l.Pred))
 		}
-		s.hOpNodes.Observe(float64(s.u.M.ProducedNodes() - opStart))
-		if s.tr != nil {
-			s.tr.End()
-		}
+		s.endOp(opStart)
 		if owned {
 			cur.Free()
 		}
@@ -256,5 +237,26 @@ func (s *Solver) runPipeline(l *plan.Lit, src *rel.Relation, gone []string) *rel
 func (s *Solver) countOp(o plan.Op) {
 	if c := s.opCounters[o.Kind()]; c != nil {
 		c.Inc()
+	}
+}
+
+// beginOp counts o, opens its "op.<kind>" span and returns the
+// produced-node count endOp measures o's result size from.
+func (s *Solver) beginOp(o plan.Op) int64 {
+	s.countOp(o)
+	if s.tr != nil {
+		s.tr.Begin("op." + o.Kind())
+	}
+	return s.u.M.ProducedNodes()
+}
+
+// endOp records the nodes produced since beginOp returned opStart
+// (datalog.op.result_nodes) and closes the op's span.
+func (s *Solver) endOp(opStart int64) {
+	if s.hOpNodes != nil {
+		s.hOpNodes.Observe(float64(s.u.M.ProducedNodes() - opStart))
+	}
+	if s.tr != nil {
+		s.tr.End()
 	}
 }

@@ -87,7 +87,7 @@ func TestQueryMemoFillBudgetTrip(t *testing.T) {
 			want = sorted(dedup(want))
 			p.Free()
 			sel.Free()
-			b.u.GC()
+			b.u.M.GC()
 			pad := b.u.NewRelation("pad", b.u.A("c", "C", 0), b.u.A("v", "V", 0), b.u.A("h", "H", 0))
 			rng := rand.New(rand.NewSource(2))
 			for m.Stats().TableSize-m.LiveNodes() > need/2 {

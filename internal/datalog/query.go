@@ -387,7 +387,9 @@ type QueryOptions struct {
 // base's universe until Close, so render them before closing.
 type QueryResult struct {
 	Outputs []*rel.Relation
-	Stats   SolverStats
+	// Stats holds the query's rule applications, iterations, relation
+	// cardinalities and memo counts; its other fields stay zero.
+	Stats SolverStats
 
 	s      *Solver
 	closed bool
@@ -575,7 +577,14 @@ func (b *QueryBase) Eval(src string, opts QueryOptions) (qr *QueryResult, err er
 		s.releaseQueryState()
 		return nil, err
 	}
-	res := &QueryResult{s: s, Stats: s.Stats()}
+	res := &QueryResult{s: s, Stats: SolverStats{
+		RuleApplications: s.cApps.Value(),
+		Iterations:       int(s.cIters.Value()),
+		Relations:        s.relCards,
+		BaseMemoHits:     s.cMemoHits.Value(),
+		BaseMemoMisses:   s.cMemoMisses.Value(),
+		BaseMemoPivoted:  s.cMemoPivoted.Value(),
+	}}
 	for _, rd := range prog.Relations {
 		if rd.Kind == RelOutput && !s.queryBase[rd.Name] {
 			res.Outputs = append(res.Outputs, s.rels[rd.Name])

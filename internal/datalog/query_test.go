@@ -222,7 +222,7 @@ q(y) :- path(1, y).
 
 func TestQueryNoLeaks(t *testing.T) {
 	b := solvedBase(t)
-	b.u.GC()
+	b.u.M.GC()
 	baseline := b.u.M.LiveNodes()
 	for i := 0; i < 5; i++ {
 		res, err := b.Eval(`
@@ -234,7 +234,7 @@ q(x, z) :- path(x, y), path(y, z).
 		}
 		res.Close()
 	}
-	b.u.GC()
+	b.u.M.GC()
 	if live := b.u.M.LiveNodes(); live != baseline {
 		t.Fatalf("live nodes %d after queries, want baseline %d (query state leaked)", live, baseline)
 	}

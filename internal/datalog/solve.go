@@ -50,9 +50,6 @@ type Options struct {
 	// ElemNames supplies element names per domain (the paper's ".map"
 	// files); quoted constants in rules resolve through these.
 	ElemNames map[string][]string
-	// GCTrigger is the live-node fraction of the table (percent) above
-	// which the solver garbage-collects between iterations. 0 means 75.
-	GCTrigger int
 	// NoIncrementalization disables semi-naive evaluation: every
 	// recursive rule is re-applied to the full relations each iteration.
 	// This is the ablation for Section 2.4's "Incrementalization"
@@ -198,8 +195,9 @@ type Solver struct {
 	tr     obs.Tracer
 	cApps  *obs.Counter
 	cIters *obs.Counter
-	// opCounters counts executed plan ops by kind (datalog.op.*);
-	// cHoistHits/cHoistMisses count normalization-cache outcomes.
+	// opCounters counts executed plan ops by kind (datalog.op.*; nil in
+	// query mode); cHoistHits/cHoistMisses count normalization-cache
+	// outcomes.
 	opCounters   map[string]*obs.Counter
 	cHoistHits   *obs.Counter
 	cHoistMisses *obs.Counter
@@ -209,7 +207,8 @@ type Solver struct {
 	// latency distribution (datalog.rule.apply_sec); hOpNodes records
 	// each plan op's materialized result size as the delta of the BDD
 	// manager's produced-node counter (datalog.op.result_nodes) — an
-	// O(1) proxy that avoids walking result BDDs on the hot path.
+	// O(1) proxy that avoids walking result BDDs on the hot path. Both
+	// are nil in query mode.
 	hRuleApply *obs.Histogram
 	hOpNodes   *obs.Histogram
 
@@ -221,7 +220,6 @@ type Solver struct {
 // ruleObs bundles one rule's metric handles: the timer's count is the
 // rule's application count, its total the cumulative evaluation time.
 type ruleObs struct {
-	text   string // the rule, for reports
 	span   string // stable trace-span name, e.g. "rule 3: vP"
 	timer  *obs.Timer
 	tuples *obs.Counter // nil unless Options.CountRuleTuples
@@ -355,28 +353,31 @@ func NewSolver(prog *Program, opts Options) (*Solver, error) {
 }
 
 // initObs wires the solver's private metrics registry: the shared
-// counters, one counter per plan-op kind (pre-created so the keys
-// appear in snapshots even when an op kind never runs), and per-rule
-// timer/tuple handles. Both NewSolver and QueryBase.Eval-built solvers
-// go through here.
+// counters, per-rule timer/tuple handles, and in batch mode one
+// counter per plan-op kind (pre-created so the keys appear in
+// snapshots even when an op kind never runs) and the two histograms.
+// Both NewSolver and QueryBase.Eval-built solvers go through here; a
+// query-mode solver (s.base set) skips the op counters and histograms,
+// which its QueryResult does not report.
 func (s *Solver) initObs() {
 	s.cApps = s.reg.Counter(keyRuleApps)
 	s.cIters = s.reg.Counter(keyIters)
-	s.opCounters = make(map[string]*obs.Counter)
-	for kind, key := range opMetricKeys {
-		s.opCounters[kind] = s.reg.Counter(key)
-	}
 	s.cHoistHits = s.reg.Counter("datalog.op.norm_cache_hits")
 	s.cHoistMisses = s.reg.Counter("datalog.op.norm_cache_misses")
-	s.hRuleApply = s.reg.Histogram("datalog.rule.apply_sec", obs.LatencyBuckets())
-	s.hOpNodes = s.reg.Histogram("datalog.op.result_nodes", obs.SizeBuckets())
+	if s.base == nil {
+		s.opCounters = make(map[string]*obs.Counter)
+		for kind, key := range opMetricKeys {
+			s.opCounters[kind] = s.reg.Counter(key)
+		}
+		s.hRuleApply = s.reg.Histogram("datalog.rule.apply_sec", obs.LatencyBuckets())
+		s.hOpNodes = s.reg.Histogram("datalog.op.result_nodes", obs.SizeBuckets())
+	}
 	for i, rule := range s.prog.Rules {
 		if rule.IsFact() {
 			continue
 		}
 		key := fmt.Sprintf("datalog.rule.%03d", i)
 		ro := &ruleObs{
-			text:  rule.String(),
 			span:  fmt.Sprintf("rule %d: %s", i, rule.Head.Pred),
 			timer: s.reg.Timer(key),
 		}
@@ -447,18 +448,13 @@ func (s *Solver) Stats() SolverStats {
 		GCs:              int64(s.reg.Gauge("bdd.gcs").Value()),
 		Relations:        s.relCards,
 	}
-	if s.base != nil {
-		out.BaseMemoHits = s.cMemoHits.Value()
-		out.BaseMemoMisses = s.cMemoMisses.Value()
-		out.BaseMemoPivoted = s.cMemoPivoted.Value()
-	}
 	for _, r := range s.prog.Rules {
 		ro := s.ruleObs[r]
 		if ro == nil || ro.timer.Count() == 0 {
 			continue
 		}
 		out.Rules = append(out.Rules, RuleStats{
-			Rule:         ro.text,
+			Rule:         r.String(),
 			Applications: ro.timer.Count(),
 			Time:         ro.timer.Total(),
 			DeltaTuples:  ro.tupleCount(),
@@ -524,8 +520,12 @@ func (s *Solver) Solve() (err error) {
 		s.solveStratum(i, st)
 	}
 	s.reg.Timer(keySolve).Observe(time.Since(start))
-	s.u.M.Stats().AddTo(s.reg)
-	s.reg.Set("datalog.backend.bdd.ops", float64(s.u.Ops()))
+	if s.base == nil {
+		// A query's manager is the replica's, and its result reports
+		// none of the manager's counters.
+		s.u.M.Stats().AddTo(s.reg)
+		s.reg.Set("datalog.backend.bdd.ops", float64(s.u.Ops()))
+	}
 	s.collectRelationCards()
 	if s.opts.Metrics != nil {
 		s.opts.Metrics.Merge(s.reg)
@@ -711,7 +711,7 @@ func (s *Solver) seminaive(run *stratumRun, delta map[string]*rel.Relation) {
 // iterate runs round until it reports that nothing changed, counting
 // each call as one fixpoint iteration (datalog.iterations, the
 // controller's iteration budget, an "iteration n" span) and offering
-// the manager a collection after it.
+// the manager a collection after it (bdd.Manager.MaybeGC).
 func (s *Solver) iterate(round func() bool) {
 	for changed := true; changed; {
 		s.cIters.Inc()
@@ -720,7 +720,7 @@ func (s *Solver) iterate(round func() bool) {
 			s.tr.Begin(fmt.Sprintf("iteration %d", s.cIters.Value()))
 		}
 		changed = round()
-		s.maybeGC()
+		s.u.M.MaybeGC()
 		if s.tr != nil {
 			s.tr.End(obs.A("changed", changed))
 		}
@@ -826,16 +826,5 @@ func (s *Solver) Explain(w io.Writer) {
 				fmt.Fprintf(w, " hoisted per stratum: %s\n", strings.Join(hoisted, ", "))
 			}
 		}
-	}
-}
-
-func (s *Solver) maybeGC() {
-	trigger := s.opts.GCTrigger
-	if trigger == 0 {
-		trigger = 75
-	}
-	m := s.u.M
-	if m.LiveNodes()*100 > m.Stats().TableSize*trigger {
-		m.GC()
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // TestSolveUnderGCPressure forces the solver through many garbage
-// collections (tiny table, aggressive trigger) and checks the result is
+// collections (tiny table and caches) and checks the result is
 // identical to an unpressured run — the ref-counting discipline must
 // protect every live relation across collections.
 func TestSolveUnderGCPressure(t *testing.T) {
@@ -38,7 +38,7 @@ tc(a, c) :- tc(a, b), e(b, c).
 		return sortedTuples(s.Relation("tc").Tuples()), s.Stats()
 	}
 	calm, _ := run(Options{})
-	pressured, st := run(Options{NodeSize: 1 << 10, CacheSize: 1 << 8, GCTrigger: 1})
+	pressured, st := run(Options{NodeSize: 1 << 10, CacheSize: 1 << 8})
 	if st.GCs == 0 {
 		t.Fatal("pressure run performed no GCs; test is vacuous")
 	}

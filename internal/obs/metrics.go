@@ -3,7 +3,6 @@ package obs
 import (
 	"maps"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -143,26 +142,6 @@ func (m *Metrics) Histogram(name string, bounds []float64) *Histogram {
 		m.hists[name] = h
 	}
 	return h
-}
-
-// EachHistogram calls f for every registered histogram in name order —
-// the iteration behind the Prometheus exposition, which needs raw
-// bucket counts rather than the flattened Snapshot view.
-func (m *Metrics) EachHistogram(f func(name string, h *Histogram)) {
-	m.mu.Lock()
-	names := make([]string, 0, len(m.hists))
-	for name := range m.hists {
-		names = append(names, name)
-	}
-	hists := make([]*Histogram, len(names))
-	sort.Strings(names)
-	for i, name := range names {
-		hists[i] = m.hists[name]
-	}
-	m.mu.Unlock()
-	for i, name := range names {
-		f(name, hists[i])
-	}
 }
 
 // Set is shorthand for Gauge(name).Set(v).

@@ -61,9 +61,6 @@ func NewSampler(interval time.Duration, capacity int, source func() map[string]f
 // -progress heartbeat printer). Set it before Start.
 func (s *Sampler) OnSample(f func(SamplePoint)) { s.onSample = f }
 
-// Interval returns the sampling period.
-func (s *Sampler) Interval() time.Duration { return s.interval }
-
 // Start launches the sampling goroutine (taking an immediate first
 // sample) and returns. Calling Start twice panics.
 func (s *Sampler) Start() {

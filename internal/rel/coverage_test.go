@@ -16,7 +16,7 @@ func TestNewRelationFromBDDTakesOwnership(t *testing.T) {
 	want.add(7)
 	requireTuples(t, r, want)
 	r.Free() // releases the wrapped reference
-	u.GC()
+	u.M.GC()
 }
 
 func TestReshapeRenameAndRebindAtOnce(t *testing.T) {

@@ -51,7 +51,7 @@ func TestPropertyUnionLaws(t *testing.T) {
 		for _, r := range []*Relation{a, b, c, ab, ba, abC, bc, aBC, aa} {
 			r.Free()
 		}
-		u.GC()
+		u.M.GC()
 	}
 }
 
@@ -78,7 +78,7 @@ func TestPropertyDifferenceLaws(t *testing.T) {
 		for _, r := range []*Relation{a, b, amb, anb, back, cross} {
 			r.Free()
 		}
-		u.GC()
+		u.M.GC()
 	}
 }
 
@@ -109,7 +109,7 @@ func TestPropertyJoinCommutes(t *testing.T) {
 		for _, r := range []*Relation{a, b, ab, ba} {
 			r.Free()
 		}
-		u.GC()
+		u.M.GC()
 	}
 }
 
@@ -167,6 +167,6 @@ func TestPropertyRenameRoundTrip(t *testing.T) {
 		for _, r := range []*Relation{a, up, down} {
 			r.Free()
 		}
-		u.GC()
+		u.M.GC()
 	}
 }

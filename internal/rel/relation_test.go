@@ -340,7 +340,7 @@ func TestDifferentialRandomOps(t *testing.T) {
 		r.Free()
 		s.Free()
 		j.Free()
-		u.GC()
+		u.M.GC()
 	}
 }
 
@@ -352,7 +352,7 @@ func TestFreeReleasesNodes(t *testing.T) {
 		r.AddTuple(uint64(rng.Intn(20)), uint64(rng.Intn(20)))
 	}
 	r.Free()
-	live := u.GC()
+	live := u.M.GC()
 	// Only terminals and the domains' interned varsets should survive.
 	if live > 2+u.M.NumVars()+8 {
 		t.Fatalf("GC after Free left %d nodes live", live)

@@ -309,6 +309,3 @@ func (u *Universe) Phys(name string, i int) *bdd.Domain {
 	}
 	return d.insts[i]
 }
-
-// GC runs a BDD garbage collection and returns surviving node count.
-func (u *Universe) GC() int { return u.M.GC() }

@@ -251,7 +251,7 @@ func benchMisses(b *testing.B, rep *Replica, query func(i int) string) {
 			b.Fatal(err)
 		}
 		r.Close()
-		rep.MaybeGC()
+		rep.U.M.MaybeGC()
 	}
 	t0 := time.Now()
 	eval(0)

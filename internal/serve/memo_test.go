@@ -426,8 +426,7 @@ func TestMemoSurvivesGC(t *testing.T) {
 	}
 	nodes := rep.Base.MemoNodes()
 	rep.U.M.GC()
-	rep.gcProduced = -1 << 40 // make MaybeGC collect too
-	rep.MaybeGC()
+	rep.U.M.GC()
 	if gcs := rep.U.M.Stats().GCs; gcs < 2 {
 		t.Fatalf("%d collections, want 2", gcs)
 	}
@@ -443,30 +442,6 @@ func TestMemoSurvivesGC(t *testing.T) {
 	}
 	if rep.Base.MemoNodes() != nodes {
 		t.Fatalf("memo nodes %d after GC, want %d", rep.Base.MemoNodes(), nodes)
-	}
-}
-
-// TestMaybeGCCollectsOnAllocationSinceLastGC: MaybeGC waits until the
-// nodes allocated since the last collection exceed half the free space
-// it left, then collects and measures again from there.
-func TestMaybeGCCollectsOnAllocationSinceLastGC(t *testing.T) {
-	res, _ := synthSolve(t, "cs")
-	rep := hydrated(t, res)
-	m := rep.U.M
-	if free := m.Stats().TableSize - m.LiveNodes(); rep.gcFree != free {
-		t.Fatalf("hydration free space %d, want %d", rep.gcFree, free)
-	}
-	rep.MaybeGC()
-	if m.Stats().GCs != 0 {
-		t.Fatal("collected with nothing allocated")
-	}
-	rep.gcProduced -= int64(rep.gcFree/2) + 1
-	rep.MaybeGC()
-	if m.Stats().GCs != 1 {
-		t.Fatal("did not collect past the threshold")
-	}
-	if rep.gcProduced != m.ProducedNodes() || rep.gcFree != m.Stats().TableSize-m.LiveNodes() {
-		t.Fatal("collection point not recorded")
 	}
 }
 

@@ -65,9 +65,8 @@ type Config struct {
 	AccessLog io.Writer
 	// SampleInterval is the background sampler's period for the
 	// /debug/timeseries substrate gauges (0 = 1s; negative disables the
-	// sampler). SampleCap bounds its ring buffer (0 = 600 samples).
+	// sampler). Its ring keeps the last 600 samples.
 	SampleInterval time.Duration
-	SampleCap      int
 	// Precision, when set, is served verbatim as JSON at /precision —
 	// the daemon computes a precision.Report at startup when asked to.
 	// Nil means the endpoint answers 404 with a hint. Held as any so
@@ -295,7 +294,7 @@ func newFromSnapshot(snap *Snapshot, cfg Config) (*Server, error) {
 	// gauges into the registry, so the single-threaded managers stay
 	// single-threaded.
 	if cfg.SampleInterval > 0 {
-		s.sampler = obs.NewSampler(cfg.SampleInterval, cfg.SampleCap,
+		s.sampler = obs.NewSampler(cfg.SampleInterval, 0,
 			obs.RegistrySource(reg, "serve.", "go."))
 		s.sampler.Start()
 	}
@@ -543,7 +542,7 @@ func (s *Server) runJob(rep *Replica, j *job) {
 		s.gLiveStates.Add(-1)
 	}()
 	j.body, j.err = renderResult(j.src, res, s.cfg.MaxTuples, time.Since(t0))
-	rep.MaybeGC()
+	rep.U.M.MaybeGC()
 	s.tQuery.Observe(time.Since(t0))
 }
 

@@ -194,18 +194,9 @@ type Replica struct {
 	Rels map[string]*rel.Relation
 	Base *datalog.QueryBase
 
-	*replicaState
-}
-
-// replicaState is what every view of one replica shares with the
-// others: the reader that continues the dump ids of the snapshot and
-// its patches, and the collection bookkeeping. gcProduced is the
-// manager's produced-node count and gcFree its free table slots right
-// after the last collection (or hydration).
-type replicaState struct {
-	dag        *bdd.DAGReader
-	gcProduced int64
-	gcFree     int
+	// dag continues the dump ids of the snapshot and its patches; every
+	// view of one replica shares it.
+	dag *bdd.DAGReader
 }
 
 // Hydrate builds a fresh replica. extraInstances adds per-domain
@@ -225,8 +216,8 @@ func (sn *Snapshot) Hydrate(extraInstances map[string]int) (*Replica, error) {
 		u.EnsureInstances(dm.name, dm.primary)
 	}
 	// A quarter of headroom over the snapshot: queries reuse their
-	// garbage through MaybeGC, and a query that outgrows the table
-	// doubles it.
+	// garbage through the manager's MaybeGC, and a query that outgrows
+	// the table doubles it.
 	nodeSize := 1 << 16
 	for nodeSize < sn.nodeCount+sn.nodeCount/4 {
 		nodeSize <<= 1
@@ -238,20 +229,18 @@ func (sn *Snapshot) Hydrate(extraInstances map[string]int) (*Replica, error) {
 	}); err != nil {
 		return nil, err
 	}
-	st := &replicaState{dag: u.M.NewDAGReader()}
-	roots, err := st.dag.Read(bytes.NewReader(sn.dag))
+	dag := u.M.NewDAGReader()
+	roots, err := dag.Read(bytes.NewReader(sn.dag))
 	if err != nil {
 		return nil, err
 	}
-	rep := newView(u, st, sn.relations, roots)
-	rep.noteCollected()
-	return rep, nil
+	return newView(u, dag, sn.relations, roots), nil
 }
 
 // newView binds referenced roots, one per relation of rels, as a
 // replica view over u.
-func newView(u *rel.Universe, st *replicaState, rels []relMeta, roots []bdd.Node) *Replica {
-	rep := &Replica{U: u, Rels: make(map[string]*rel.Relation, len(rels)), replicaState: st}
+func newView(u *rel.Universe, dag *bdd.DAGReader, rels []relMeta, roots []bdd.Node) *Replica {
+	rep := &Replica{U: u, Rels: make(map[string]*rel.Relation, len(rels)), dag: dag}
 	ordered := make([]*rel.Relation, 0, len(rels))
 	for i, rm := range rels {
 		attrs := make([]rel.Attr, len(rm.attrs))
@@ -280,36 +269,14 @@ func (r *Replica) patch(sn *Snapshot, p *patch) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newView(r.U, r.replicaState, sn.relations, roots), nil
+	return newView(r.U, r.dag, sn.relations, roots), nil
 }
 
 // release drops the view's relation roots and its query memo; the
-// nodes only they held become garbage at the next MaybeGC collection.
+// nodes only they held become garbage for the manager's next collection.
 func (r *Replica) release() {
 	for _, rl := range r.Rels {
 		r.U.M.Deref(rl.Root())
 	}
 	r.Base.Release()
-}
-
-// MaybeGC collects the replica's manager once the nodes allocated
-// since the last collection exceed half the free space that collection
-// left. The frozen snapshot roots, the nodes the dump reader holds and
-// the query base's memo entries are referenced and always survive. A
-// rule on the live count alone ("live > half the table") would collect
-// at every check once the snapshot and the memo fill most of the table,
-// reclaiming little.
-func (r *Replica) MaybeGC() {
-	if r.U.M.ProducedNodes()-r.gcProduced <= int64(r.gcFree/2) {
-		return
-	}
-	r.U.M.GC()
-	r.noteCollected()
-}
-
-// noteCollected records the point MaybeGC measures from.
-func (r *Replica) noteCollected() {
-	m := r.U.M
-	r.gcProduced = m.ProducedNodes()
-	r.gcFree = m.Stats().TableSize - m.LiveNodes()
 }
