@@ -454,13 +454,13 @@ func preparePermuted(f *extract.Facts, n *callgraph.Numbering, csize uint64, per
 		return true
 	})
 	iecRel.Free()
-	hcRel := n.MaterializeHC(s.Universe(), "tmp2",
-		s.Relation("hC").Attrs()[0], s.Relation("hC").Attrs()[1], f.AllocMethod)
-	hcRel.Iterate(func(vals []uint64) bool {
-		s.Relation("hC").AddTuple(perm(vals[0]), vals[1])
+	vcRel := n.MaterializeContexts(s.Universe(), "tmp2",
+		s.Relation("vC").Attrs()[0], s.Relation("vC").Attrs()[1], f.VarMethod)
+	vcRel.Iterate(func(vals []uint64) bool {
+		s.Relation("vC").AddTuple(perm(vals[0]), vals[1])
 		return true
 	})
-	hcRel.Free()
+	vcRel.Free()
 	for name, tuples := range map[string][]extract.Tuple{
 		"vP0": f.VP0, "store": f.Store, "load": f.Load,
 		"vT": f.VT, "hT": f.HT, "aT": f.AT,
@@ -502,8 +502,8 @@ func BenchmarkAblationRangePrimitive(b *testing.B) {
 }
 
 // BenchmarkMaterialize measures turning Algorithm 4's numbering into
-// the context relations the solve starts from: hC and IEC under the
-// Algorithm 5 order, hcH under Algorithm 8's "C+HC" block. Each
+// the context relations the solve starts from: vC and IEC under the
+// Algorithm 5 order, vcH under Algorithm 8's "C+HC" block. Each
 // iteration materializes into a fresh universe, so producedNodes counts
 // every node the build allocates — the result plus its garbage, all of
 // which stays live until the solve's first collection.
@@ -520,7 +520,7 @@ func BenchmarkMaterialize(b *testing.B) {
 			u := rel.NewUniverse()
 			u.Declare("I", uint64(len(f.Invokes)))
 			u.Declare("M", uint64(len(f.Methods)))
-			u.Declare("H", uint64(len(f.Heaps)))
+			u.Declare("V", uint64(len(f.Vars)))
 			u.Declare("C", csize)
 			block := "C"
 			if heap {
@@ -528,7 +528,7 @@ func BenchmarkMaterialize(b *testing.B) {
 				block = "C+HC"
 			}
 			u.EnsureInstances("C", 2)
-			if err := u.Finalize(rel.FinalizeOptions{Order: []string{"I", "M", block, "H"}}); err != nil {
+			if err := u.Finalize(rel.FinalizeOptions{Order: []string{"I", "M", "V", block}}); err != nil {
 				b.Fatal(err)
 			}
 			return u
@@ -538,11 +538,11 @@ func BenchmarkMaterialize(b *testing.B) {
 			heap bool
 			run  func(u *rel.Universe) (*rel.Relation, error)
 		}{
-			{"hC", false, func(u *rel.Universe) (*rel.Relation, error) {
-				return n.MaterializeHC(u, "hC", u.A("c", "C", 0), u.A("h", "H", 0), f.AllocMethod), nil
+			{"vC", false, func(u *rel.Universe) (*rel.Relation, error) {
+				return n.MaterializeContexts(u, "vC", u.A("c", "C", 0), u.A("v", "V", 0), f.VarMethod), nil
 			}},
-			{"hcH", true, func(u *rel.Universe) (*rel.Relation, error) {
-				return n.MaterializeHeapContexts(u, "hcH", u.A("c", "C", 0), u.A("hc", "HC", 0), u.A("h", "H", 0), f.AllocMethod, nil)
+			{"vcH", true, func(u *rel.Universe) (*rel.Relation, error) {
+				return n.MaterializeHeapContexts(u, "vcH", u.A("c", "C", 0), u.A("hc", "HC", 0), u.A("v", "V", 0), f.VarMethod, nil)
 			}},
 			{"IEC", false, func(u *rel.Universe) (*rel.Relation, error) {
 				return n.MaterializeIEC(u, "IEC", u.A("caller", "C", 0), u.A("invoke", "I", 0), u.A("callee", "C", 1), u.A("method", "M", 0))

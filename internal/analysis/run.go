@@ -114,7 +114,7 @@ func (c Config) order(def []string) []string {
 
 // The default variable orders come from internal/order's shipped table
 // (found empirically per Section 2.4.2; see order.Default). heapOrder
-// groups "C+HC" into one interleaved block — Algorithm 8's hcH diagonal
+// groups "C+HC" into one interleaved block — Algorithm 8's vcH diagonal
 // needs the arithmetic alignment.
 var (
 	ciOrder   = order.Default(order.ModeCI)
@@ -450,8 +450,9 @@ func onGraph(f *extract.Facts, g *callgraph.Graph, cfg Config, degrades bool,
 
 // runCloned runs a context-sensitive program over the cloned call
 // graph: Algorithm 4 numbers g, and the numbering is materialized into
-// IEC plus either hC (Algorithms 5 and 6) or, with heap set, Algorithm
-// 8's hcH heap-context diagonal and noHeapContext escape set.
+// IEC plus either vC (Algorithms 5 and 6) or, with heap set, Algorithm
+// 8's vcH heap-context diagonal; heap also fills the per-site
+// noHeapContext escape set that heapCloned reads.
 func runCloned(f *extract.Facts, g *callgraph.Graph, cfg Config, src string, heap bool) (*Result, error) {
 	var n *callgraph.Numbering
 	if err := phase(cfg.Tracer, "analysis.numbering", func() (err error) {
@@ -467,7 +468,7 @@ func runCloned(f *extract.Facts, g *callgraph.Graph, cfg Config, src string, hea
 		// HC is sized like C: clone hc mirrors context c, with value 0
 		// reserved for the context-insensitive clone.
 		order, sizes["HC"] = heapOrder, cSize
-		noHeap = noHeapContexts(f, n, cSize, cfg.HeapContextLimit)
+		noHeap = noHeapContexts(f.AllocMethod, n, cSize, cfg.HeapContextLimit)
 	}
 	materialize := func(s *datalog.Solver) error {
 		u := s.Universe()
@@ -478,15 +479,16 @@ func runCloned(f *extract.Facts, g *callgraph.Graph, cfg Config, src string, hea
 		}
 		s.ReplaceRelation("IEC", iec)
 		if heap {
-			d := s.Relation("hcH").Attrs()
-			hch, err := n.MaterializeHeapContexts(u, "hcH", d[0], d[1], d[2], f.AllocMethod, noHeap)
+			d := s.Relation("vcH").Attrs()
+			vm := varMethods(f, d[2].Phys.Size)
+			vch, err := n.MaterializeHeapContexts(u, "vcH", d[0], d[1], d[2], vm, noHeapContexts(vm, n, cSize, cfg.HeapContextLimit))
 			if err != nil {
 				return err
 			}
-			s.ReplaceRelation("hcH", hch)
+			s.ReplaceRelation("vcH", vch)
 		} else {
-			d := s.Relation("hC").Attrs()
-			s.ReplaceRelation("hC", n.MaterializeHC(u, "hC", d[0], d[1], f.AllocMethod))
+			d := s.Relation("vC").Attrs()
+			s.ReplaceRelation("vC", n.MaterializeContexts(u, "vC", d[0], d[1], varMethods(f, d[1].Phys.Size)))
 		}
 		// domC holds every context — programs bind the paper's implicitly
 		// universal head contexts against it (Algorithm 6 rule (23), the
@@ -542,21 +544,34 @@ func RunContextSensitiveOnTheFly(f *extract.Facts, cfg Config) (_ *Result, err e
 	})
 }
 
-// noHeapContexts computes Algorithm 8's escape-hatch set: true for
-// every allocation site that must keep the single context-insensitive
-// heap clone — global objects, sites in unreachable methods, and sites
-// whose method has more (capped) contexts than cfg.HeapContextLimit.
-func noHeapContexts(f *extract.Facts, n *callgraph.Numbering, contextDomainSize uint64, limit uint64) []bool {
+// varMethods maps every value of the V domain (size values) to its
+// method. Spare values past the extracted variables (Config.DomainSlack)
+// have none, like the global variable, so a live update that names a
+// new variable seeds its allocations in every context.
+func varMethods(f *extract.Facts, size uint64) []int {
+	out := make([]int, size)
+	for v := copy(out, f.VarMethod); v < len(out); v++ {
+		out[v] = -1
+	}
+	return out
+}
+
+// noHeapContexts computes Algorithm 8's escape-hatch set over elements
+// (allocation sites or variables) with the given methods: true for
+// every element that must keep the single context-insensitive heap
+// clone — global ones, those in unreachable methods, and those whose
+// method has more (capped) contexts than cfg.HeapContextLimit.
+func noHeapContexts(methods []int, n *callgraph.Numbering, contextDomainSize uint64, limit uint64) []bool {
 	capM := contextDomainSize - 1
-	out := make([]bool, len(f.AllocMethod))
-	for h, meth := range f.AllocMethod {
+	out := make([]bool, len(methods))
+	for e, meth := range methods {
 		if meth < 0 {
-			out[h] = true
+			out[e] = true
 			continue
 		}
 		k := callgraph.CappedCount(n.MethodContexts(meth), capM)
 		if k == 0 || (limit > 0 && k > limit) {
-			out[h] = true
+			out[e] = true
 		}
 	}
 	return out

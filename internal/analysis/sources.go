@@ -16,13 +16,15 @@
 //
 // The Datalog below is the paper's, modulo four documented deltas:
 // return values are handled by explicit Iret/Mret rules (the paper says
-// they are "handled analogously"), allocation-site contexts come from an
-// explicit hC(context, heap) relation instead of the untyped "H ⊆ I"
-// overlap in rules (14)/(20), inequality tests are expressed with
-// negated equality input relations (eqT/eqCT diagonals), and the
-// paper's implicitly universally quantified head contexts (rule (23),
-// mod-ref's mVC base case) are bound explicitly through domC — the
-// full context domain — so every rule passes the DL020 safety check.
+// they are "handled analogously"); rules (14)/(20) seed an allocation in
+// the contexts of the variable's method through an explicit
+// vC(context, variable) relation — the form of pacsh.datalog's
+// vP0(v,h), mV(m,v), mC(m,c) — instead of the untyped "H ⊆ I" overlap;
+// inequality tests are expressed with negated equality input relations
+// (eqT/eqCT diagonals); and the paper's implicitly universally
+// quantified head contexts (rule (23), mod-ref's mVC base case) are
+// bound explicitly through domC — the full context domain — so every
+// rule passes the DL020 safety check.
 //
 // Every source here parses and checks clean (no errors, no warnings)
 // under the datalog/check pass; TestShippedProgramsCheckClean enforces
@@ -136,18 +138,22 @@ const contextDomain = `
 `
 
 // Algorithm5Src is context-sensitive points-to over the cloned call
-// graph (the paper's Algorithm 5). IEC comes from Algorithm 4; hC gives
-// each allocation site its method's context range.
+// graph (the paper's Algorithm 5). IEC comes from Algorithm 4; vC gives
+// each variable its method's context range. Rule (14) joins vP0 and vC
+// on the variable, which sits above C in the order, so the seed is one
+// lock-step walk over V that copies a context range per distinct
+// points-to subtree; vP0 pairs a variable only with sites of its own
+// method (or the global pair), so this equals seeding by the site.
 const Algorithm5Src = commonDomains + contextDomain + commonInputs + typeInputs + invokeInputs + `
 .relation IEC (caller : C, invoke : I, callee : C, tgt : M) input
-.relation hC (context : C, heap : H) input
+.relation vC (context : C, variable : V) input
 .relation vPfilter (variable : V, heap : H)
 .relation assignC (destc : C, dest : V, srcc : C, src : V)
 .relation vPC (context : C, variable : V, heap : H) output
 .relation hP (base : H, field : F, target : H) output
 
 vPfilter(v, h)            :- vT(v, tv), hT(h, th), aT(tv, th).  # (13)
-vPC(c, v, h)              :- vP0(v, h), hC(c, h).               # (14)
+vPC(c, v, h)              :- vP0(v, h), vC(c, v).               # (14)
 vPC(c1, v1, h)            :- assignC(c1, v1, c2, v2), vPC(c2, v2, h), vPfilter(v1, h). # (15)
 hP(h1, f, h2)             :- store(v1, f, v2), vPC(c, v1, h1), vPC(c, v2, h2).         # (16)
 vPC(c, v2, h2)            :- load(v1, f, v2), vPC(c, v1, h1), hP(h1, f, h2), vPfilter(v2, h2). # (17)
@@ -168,7 +174,7 @@ const Algorithm5OTFSrc = commonDomains + contextDomain + commonInputs + typeInpu
 .relation IE0 (invoke : I, target : M) input
 .relation mI (method : M, invoke : I, name : N) input
 .relation IEC (caller : C, invoke : I, callee : C, tgt : M) input
-.relation hC (context : C, heap : H) input
+.relation vC (context : C, variable : V) input
 .relation vPfilter (variable : V, heap : H)
 .relation IECd (caller : C, invoke : I, callee : C, tgt : M) output
 .relation assignC (destc : C, dest : V, srcc : C, src : V)
@@ -176,7 +182,7 @@ const Algorithm5OTFSrc = commonDomains + contextDomain + commonInputs + typeInpu
 .relation hP (base : H, field : F, target : H) output
 
 vPfilter(v, h)          :- vT(v, tv), hT(h, th), aT(tv, th).
-vPC(c, v, h)            :- vP0(v, h), hC(c, h).
+vPC(c, v, h)            :- vP0(v, h), vC(c, v).
 vPC(c1, v1, h)          :- assignC(c1, v1, c2, v2), vPC(c2, v2, h), vPfilter(v1, h).
 hP(h1, f, h2)           :- store(v1, f, v2), vPC(c, v1, h1), vPC(c, v2, h2).
 vPC(c, v2, h2)          :- load(v1, f, v2), vPC(c, v1, h1), hP(h1, f, h2), vPfilter(v2, h2).
@@ -206,17 +212,19 @@ const heapContextDomain = `
 // follow-on analysis of Whaley's pacsh.datalog, here as Algorithm 8.
 // Where Algorithm 5 keeps one heap object per allocation site, cvP
 // gives each site one clone per context of its containing method: the
-// input diagonal hcH(c, hc, h) pairs calling context c with heap
-// context hc = c for cloned sites (hc = 0 for noHeapContext sites), and
-// the heap-indexed hPH keeps the field contents of different clones
-// separate — stores and loads match on (heap context, heap) rather than
-// heap alone, which is exactly where the added precision comes from.
+// input diagonal vcH(c, hc, v) pairs calling context c of variable v's
+// method with heap context hc = c (hc = 0 where that method is not
+// cloned), which seeds v = new h with h's clone for c, since v and h
+// name the same method; and the heap-indexed hPH keeps the field
+// contents of different clones separate — stores and loads match on
+// (heap context, heap) rather than heap alone, which is exactly where
+// the added precision comes from.
 // vPC and hP project the clones away so every Algorithm 5 consumer
 // (queries, metrics, serving templates) reads Algorithm 8 results
 // unchanged; heapCloned names the sites that actually got clones.
 const Algorithm8Src = commonDomains + contextDomain + heapContextDomain + commonInputs + typeInputs + invokeInputs + `
 .relation IEC (caller : C, invoke : I, callee : C, tgt : M) input
-.relation hcH (context : C, hctx : HC, heap : H) input
+.relation vcH (context : C, hctx : HC, variable : V) input
 .relation noHeapContext (heap : H) input
 .relation vPfilter (variable : V, heap : H)
 .relation assignC (destc : C, dest : V, srcc : C, src : V)
@@ -227,7 +235,7 @@ const Algorithm8Src = commonDomains + contextDomain + heapContextDomain + common
 .relation heapCloned (heap : H) output
 
 vPfilter(v, h)            :- vT(v, tv), hT(h, th), aT(tv, th).
-cvP(c, v, hc, h)          :- vP0(v, h), hcH(c, hc, h).
+cvP(c, v, hc, h)          :- vP0(v, h), vcH(c, hc, v).
 cvP(c1, v1, hc, h)        :- assignC(c1, v1, c2, v2), cvP(c2, v2, hc, h), vPfilter(v1, h).
 hPH(hc1, h1, f, hc2, h2)  :- store(v1, f, v2), cvP(c, v1, hc1, h1), cvP(c, v2, hc2, h2).
 cvP(c, v2, hc2, h2)       :- load(v1, f, v2), cvP(c, v1, hc1, h1), hPH(hc1, h1, f, hc2, h2), vPfilter(v2, h2).
@@ -247,7 +255,7 @@ heapCloned(h)             :- hT(h, _), !noHeapContext(h).
 // explicitly.
 const Algorithm6Src = commonDomains + contextDomain + commonInputs + typeInputs + invokeInputs + `
 .relation IEC (caller : C, invoke : I, callee : C, tgt : M) input
-.relation hC (context : C, heap : H) input
+.relation vC (context : C, variable : V) input
 .relation domC (context : C) input
 .relation vTfilter (variable : V, type : T)
 .relation assignC (destc : C, dest : V, srcc : C, src : V)
@@ -255,7 +263,7 @@ const Algorithm6Src = commonDomains + contextDomain + commonInputs + typeInputs 
 .relation fT (field : F, target : T) output
 
 vTfilter(v, t)          :- vT(v, tv), aT(tv, t).                # (19)
-vTC(c, v, t)            :- vP0(v, h), hC(c, h), hT(h, t).       # (20)
+vTC(c, v, t)            :- vP0(v, h), vC(c, v), hT(h, t).       # (20)
 vTC(c1, v1, t)          :- assignC(c1, v1, c2, v2), vTC(c2, v2, t), vTfilter(v1, t). # (21)
 fT(f, t)                :- store(_, f, v2), vTC(_, v2, t).      # (22)
 vTC(c, v, t)            :- load(_, f, v), fT(f, t), vTfilter(v, t), domC(c). # (23)

@@ -14,7 +14,7 @@ import (
 // load, actual, mI, ...) of the program the result was solved with.
 // For context-sensitive results the context numbering is the one
 // computed at startup — a delta that adds call edges flows through the
-// frozen IEC/hC materialization, matching what a from-scratch solve
+// frozen IEC/vC materialization, matching what a from-scratch solve
 // over the same materialization would compute, but it does not renumber
 // contexts; re-run the full pipeline when the call-graph shape changes
 // enough to matter. New element names arriving in deltas need spare

@@ -313,7 +313,7 @@ func TestMaterializeIECMergesOverflow(t *testing.T) {
 	}
 }
 
-func TestMaterializeHC(t *testing.T) {
+func TestMaterializeContexts(t *testing.T) {
 	g := figure1Graph()
 	n, err := Number(g)
 	if err != nil {
@@ -325,9 +325,9 @@ func TestMaterializeHC(t *testing.T) {
 	if err := u.Finalize(rel.FinalizeOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	// Heap 0 is global; heap 1 allocated in M6 (6 contexts); heap 2 in M1.
-	allocMethod := []int{-1, 5, 0}
-	hc := n.MaterializeHC(u, "hC", u.A("c", "C", 0), u.A("h", "H", 0), allocMethod)
+	// Element 0 is global; element 1 is in M6 (6 contexts); element 2 in M1.
+	elemMethod := []int{-1, 5, 0}
+	hc := n.MaterializeContexts(u, "hC", u.A("c", "C", 0), u.A("h", "H", 0), elemMethod)
 	counts := map[uint64]int{}
 	hc.Iterate(func(vals []uint64) bool {
 		counts[vals[1]]++

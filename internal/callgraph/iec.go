@@ -14,9 +14,9 @@ import (
 // the O(k) range and add-constant primitives of Section 4.1:
 //
 //   IEC(caller:C, invoke:I, callee:C, method:M)
-//   hC(context:C, heap:H) — which contexts execute each allocation site
-//     (our well-typed stand-in for the paper's "H ⊆ I" trick in rules
-//     (14) and (20); see DESIGN.md).
+//   vC(context:C, variable:V) — the contexts of each variable's method,
+//     which seed rules (14) and (20) the way the paper's pacsh.datalog
+//     joins mV and mC (see DESIGN.md).
 //
 // The context domain's top value serves as the merged overflow context:
 // components with more contexts than the domain holds have their tail
@@ -35,14 +35,16 @@ func mergeValue(c *bdd.Domain) uint64 { return c.Size - 1 }
 // structure at every step — quadratic work whose garbage the solve then
 // carries to its first collection.
 
-// allContexts is the partKey count of global objects, which execute in
-// every context (Domain.DomainConstraint, value 0 included) rather than
-// a range 1..k. It sorts after every real capped count.
+// allContexts is the partKey count of elements with no method (the
+// global variable and object), which occur in every context
+// (Domain.DomainConstraint, value 0 included) rather than a range 1..k.
+// It sorts after every real capped count.
 const allContexts = math.MaxUint64
 
 // partKey identifies one part: count is the capped context count (or
 // allContexts) and arg the key's second component — the capped
-// add-constant offset for IEC, 1 for a cloned hcH part, 0 otherwise.
+// add-constant offset for IEC, 1 for a cloned heap-context part, 0
+// otherwise.
 type partKey struct{ count, arg uint64 }
 
 // partition buckets a relation's rows by partKey.
@@ -179,12 +181,13 @@ func mergedPart(m *bdd.Manager, ccPhys, cmPhys *bdd.Domain, lo, hi, capM uint64)
 	return res
 }
 
-// allocCount returns the partKey count of an allocation site in method
-// meth (< 0 for the global object), or 0 when the method is unreachable
-// and so executes in no context.
-func (n *Numbering) allocCount(meth int, capM uint64) uint64 {
+// methodCount returns the partKey count of an element of method meth
+// (< 0 for no method: the global variable and object, and spare domain
+// values), or 0 when the method is unreachable and so executes in no
+// context.
+func (n *Numbering) methodCount(meth int, capM uint64) uint64 {
 	if meth < 0 {
-		// Global objects live in every context (Algorithm 7: "All
+		// Global elements live in every context (Algorithm 7: "All
 		// global objects across all contexts are given the same
 		// context"; for call-path contexts they must join with any).
 		return allContexts
@@ -192,48 +195,48 @@ func (n *Numbering) allocCount(meth int, capM uint64) uint64 {
 	return CappedCount(n.MethodContexts(meth), capM)
 }
 
-// MaterializeHC builds hC(context, heap): allocation site h executes in
-// context c of its containing method. allocMethod maps H indices to M
-// indices; entries < 0 (the global object) execute in every context.
-func (n *Numbering) MaterializeHC(u *rel.Universe, name string, context, heap rel.Attr, allocMethod []int) *rel.Relation {
+// MaterializeContexts builds a (context, element) relation: element e
+// occurs in context c of its method. elemMethod maps element indices to
+// M indices; entries < 0 occur in every context.
+func (n *Numbering) MaterializeContexts(u *rel.Universe, name string, context, elem rel.Attr, elemMethod []int) *rel.Relation {
 	capM := mergeValue(context.Phys)
 	var p partition
-	for h, meth := range allocMethod {
-		if k := n.allocCount(meth, capM); k != 0 {
-			p.add(partKey{count: k}, uint64(h))
+	for e, meth := range elemMethod {
+		if k := n.methodCount(meth, capM); k != 0 {
+			p.add(partKey{count: k}, uint64(e))
 		}
 	}
 	// The context ranges cannot fail, so neither can the union.
-	root, _ := p.union(u.M, []*bdd.Domain{heap.Phys}, func(k partKey) (bdd.Node, error) {
+	root, _ := p.union(u.M, []*bdd.Domain{elem.Phys}, func(k partKey) (bdd.Node, error) {
 		return contextRange(context.Phys, k.count), nil
 	})
-	return u.NewRelationFromBDD(name, root, context, heap)
+	return u.NewRelationFromBDD(name, root, context, elem)
 }
 
-// MaterializeHeapContexts builds Algorithm 8's hcH(context, hctx,
-// heap) diagonal: allocation site h executing in context c of its
-// containing method allocates heap clone hctx = c — one AddConst per
-// capped context count, O(k) in BDD nodes, which requires context and
-// hctx to share an interleaved order block ("C+HC"). Heap-context value
-// 0 is the "no heap context" clone: sites flagged in noHeapContext (and
-// global objects, which live in every context) allocate hctx = 0,
-// keeping them context-insensitive exactly like Algorithm 5.
-func (n *Numbering) MaterializeHeapContexts(u *rel.Universe, name string, context, hctx, heap rel.Attr, allocMethod []int, noHeapContext []bool) (*rel.Relation, error) {
+// MaterializeHeapContexts builds Algorithm 8's (context, hctx, element)
+// diagonal: an element of a method executing in context c pairs with
+// heap clone hctx = c — one AddConst per capped context count, O(k) in
+// BDD nodes, which requires context and hctx to share an interleaved
+// order block ("C+HC"). Heap-context value 0 is the "no heap context"
+// clone: elements flagged in noHeapContext (and elements with no
+// method, which occur in every context) pair with hctx = 0, keeping
+// them context-insensitive exactly like Algorithm 5.
+func (n *Numbering) MaterializeHeapContexts(u *rel.Universe, name string, context, hctx, elem rel.Attr, elemMethod []int, noHeapContext []bool) (*rel.Relation, error) {
 	m := u.M
 	capM := mergeValue(context.Phys)
 	var p partition
-	for h, meth := range allocMethod {
-		k := n.allocCount(meth, capM)
+	for e, meth := range elemMethod {
+		k := n.methodCount(meth, capM)
 		if k == 0 {
 			continue
 		}
 		cloned := uint64(0)
-		if meth >= 0 && !(h < len(noHeapContext) && noHeapContext[h]) {
+		if meth >= 0 && !(e < len(noHeapContext) && noHeapContext[e]) {
 			cloned = 1
 		}
-		p.add(partKey{k, cloned}, uint64(h))
+		p.add(partKey{k, cloned}, uint64(e))
 	}
-	root, err := p.union(m, []*bdd.Domain{heap.Phys}, func(k partKey) (bdd.Node, error) {
+	root, err := p.union(m, []*bdd.Domain{elem.Phys}, func(k partKey) (bdd.Node, error) {
 		if k.arg == 1 {
 			return m.AddConst(context.Phys, hctx.Phys, 0, 1, k.count)
 		}
@@ -247,7 +250,7 @@ func (n *Numbering) MaterializeHeapContexts(u *rel.Universe, name string, contex
 	if err != nil {
 		return nil, err
 	}
-	return u.NewRelationFromBDD(name, root, context, hctx, heap), nil
+	return u.NewRelationFromBDD(name, root, context, hctx, elem), nil
 }
 
 // ContextDomainSize returns a context-domain size that distinctly

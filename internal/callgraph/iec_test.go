@@ -10,9 +10,10 @@ import (
 	"bddbddb/internal/rel"
 )
 
-// TestMaterializeMatchesTupleModel checks IEC, hC and hcH tuple for
-// tuple against a Go-map model enumerated straight from Counts and
-// EdgeMaps. The solver differentials all start from the materialized
+// TestMaterializeMatchesTupleModel checks IEC and the (context,
+// element) and (context, hctx, element) relations that seed rule (14)
+// and Algorithm 8, tuple for tuple, against a Go-map model enumerated
+// straight from Counts and EdgeMaps. The solver differentials all start from the materialized
 // IEC, so they cannot see a materialization bug; this test can. Random
 // small graphs with SCCs meet a tiny context domain, so edges come out
 // distinct, partly merged onto the merge context and fully merged.
@@ -56,7 +57,7 @@ func TestMaterializeMatchesTupleModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameTuples(t, name+" IEC", iec.Tuples(), modelIEC(n, cSize, seen))
-		hc := n.MaterializeHC(u, "hC", u.A("c", "C", 0), u.A("h", "H", 0), allocMethod)
+		hc := n.MaterializeContexts(u, "hC", u.A("c", "C", 0), u.A("h", "H", 0), allocMethod)
 		sameTuples(t, name+" hC", hc.Tuples(), modelHC(n, cSize, allocMethod, seen))
 		hch, err := n.MaterializeHeapContexts(u, "hcH", u.A("c", "C", 0), u.A("hc", "HC", 0), u.A("h", "H", 0), allocMethod, noHeap)
 		if err != nil {

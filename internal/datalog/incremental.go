@@ -579,7 +579,7 @@ func (inc *IncrementalSolver) recomputeStratum(idx int, st *stratum) {
 
 // inputNames lists the relations no non-fact rule defines, in
 // declaration order — the relations Rebase copies verbatim (fills,
-// facts, and materialized inputs like IEC/hC alike).
+// facts, and materialized inputs like IEC/vC alike).
 func (inc *IncrementalSolver) inputNames() []string {
 	var out []string
 	for _, rd := range inc.s.prog.Relations {

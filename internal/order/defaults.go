@@ -12,7 +12,7 @@ package order
 // An entry may group logical domains with "+" (rel.FinalizeOptions
 // order-group syntax): "C+HC" interleaves the calling-context and
 // heap-context domains bitwise in one block, which the O(k) arithmetic
-// primitives behind Algorithm 8's hcH diagonal require. Search treats
+// primitives behind Algorithm 8's vcH diagonal require. Search treats
 // a group entry as one atomic token, so transpositions never split it.
 
 // Mode names for Default.

@@ -537,11 +537,16 @@ func (s *Server) runJob(rep *Replica, j *job) {
 	s.cMemoMisses.Add(res.Stats.BaseMemoMisses)
 	s.cMemoPivoted.Add(res.Stats.BaseMemoPivoted)
 	s.gLiveStates.Add(1)
-	defer func() {
-		res.Close()
-		s.gLiveStates.Add(-1)
+	// The result is closed before the collection is offered, so the
+	// query's relations are garbage it can reclaim; the deferred close
+	// also runs when rendering panics.
+	func() {
+		defer func() {
+			res.Close()
+			s.gLiveStates.Add(-1)
+		}()
+		j.body, j.err = renderResult(j.src, res, s.cfg.MaxTuples, time.Since(t0))
 	}()
-	j.body, j.err = renderResult(j.src, res, s.cfg.MaxTuples, time.Since(t0))
 	rep.U.M.MaybeGC()
 	s.tQuery.Observe(time.Since(t0))
 }
