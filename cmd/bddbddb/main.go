@@ -179,6 +179,9 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, path s
 	if err := s.Solve(); err != nil {
 		return fail(err)
 	}
+	if sess.MetricsRequested() {
+		s.RecordRelationSizes(sess.Metrics)
+	}
 	st := s.Stats()
 	fmt.Printf("solved in %v: %d rule applications, %d iterations, peak %d live BDD nodes\n",
 		st.SolveTime, st.RuleApplications, st.Iterations, st.PeakLiveNodes)

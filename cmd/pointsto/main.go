@@ -156,6 +156,9 @@ func run(ctx context.Context, w io.Writer, sess *obs.Session, rflags resilience.
 	if r.Degraded {
 		fmt.Fprintf(os.Stderr, "pointsto: degraded to context-insensitive result: %v\n", r.DegradedCause)
 	}
+	if sess.MetricsRequested() {
+		r.Solver.RecordRelationSizes(sess.Metrics)
+	}
 	solved := r.Stats()
 	fmt.Fprintf(w, "%s: solved in %v, %d iterations, peak %d live BDD nodes\n",
 		o.algo, solved.SolveTime, solved.Iterations, solved.PeakLiveNodes)

@@ -123,10 +123,11 @@ func TestTypeAnalysisReportsNoPairs(t *testing.T) {
 
 // TestMetricsCoverEverySolve checks that -algo cs, which solves twice
 // (call-graph discovery, then the cloned analysis), exports the
-// datalog counters and timers of both solves, not only the last.
+// datalog counters and timers of both solves, not only the last, and
+// under -metrics the sizes of the analysis's relations.
 func TestMetricsCoverEverySolve(t *testing.T) {
 	in := freettsFile(t)
-	sess, err := (&obs.Flags{}).Start("pointsto")
+	sess, err := (&obs.Flags{MetricsPath: filepath.Join(t.TempDir(), "metrics.json")}).Start("pointsto")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +137,11 @@ func TestMetricsCoverEverySolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := sess.Metrics.Snapshot()
-	for _, k := range []string{"datalog.solve.count", "datalog.cardinalities.count"} {
-		if m[k] != 2 {
-			t.Errorf("%s = %g, want 2", k, m[k])
-		}
+	if k := "datalog.solve.count"; m[k] != 2 {
+		t.Errorf("%s = %g, want 2", k, m[k])
+	}
+	if k := "relation.vPC.tuples"; m[k] <= 0 {
+		t.Errorf("%s = %g, want the cs points-to relation's size", k, m[k])
 	}
 }
 

@@ -1,8 +1,10 @@
 package bdd
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -725,5 +727,39 @@ func TestPeakLiveTracking(t *testing.T) {
 	m.GC()
 	if m.Stats().PeakLive < 10 {
 		t.Fatalf("peak live not tracked: %+v", m.Stats())
+	}
+}
+
+// TestPairRejectsNonInjective: a pair maps each level at most once and
+// never two levels to one destination; mapping a level to itself or
+// repeating a mapping changes nothing.
+func TestPairRejectsNonInjective(t *testing.T) {
+	m := New(1<<10, 1<<8)
+	m.AddVars(8)
+	panics := func(f func()) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		f()
+		return ""
+	}
+	p := m.NewPair()
+	p.Set(1, 5)
+	p.Set(1, 5)
+	p.Set(3, 3)
+	if p.Len() != 1 {
+		t.Fatalf("pair remaps %d levels, want 1", p.Len())
+	}
+	if msg := panics(func() { p.Set(1, 6) }); !strings.Contains(msg, "maps level 1 twice (5 and 6)") {
+		t.Errorf("remapping level 1: %q", msg)
+	}
+	if msg := panics(func() { p.Set(2, 5) }); !strings.Contains(msg, "maps levels 1 and 2 to same destination 5") {
+		t.Errorf("second level onto 5: %q", msg)
+	}
+	p.Set(5, 1)
+	if got := m.Replace(m.Var(1), p); got != m.Var(5) {
+		t.Errorf("Replace(x1) is not x5")
 	}
 }

@@ -3,6 +3,7 @@ package bdd
 import (
 	"fmt"
 	"math/big"
+	"slices"
 	"strings"
 )
 
@@ -188,18 +189,32 @@ func (d *Domain) DomainConstraint() Node {
 }
 
 // Value decodes the domain's value from an AllSat assignment covering
-// vars, where vals[i] corresponds to vars[i] (ascending levels).
+// vars, where vals[i] corresponds to vars[i] (ascending levels). A
+// caller decoding many assignments over the same vars computes
+// Positions once and decodes each with ValueAt.
 func (d *Domain) Value(vars []int32, vals []bool) uint64 {
+	return ValueAt(d.Positions(vars), vals)
+}
+
+// Positions returns, for each bit of the domain from the least
+// significant, the index of that bit's level in vars, or -1 when vars
+// does not hold it (the bit then decodes as 0).
+func (d *Domain) Positions(vars []int32) []int {
 	d.checkFinalized()
-	var v uint64
+	pos := make([]int, len(d.levels))
 	for bit, lv := range d.levels {
-		for i, x := range vars {
-			if x == lv {
-				if vals[i] {
-					v |= 1 << uint(bit)
-				}
-				break
-			}
+		pos[bit] = slices.Index(vars, lv)
+	}
+	return pos
+}
+
+// ValueAt decodes a domain value from an AllSat assignment, given the
+// domain's Positions in the assignment's vars.
+func ValueAt(pos []int, vals []bool) uint64 {
+	var v uint64
+	for bit, i := range pos {
+		if i >= 0 && vals[i] {
+			v |= 1 << uint(bit)
 		}
 	}
 	return v

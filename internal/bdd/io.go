@@ -439,6 +439,13 @@ func (r *DAGReader) Read(in io.Reader) (_ []Node, err error) {
 		roots = append(roots, m.Ref(r.nodes[id]))
 	}
 	r.n = len(r.nodes)
+	if base == 2 {
+		// A full dump's nodes are a fresh manager's starting state, not
+		// work since its creation: MaybeGC measures from here, so a
+		// replica whose snapshot fills most of its table does not collect
+		// after its first small query.
+		m.markCollectionPoint()
+	}
 	switch {
 	case !r.pin:
 	case base == 2:

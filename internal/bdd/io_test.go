@@ -571,3 +571,66 @@ func TestDAGReaderRefusesDeltaOverNonCanonicalDump(t *testing.T) {
 		})
 	}
 }
+
+// TestFullReadResetsCollectionPoint: the nodes a full dump builds are a
+// replica's starting state, so MaybeGC measures from the end of the
+// read. A snapshot filling more than 3/4 of the table is not collected
+// at the first offer after a small query, and is once more than half
+// the slots free after the read have been produced since.
+func TestFullReadResetsCollectionPoint(t *testing.T) {
+	// Levels 0 and 1 stay free for the nodes produced after the read;
+	// the dumped minterms live on levels 2..11.
+	src := New(1<<12, 1<<8)
+	src.AddVars(12)
+	var roots []Node
+	for v := 0; src.LiveNodes() < 820; v++ {
+		c := True
+		for l := int32(11); l >= 2; l-- {
+			if (v*7919)>>(l-2)&1 == 1 {
+				c = src.makeNode(l, False, c)
+			} else {
+				c = src.makeNode(l, c, False)
+			}
+		}
+		roots = append(roots, src.Ref(c))
+	}
+	var buf bytes.Buffer
+	if err := src.WriteDAG(&buf, roots); err != nil {
+		t.Fatal(err)
+	}
+	m := New(1<<10, 1<<8)
+	m.AddVars(12)
+	got, err := m.NewDAGReader().Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.LiveNodes()*4 <= len(m.nodes)*3 {
+		t.Fatalf("snapshot fills %d of %d slots; the test needs more than 3/4", m.LiveNodes(), len(m.nodes))
+	}
+	free := m.freeNum
+	next := 0
+	produce := func(n int) {
+		for ; n > 0; n-- {
+			for next/len(got) == next%len(got) {
+				next++
+			}
+			m.makeNode(0, got[next/len(got)], got[next%len(got)])
+			next++
+		}
+	}
+	produce(10)
+	m.MaybeGC()
+	if gcs := m.Stats().GCs; gcs != 0 {
+		t.Fatalf("%d collections after a 10-node query on a fresh replica; want 0", gcs)
+	}
+	produce(free/2 - 10)
+	m.MaybeGC()
+	if gcs := m.Stats().GCs; gcs != 0 {
+		t.Fatalf("%d collections at half the %d free slots produced; want 0", gcs, free)
+	}
+	produce(1)
+	m.MaybeGC()
+	if gcs := m.Stats().GCs; gcs != 1 {
+		t.Fatalf("%d collections past half the %d free slots produced; want 1", gcs, free)
+	}
+}

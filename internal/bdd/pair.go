@@ -1,6 +1,9 @@
 package bdd
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Pair is a variable-renaming map for Replace, BuDDy's bdd_newpair /
 // bdd_setpair. It maps source levels to destination levels; unmapped
@@ -10,6 +13,9 @@ type Pair struct {
 	// perm is dense over levels: perm[lv] is lv's destination, and
 	// levels past its end or mapped to themselves are unchanged.
 	perm []int32
+	// into marks the levels some other level is renamed to, so Set
+	// checks injectivity without a scan of perm.
+	into []bool
 	n    int  // number of remapped levels
 	id   Node // unique id used as a cache key
 }
@@ -39,15 +45,20 @@ func (p *Pair) Set(from, to int32) {
 		}
 		return
 	}
-	for f, t := range p.perm {
-		if t == to && int32(f) != t {
-			panic(fmt.Sprintf("bdd: pair maps levels %d and %d to same destination %d", f, from, to))
-		}
+	if int(to) < len(p.into) && p.into[to] {
+		f := slices.Index(p.perm, to)
+		panic(fmt.Sprintf("bdd: pair maps levels %d and %d to same destination %d", f, from, to))
 	}
-	for int32(len(p.perm)) <= from {
-		p.perm = append(p.perm, int32(len(p.perm)))
+	if n := max(from, to) + 1; int(n) > len(p.perm) {
+		// Cover every level the manager has at once, not level by level.
+		n = max(n, p.m.nvars)
+		for lv := int32(len(p.perm)); lv < n; lv++ {
+			p.perm = append(p.perm, lv)
+		}
+		p.into = append(p.into, make([]bool, int(n)-len(p.into))...)
 	}
 	p.perm[from] = to
+	p.into[to] = true
 	p.n++
 }
 

@@ -159,10 +159,27 @@ func (c *checker) constRange(decl *ast.RelationDecl, i int, t ast.Term) {
 		}
 		size = d.Size
 	}
-	if t.Val >= size {
-		c.errorf(CodeConstRange, t.Line, t.Col,
-			"constant %d out of range for domain %s (size %d)", t.Val, dom, size)
+	if d, bad := ConstRange(c.prog.File, t, dom, size); bad {
+		c.diags = append(c.diags, d)
 	}
+}
+
+// ConstRange returns the DL011 diagnostic for the numeric constant t in
+// domain dom of the given size, and whether t is out of range. Query
+// evaluation checks each later query of a prepared shape's constants
+// with it, so those diagnostics read exactly as the checker's own.
+func ConstRange(file string, t ast.Term, dom string, size uint64) (Diag, bool) {
+	if t.Val < size {
+		return Diag{}, false
+	}
+	return Diag{
+		Code:     CodeConstRange,
+		Severity: SevError,
+		File:     file,
+		Line:     t.Line,
+		Col:      t.Col,
+		Message:  fmt.Sprintf("constant %d out of range for domain %s (size %d)", t.Val, dom, size),
+	}, true
 }
 
 // rule checks one rule: argument forms (DL011/DL012), variable typing

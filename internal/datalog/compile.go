@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bddbddb/internal/bdd"
@@ -22,7 +23,10 @@ type compiledRule struct {
 	naive *plan.Plan
 	// plans holds the variants withStratum plans against live
 	// cardinalities: key -1 is the base (no delta) variant, key i the
-	// semi-naive variant reading the delta at canonical position i.
+	// semi-naive variant reading the delta at canonical position i. On
+	// an unbound rule (compileRule's) it keeps the variants whose
+	// planning read no cardinality, with their constants unset, for
+	// every binding of the rule (see optimize).
 	plans map[int]*plan.Plan
 	// full, singles, and dups cache the helper relations head ops join
 	// with (FullDomain per unbound variable, Singleton per constant
@@ -41,6 +45,25 @@ type compiledRule struct {
 	// query base's memo a query literal over a base relation starts
 	// from (see QueryBase.projected).
 	memo []memoSpec
+	// consts lists the rule's constants in the order their values are
+	// resolved (bindRule). compileRule leaves every SelectConst and
+	// ConstHead value 0 and builds no singles; bindRule fills them in.
+	consts []constRef
+	// unbound is the rule compileRule built, which bindRule bound into
+	// this one with the values vals (parallel to consts); nil on an
+	// unbound rule.
+	unbound *compiledRule
+	vals    []uint64
+}
+
+// constRef is one constant argument of a rule: the attribute it selects
+// on (in the literal at canonical position lit) or binds (in the head,
+// lit -1), its domain, and its index among the rule's constants in
+// textual order (ruleConsts), which is where its term comes from.
+type constRef struct {
+	arg  int
+	lit  int
+	attr rel.Attr
 }
 
 // memoSpec names a literal's memo entry: wild lists the attributes the
@@ -89,25 +112,32 @@ func (cr *compiledRule) clearCaches(m *bdd.Manager) {
 	}
 }
 
-// releaseHelpers frees every BDD reference the compiled rule owns: the
-// hoisted literal caches plus the iteration-invariant helper relations
-// (FullDomain/Singleton/Equals). Long-lived solvers never need this —
-// their rules live as long as the manager — but query-mode evaluation
-// compiles fresh rules per request against a shared replica manager,
-// and leaking a few helper nodes per query would pin the node table
-// forever. Idempotent.
-func (cr *compiledRule) releaseHelpers(m *bdd.Manager) {
+// releaseBinding frees the BDD references a bound rule owns: the
+// hoisted literal caches and the constant singletons. Long-lived
+// solvers never need this — their rules live as long as the manager —
+// but query-mode evaluation binds rules per request against a shared
+// replica manager, and leaking a few helper nodes per query would pin
+// the node table forever. Idempotent.
+func (cr *compiledRule) releaseBinding(m *bdd.Manager) {
 	cr.clearCaches(m)
-	for _, r := range cr.full {
+	for _, r := range cr.singles {
 		r.Free()
 	}
-	for _, r := range cr.singles {
+	cr.singles = nil
+}
+
+// releaseHelpers frees the constant-free helpers compileRule built
+// (FullDomain and Equals relations), which every binding of the rule
+// shares: a prepared query shape releases them when it is dropped.
+// Idempotent.
+func (cr *compiledRule) releaseHelpers() {
+	for _, r := range cr.full {
 		r.Free()
 	}
 	for _, r := range cr.dups {
 		r.Free()
 	}
-	cr.full, cr.singles, cr.dups = nil, nil, nil
+	cr.full, cr.dups = nil, nil
 }
 
 // recursivePositions lists the canonical body positions that read
@@ -141,17 +171,50 @@ func naturalInstance(decl *RelationDecl, i int) int {
 // indices — delta positions, cache slots — are relative to this order.
 func orderedLiterals(rule *Rule) []Literal {
 	var out []Literal
-	for _, l := range rule.Body {
-		if !l.Negated {
-			out = append(out, l)
-		}
+	for _, j := range canonicalOrder(rule) {
+		out = append(out, rule.Body[j])
 	}
-	for _, l := range rule.Body {
-		if l.Negated {
-			out = append(out, l)
+	return out
+}
+
+// canonicalOrder lists the body indices of rule's literals in canonical
+// order (see orderedLiterals).
+func canonicalOrder(rule *Rule) []int {
+	var out []int
+	for _, neg := range []bool{false, true} {
+		for j, l := range rule.Body {
+			if l.Negated == neg {
+				out = append(out, j)
+			}
 		}
 	}
 	return out
+}
+
+// ruleConsts lists rule's constant arguments in textual order: the
+// head's, then each body literal's. A query's constants arrive in this
+// order, from its tokens (see QueryBase.Eval).
+func ruleConsts(rule *Rule) []Term {
+	var out []Term
+	eachConst(rule, func(_, i int, a Atom) { out = append(out, a.Args[i]) })
+	return out
+}
+
+// eachConst calls f for each constant argument of rule, in textual
+// order, with its atom a, the atom's position lit (-1 for the head,
+// else its index in rule.Body) and the argument's index i.
+func eachConst(rule *Rule, f func(lit, i int, a Atom)) {
+	visit := func(lit int, a Atom) {
+		for i, t := range a.Args {
+			if t.Kind == TermConst || t.Kind == TermNamedConst {
+				f(lit, i, a)
+			}
+		}
+	}
+	visit(-1, rule.Head)
+	for j, l := range rule.Body {
+		visit(j, l.Atom)
+	}
 }
 
 // assignInstances chooses a physical instance for each rule variable.
@@ -198,18 +261,19 @@ func assignInstances(prog *Program, rule *Rule) (map[string]int, map[string]int)
 }
 
 // compileRule lowers a rule to its canonical plan and builds the
-// iteration-invariant helpers. Must run after Finalize and relation
-// materialization (it captures physical domains and live schemas).
-// pivots, indexed by canonical literal position, is what
-// QueryBase.pivotInstances chose for a query rule; nil elsewhere.
+// constant-free iteration-invariant helpers; bindRule then supplies the
+// constants. Must run after Finalize and relation materialization (it
+// captures physical domains and live schemas). pivots, indexed by
+// canonical literal position, is what QueryBase.pivotInstances chose
+// for a query rule; nil elsewhere. Nothing here reads a constant's
+// value, so one compiled rule serves every query of a shape.
 func (s *Solver) compileRule(rule *Rule, asn map[string]int, pivots []map[string]*bdd.Domain) (*compiledRule, error) {
 	prog := s.prog
 	cr := &compiledRule{
-		rule:    rule,
-		plans:   make(map[int]*plan.Plan),
-		full:    make(map[string]*rel.Relation),
-		singles: make(map[string]*rel.Relation),
-		dups:    make(map[string]*rel.Relation),
+		rule:  rule,
+		plans: make(map[int]*plan.Plan),
+		full:  make(map[string]*rel.Relation),
+		dups:  make(map[string]*rel.Relation),
 	}
 	instPhys := func(v string) *bdd.Domain {
 		// Every rule variable has a domain (checked in parsing) and an
@@ -220,11 +284,16 @@ func (s *Solver) compileRule(rule *Rule, asn map[string]int, pivots []map[string
 
 	p := &plan.Plan{Rule: rule.String(), Head: rule.Head.Pred, DeltaPos: -1}
 
+	// Each constant's number in textual order, by (atom, argument).
+	constArg := make(map[[2]int]int)
+	eachConst(rule, func(lit, i int, _ Atom) { constArg[[2]int{lit, i}] = len(constArg) })
+
 	// Body literals: lower each to its normalization pipeline. The
 	// lowering emits a Reshape entry for every attribute, identity moves
 	// included; Optimize prunes those as dead ops.
 	lits := orderedLiterals(rule)
-	for _, lit := range lits {
+	for li, j := range canonicalOrder(rule) {
+		lit := rule.Body[j]
 		decl := prog.Relation(lit.Atom.Pred)
 		schema := append([]rel.Attr(nil), s.rels[lit.Atom.Pred].Attrs()...)
 		ops := []plan.Op{&plan.Load{Pred: lit.Atom.Pred, Out: schema}}
@@ -236,11 +305,8 @@ func (s *Solver) compileRule(rule *Rule, asn map[string]int, pivots []map[string
 			attr := decl.Attrs[i].Name
 			switch t.Kind {
 			case TermConst, TermNamedConst:
-				v, err := s.resolveConst(t, decl.Attrs[i].Domain)
-				if err != nil {
-					return nil, check.Errorf(check.CodeConstRange, s.prog.File, t.Line, t.Col, "%v", err)
-				}
-				ops = append(ops, &plan.SelectConst{Attr: attr, Val: v, Out: schema})
+				cr.consts = append(cr.consts, constRef{arg: constArg[[2]int{j, i}], lit: li, attr: schema[i]})
+				ops = append(ops, &plan.SelectConst{Attr: attr, Out: schema})
 				drops = append(drops, attr)
 			case TermWildcard:
 				drops = append(drops, attr)
@@ -295,7 +361,6 @@ func (s *Solver) compileRule(rule *Rule, asn map[string]int, pivots []map[string
 	// Head construction: bind unconstrained variables to their full
 	// domains, move first occurrences into the head schema, then equate
 	// duplicates and bind constants.
-	headDecl := prog.Relation(rule.Head.Pred)
 	p.HeadSchema = append([]rel.Attr(nil), s.rels[rule.Head.Pred].Attrs()...)
 	firstPos := make(map[string]int)
 	headMoves := make(map[string]rel.Remap)
@@ -304,12 +369,8 @@ func (s *Solver) compileRule(rule *Rule, asn map[string]int, pivots []map[string
 		target := p.HeadSchema[i]
 		switch t.Kind {
 		case TermConst, TermNamedConst:
-			v, err := s.resolveConst(t, headDecl.Attrs[i].Domain)
-			if err != nil {
-				return nil, check.Errorf(check.CodeConstRange, s.prog.File, t.Line, t.Col, "%v", err)
-			}
-			constOps = append(constOps, &plan.ConstHead{Attr: target, Val: v})
-			cr.singles[target.Name] = s.u.Singleton("const:"+target.Name, target, v)
+			cr.consts = append(cr.consts, constRef{arg: constArg[[2]int{-1, i}], lit: -1, attr: target})
+			constOps = append(constOps, &plan.ConstHead{Attr: target})
 		case TermVar:
 			if fp, dup := firstPos[t.Var]; dup {
 				first := p.HeadSchema[fp]
@@ -339,11 +400,105 @@ func (s *Solver) compileRule(rule *Rule, asn map[string]int, pivots []map[string
 
 	plan.Finish(p)
 	cr.naive = p
-	cr.cache = make([]*litCache, len(p.Lits))
-	for i := range cr.cache {
-		cr.cache[i] = &litCache{}
-	}
 	return cr, nil
+}
+
+// bindRule returns a copy of the compiled rule cr with its constants
+// resolved from consts, the rule's constant terms in textual order
+// (ruleConsts): its plan's SelectConst and ConstHead values, the
+// singleton relations the ConstHead ops join with, and empty plan
+// variants and hoisting caches of its own. The copy shares cr's
+// constant-free helpers. The constants resolve in compile order, so
+// the first unresolvable one is the one reported.
+func (s *Solver) bindRule(cr *compiledRule, consts []Term) (*compiledRule, error) {
+	b := *cr
+	b.unbound = cr
+	b.vals = make([]uint64, len(cr.consts))
+	b.plans = nil // withStratum plans the variants
+	b.singles = make(map[string]*rel.Relation)
+	for k, c := range cr.consts {
+		t := consts[c.arg]
+		v, err := s.resolveConst(t, c.attr.Dom.Name)
+		if err != nil {
+			b.releaseBinding(s.u.M)
+			return nil, check.Errorf(check.CodeConstRange, s.prog.File, t.Line, t.Col, "%v", err)
+		}
+		b.vals[k] = v
+		if c.lit < 0 {
+			b.singles[c.attr.Name] = s.u.Singleton("const:"+c.attr.Name, c.attr, v)
+		}
+	}
+	b.naive = b.bind(cr.naive)
+	b.cache = make([]*litCache, len(b.naive.Lits))
+	for i := range b.cache {
+		b.cache[i] = &litCache{}
+	}
+	return &b, nil
+}
+
+// bind returns a copy of p, the unbound rule's canonical plan or a
+// variant of it, whose SelectConst and ConstHead ops carry the bound
+// rule's values. Variants keep the canonical literal positions and
+// every SelectConst, so each constant is found by its literal and
+// attribute.
+func (cr *compiledRule) bind(p *plan.Plan) *plan.Plan {
+	if len(cr.consts) == 0 {
+		return p // plans are never modified once built
+	}
+	q := *p
+	q.Lits = slices.Clone(p.Lits)
+	q.HeadOps = slices.Clone(p.HeadOps)
+	for k, c := range cr.consts {
+		ops := q.HeadOps
+		if c.lit >= 0 {
+			l := &q.Lits[c.lit]
+			l.Ops = slices.Clone(l.Ops)
+			ops = l.Ops
+		}
+		for i, o := range ops {
+			switch o := o.(type) {
+			case *plan.SelectConst:
+				if o.Attr == c.attr.Name {
+					bound := *o
+					bound.Val = cr.vals[k]
+					ops[i] = &bound
+				}
+			case *plan.ConstHead:
+				if o.Attr.Name == c.attr.Name {
+					bound := *o
+					bound.Val = cr.vals[k]
+					ops[i] = &bound
+				}
+			}
+		}
+	}
+	return &q
+}
+
+// optimize returns the bound rule cr's plan variant reading the delta
+// at canonical position pos (-1 for none), planned against card. A
+// variant whose planning reads no cardinality (every literal joins one
+// bound before it) depends on the rule alone: it is planned once, on
+// the unbound rule, kept there and bound again for each binding, so a
+// query of a prepared shape does not re-plan it.
+func (cr *compiledRule) optimize(pos int, card func(pred string) float64) *plan.Plan {
+	u := cr.unbound
+	p := u.plans[pos]
+	if p == nil {
+		read := false
+		p = u.naive
+		if pos >= 0 {
+			p = p.WithDelta(pos)
+		}
+		p = plan.Optimize(p, func(pred string) float64 {
+			read = true
+			return card(pred)
+		})
+		if !read {
+			u.plans[pos] = p
+		}
+	}
+	return cr.bind(p)
 }
 
 // dropFromSchema removes the named attributes (schema bookkeeping for

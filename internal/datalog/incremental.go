@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"bddbddb/internal/bdd"
-	"bddbddb/internal/datalog/plan"
 	"bddbddb/internal/rel"
 	"bddbddb/internal/resilience"
 )
@@ -556,7 +555,7 @@ func (inc *IncrementalSolver) propagateStratum(idx int, st *stratum, changedAdd 
 					continue
 				}
 				if g := changedAdd[l.Pred]; g != nil && !g.IsEmpty() {
-					s.derive(run, cr, plan.Optimize(cr.naive.WithDelta(pos), run.card), g, delta)
+					s.derive(run, cr, cr.optimize(pos, run.card), g, delta)
 				}
 			}
 		}

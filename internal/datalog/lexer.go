@@ -203,7 +203,8 @@ scan:
 // lexAll tokenizes the whole input (convenience for the parser).
 func lexAll(file, src string) ([]token, error) {
 	lx := newLexer(file, src)
-	var toks []token
+	// Sized for the short tokens and single spaces of typical queries.
+	toks := make([]token, 0, len(src)/3+1)
 	for {
 		t, err := lx.next()
 		if err != nil {

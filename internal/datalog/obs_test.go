@@ -87,11 +87,14 @@ func TestSolveTraceShape(t *testing.T) {
 		t.Fatalf("%d spans left open", depth)
 	}
 	// The stable span names the docs promise: solve → stratum →
-	// iteration → rule application, and the cardinality pass.
-	for _, want := range []string{"datalog.solve", "datalog.facts", "stratum 0", "iteration 1", "rule 0: tc", "rule 1: tc", "datalog.cardinalities"} {
+	// iteration → rule application. Solve counts no relation sizes.
+	for _, want := range []string{"datalog.solve", "datalog.facts", "stratum 0", "iteration 1", "rule 0: tc", "rule 1: tc"} {
 		if !seen[want] {
 			t.Errorf("trace missing span %q; have %v", want, keys(seen))
 		}
+	}
+	if seen["datalog.cardinalities"] {
+		t.Error("trace has a datalog.cardinalities span; Solve must not count relation sizes")
 	}
 }
 
@@ -156,10 +159,38 @@ func TestSolveHistograms(t *testing.T) {
 	for _, k := range []string{
 		"datalog.rule.apply_sec.count", "datalog.rule.apply_sec.p99",
 		"datalog.op.result_nodes.count", "datalog.op.result_nodes.p99",
-		"datalog.solve.sec", "datalog.cardinalities.count", "datalog.cardinalities.sec",
+		"datalog.solve.sec",
 	} {
 		if _, ok := snap[k]; !ok {
 			t.Errorf("external registry missing %s", k)
+		}
+	}
+	for _, k := range []string{"datalog.cardinalities.count", "relation.tc.tuples"} {
+		if _, ok := snap[k]; ok {
+			t.Errorf("external registry has %s; Solve must not count relation sizes", k)
+		}
+	}
+}
+
+// TestRecordRelationSizes: the on-request export sets each declared
+// relation's exact cardinality.
+func TestRecordRelationSizes(t *testing.T) {
+	s, err := NewSolver(MustParse(tcSrc), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range [][]uint64{{0, 1}, {1, 2}, {2, 3}} {
+		s.Relation("e").AddTuple(row...)
+	}
+	if err := s.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	s.RecordRelationSizes(reg)
+	snap := reg.Snapshot()
+	for name, want := range map[string]float64{"relation.e.tuples": 3, "relation.tc.tuples": 6} {
+		if snap[name] != want {
+			t.Errorf("%s = %g, want %g", name, snap[name], want)
 		}
 	}
 }

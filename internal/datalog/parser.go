@@ -236,14 +236,12 @@ func (p *parser) atom() (Atom, error) {
 			a.Args = append(a.Args, Term{Kind: TermVar, Var: t.text, Line: t.line, Col: t.col})
 		case tokUnderscore:
 			a.Args = append(a.Args, Term{Kind: TermWildcard, Line: t.line, Col: t.col})
-		case tokNumber:
-			v, err := strconv.ParseUint(t.text, 10, 64)
+		case tokNumber, tokString:
+			c, err := constTerm(p.file, t)
 			if err != nil {
-				return Atom{}, p.errorf(t, "bad constant %q", t.text)
+				return Atom{}, err
 			}
-			a.Args = append(a.Args, Term{Kind: TermConst, Val: v, Line: t.line, Col: t.col})
-		case tokString:
-			a.Args = append(a.Args, Term{Kind: TermNamedConst, Name: t.text, Line: t.line, Col: t.col})
+			a.Args = append(a.Args, c)
 		default:
 			return Atom{}, p.errorf(t, "expected argument, found %v %q", t.kind, t.text)
 		}
@@ -257,4 +255,18 @@ func (p *parser) atom() (Atom, error) {
 		return Atom{}, err
 	}
 	return a, nil
+}
+
+// constTerm turns a number or string token in argument position into
+// its constant term. It is the parser's, and also binds the constants
+// of each later query of a prepared shape (see QueryBase.Eval).
+func constTerm(file string, t token) (Term, error) {
+	if t.kind == tokString {
+		return Term{Kind: TermNamedConst, Name: t.text, Line: t.line, Col: t.col}, nil
+	}
+	v, err := strconv.ParseUint(t.text, 10, 64)
+	if err != nil {
+		return Term{}, check.Errorf(check.CodeSyntax, file, t.line, t.col, "bad constant %q", t.text)
+	}
+	return Term{Kind: TermConst, Val: v, Line: t.line, Col: t.col}, nil
 }

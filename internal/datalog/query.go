@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"bddbddb/internal/bdd"
@@ -25,9 +26,11 @@ import (
 // snapshot replica hydrated by internal/serve). Eval parses a query
 // through the ordinary front end with a generated prelude declaring
 // every base relation, rejects anything that would mutate the base or
-// exceed the replica's physical headroom, then runs the standard
-// compile→stratify→semi-naive pipeline on the query's own rules. Base
-// relations join in place — zero copies of the solved BDDs.
+// exceed the replica's physical headroom, compiles the query's own
+// rules, and keeps that work for every later query of the same shape
+// (the same text up to its constants), which only binds its constants
+// and runs the semi-naive pipeline. Base relations join in place —
+// zero copies of the solved BDDs.
 
 // ErrQueryRejected classifies queries that parsed and checked but are
 // not evaluable against this base: they derive into a frozen relation,
@@ -77,6 +80,11 @@ type QueryBase struct {
 	// most a few pivoted ones (see projected). Only Eval touches it.
 	memo      map[memoKey]memoEntry
 	memoNodes int
+	// shapes holds the prepared query shapes by key (see Eval), at most
+	// maxShapes of them; shapeOrder lists the keys oldest first. Only
+	// Eval touches them.
+	shapes     map[string]*preparedQuery
+	shapeOrder []string
 }
 
 // memoEntry is one memo value. A pivoted key whose flat entry is too
@@ -128,6 +136,7 @@ func NewQueryBase(u *rel.Universe, rels []*rel.Relation) *QueryBase {
 		elemNames: make(map[string][]string),
 		elemIdx:   make(map[string]map[string]uint64),
 		memo:      make(map[memoKey]memoEntry),
+		shapes:    make(map[string]*preparedQuery),
 	}
 	var sb strings.Builder
 	for _, d := range u.Domains() {
@@ -179,11 +188,13 @@ func (b *QueryBase) ElemIndex(domain, name string) (uint64, bool) {
 // call it.
 func (b *QueryBase) MemoNodes() int { return b.memoNodes }
 
-// Release drops the memo's references and empties it, so its entries
-// become garbage at the manager's next collection. The base relations
-// belong to the caller, who releases them. Like Eval, only the base's
-// owner may call it; an Eval afterwards refills the memo.
+// Release drops the references of the memo and of the prepared query
+// shapes and empties both, so their nodes become garbage at the
+// manager's next collection. The base relations belong to the caller,
+// who releases them. Like Eval, only the base's owner may call it; an
+// Eval afterwards refills them.
 func (b *QueryBase) Release() {
+	b.ReleaseShapes()
 	seen := make(map[*rel.Relation]bool, len(b.memo))
 	for _, e := range b.memo {
 		if !seen[e.r] {
@@ -193,6 +204,17 @@ func (b *QueryBase) Release() {
 	}
 	clear(b.memo)
 	b.memoNodes = 0
+}
+
+// ReleaseShapes drops the prepared query shapes (see Eval) and keeps
+// the memo: the next query of each shape prepares it again. Like Eval,
+// only the base's owner may call it.
+func (b *QueryBase) ReleaseShapes() {
+	for _, p := range b.shapes {
+		p.release()
+	}
+	clear(b.shapes)
+	b.shapeOrder = nil
 }
 
 // projected returns the memo entry a query literal over the base
@@ -387,8 +409,8 @@ type QueryOptions struct {
 // base's universe until Close, so render them before closing.
 type QueryResult struct {
 	Outputs []*rel.Relation
-	// Stats holds the query's rule applications, iterations, relation
-	// cardinalities and memo counts; its other fields stay zero.
+	// Stats holds the query's rule applications, iterations and memo
+	// counts; its other fields stay zero.
 	Stats SolverStats
 
 	s      *Solver
@@ -411,7 +433,7 @@ func (r *QueryResult) Close() {
 // the shared universe.
 func (s *Solver) releaseQueryState() {
 	for _, cr := range s.compiled {
-		cr.releaseHelpers(s.u.M)
+		cr.releaseBinding(s.u.M)
 	}
 	for name, r := range s.rels {
 		if !s.queryBase[name] && r != nil {
@@ -432,9 +454,105 @@ func (s *Solver) releaseQueryState() {
 //   - resilience.ErrBudgetExceeded / ErrCanceled — opts.Control tripped
 //   - resilience.ErrInternal — a panic, converted at this boundary
 //
+// Diagnostic positions point into src, past the invisible prelude.
+//
+// A query is planned once per shape: its text with every constant
+// argument replaced by a slot (shapeKey). The first query of a shape
+// runs the front end (prepare) and keeps the prepared program; every
+// query, the first included, then binds its own constants into it and
+// solves (run). The base keeps at most maxShapes shapes.
+//
 // On success the caller owns the result and must Close it.
 func (b *QueryBase) Eval(src string, opts QueryOptions) (qr *QueryResult, err error) {
+	defer func() { err = b.rebase(err) }()
 	defer resilience.Recover(&err)
+	key, consts := b.shapeKey(src)
+	p := b.shapes[key]
+	if p == nil {
+		if p, err = b.prepare(src, opts.MaxStrata); err != nil {
+			return nil, err
+		}
+		b.keep(key, p)
+	}
+	return b.run(p, consts, opts)
+}
+
+// maxShapes bounds the prepared shapes a base keeps. Each holds its
+// program, strata, compiled rules and their constant-free helper BDDs.
+// The serving workloads ask three canned shapes plus a few ad-hoc ones.
+const maxShapes = 64
+
+// preparedQuery is one query shape after the front end: the program
+// (parsed from the shape's first query, whose constant values nothing
+// reads), its strata, and its rules compiled but not bound.
+type preparedQuery struct {
+	prog   *Program
+	strata []*stratum
+	rules  map[*Rule]*compiledRule
+	// own lists the relations the query declares; used the base
+	// relations its rules read.
+	own  []*RelationDecl
+	used []string
+	// constDoms holds the domain of each constant argument, in textual
+	// order across the rules; firstConst[i] is the index of rule i's
+	// first one.
+	constDoms  []*DomainDecl
+	firstConst []int
+}
+
+// shapeKey returns the shape of a query text and its constant
+// arguments, in textual order: the key lists the text's tokens, and a
+// number or string token in argument position (after '(' or ',') is a
+// slot, keyed by its kind alone. Only atoms' arguments take a number or
+// string there, so queries sharing a key parse to the same program up
+// to their constants' values. A text that does not lex gets the empty
+// key, which no shape holds.
+func (b *QueryBase) shapeKey(src string) (string, []token) {
+	toks, err := lexAll(b.preludeProg.File, src)
+	if err != nil {
+		return "", nil
+	}
+	key := make([]byte, 0, len(src)+3*len(toks))
+	var consts []token
+	for i, t := range toks {
+		key = append(key, byte('a'+t.kind))
+		if (t.kind == tokNumber || t.kind == tokString) && i > 0 && (toks[i-1].kind == tokLParen || toks[i-1].kind == tokComma) {
+			t.line += b.preludeLines
+			consts = append(consts, t)
+			continue
+		}
+		key = strconv.AppendInt(key, int64(len(t.text)), 10)
+		key = append(key, ':')
+		key = append(key, t.text...)
+	}
+	return string(key), consts
+}
+
+// keep stores p under key, dropping the oldest shape when the store is
+// full. A shape in the store is never in use outside Eval: bound rules
+// only read its helpers while they solve.
+func (b *QueryBase) keep(key string, p *preparedQuery) {
+	if len(b.shapeOrder) == maxShapes {
+		b.shapes[b.shapeOrder[0]].release()
+		delete(b.shapes, b.shapeOrder[0])
+		b.shapeOrder = b.shapeOrder[1:]
+	}
+	b.shapes[key] = p
+	b.shapeOrder = append(b.shapeOrder, key)
+}
+
+// release frees the helper BDDs of the shape's compiled rules.
+func (p *preparedQuery) release() {
+	for _, cr := range p.rules {
+		cr.releaseHelpers()
+	}
+}
+
+// prepare runs the front end on one query text: parse, check, the
+// rejections, stratification, the strata and headroom limits, instance
+// assignment with pivoting, and rule compilation. It resolves no
+// constant, so its result serves every query of the text's shape.
+func (b *QueryBase) prepare(src string, maxStrata int) (*preparedQuery, error) {
 	// The query is parsed as if appended to the prelude text: its lines
 	// follow the prelude's, and its program starts from the prelude's
 	// declarations. Warnings are not reported, so none are computed.
@@ -444,10 +562,10 @@ func (b *QueryBase) Eval(src string, opts QueryOptions) (qr *QueryResult, err er
 		Relations: slices.Clone(b.preludeProg.Relations),
 	}
 	if err := parseInto(prog, strings.Repeat("\n", b.preludeLines)+src); err != nil {
-		return nil, b.rebase(err)
+		return nil, err
 	}
 	if err := check.ProgramOpts(prog, check.Options{ErrorsOnly: true}).Err(); err != nil {
-		return nil, b.rebase(err)
+		return nil, err
 	}
 	// The prelude declared every domain the universe has; anything new
 	// would need BDD variables that don't exist in the replica.
@@ -456,9 +574,14 @@ func (b *QueryBase) Eval(src string, opts QueryOptions) (qr *QueryResult, err er
 			return nil, rejectf("query declares new domain %s; only the base domains are available", d.Name)
 		}
 	}
+	p := &preparedQuery{prog: prog, rules: make(map[*Rule]*compiledRule)}
 	outputs := 0
 	for _, rd := range prog.Relations {
-		if rd.Kind == RelOutput && b.rels[rd.Name] == nil {
+		if b.rels[rd.Name] != nil {
+			continue
+		}
+		p.own = append(p.own, rd)
+		if rd.Kind == RelOutput {
 			outputs++
 		}
 	}
@@ -474,14 +597,11 @@ func (b *QueryBase) Eval(src string, opts QueryOptions) (qr *QueryResult, err er
 	}
 	strata, err := stratify(prog)
 	if err != nil {
-		return nil, b.rebase(err)
+		return nil, err
 	}
-	maxStrata := opts.MaxStrata
-	if maxStrata <= 0 {
-		maxStrata = 1
-	}
-	if len(strata) > maxStrata {
-		return nil, rejectf("query needs %d strata; this server allows %d", len(strata), maxStrata)
+	p.strata = strata
+	if err := checkStrata(len(strata), maxStrata); err != nil {
+		return nil, err
 	}
 	// Physical headroom: the replica's instance counts are fixed at
 	// hydration, so demand beyond them is a rejection, not a grow.
@@ -518,37 +638,77 @@ func (b *QueryBase) Eval(src string, opts QueryOptions) (qr *QueryResult, err er
 			return nil, rejectf("query needs %d physical instances of domain %s; the replica has %d (raise the server's query headroom)", n, dom, have)
 		}
 	}
+	seen := make(map[string]bool)
+	for _, rule := range prog.Rules {
+		p.firstConst = append(p.firstConst, len(p.constDoms))
+		eachConst(rule, func(_, i int, a Atom) {
+			p.constDoms = append(p.constDoms, prog.Domain(prog.Relation(a.Pred).Attrs[i].Domain))
+		})
+		for _, l := range rule.Body {
+			if b.rels[l.Atom.Pred] != nil && !seen[l.Atom.Pred] {
+				seen[l.Atom.Pred] = true
+				p.used = append(p.used, l.Atom.Pred)
+			}
+		}
+	}
+	p.firstConst = append(p.firstConst, len(p.constDoms))
+	// Compile against the query's relation schemas; compileRule reads
+	// nothing else of them.
+	s := b.newSolver(p, QueryOptions{})
+	defer s.releaseQueryState()
+	for _, rule := range prog.Rules {
+		if rule.IsFact() {
+			continue
+		}
+		cr, err := s.compileRule(rule, assignments[rule], pivots[rule])
+		if err != nil {
+			p.release()
+			return nil, err
+		}
+		p.rules[rule] = cr
+	}
+	return p, nil
+}
 
+// checkStrata rejects a query needing more rule strata than maxStrata
+// allows (0 means 1).
+func checkStrata(n, maxStrata int) error {
+	if maxStrata <= 0 {
+		maxStrata = 1
+	}
+	if n > maxStrata {
+		return rejectf("query needs %d strata; this server allows %d", n, maxStrata)
+	}
+	return nil
+}
+
+// newSolver returns a query-mode solver over the prepared program p:
+// the base relations its rules read bound in place, and the query's own
+// relations materialized on their natural instances, as NewSolver does.
+func (b *QueryBase) newSolver(p *preparedQuery, opts QueryOptions) *Solver {
 	s := &Solver{
-		prog: prog,
+		prog: p.prog,
 		opts: Options{
 			Tracer:    opts.Tracer,
 			Control:   opts.Control,
 			ElemNames: b.elemNames,
 		},
 		u:         b.u,
-		rels:      make(map[string]*rel.Relation),
-		strata:    strata,
-		compiled:  make(map[*Rule]*compiledRule),
+		rels:      make(map[string]*rel.Relation, len(p.used)+len(p.own)),
+		strata:    p.strata,
+		compiled:  make(map[*Rule]*compiledRule, len(p.rules)),
 		elemIdx:   b.elemIdx,
 		reg:       obs.New(),
 		tr:        opts.Tracer,
 		ruleObs:   make(map[*Rule]*ruleObs),
-		queryBase: make(map[string]bool),
+		queryBase: make(map[string]bool, len(p.used)),
 		base:      b,
 	}
-	s.initObs()
-	s.cMemoHits = s.reg.Counter("datalog.base_memo.hits")
-	s.cMemoMisses = s.reg.Counter("datalog.base_memo.misses")
-	s.cMemoPivoted = s.reg.Counter("datalog.base_memo.pivoted")
-	// Bind base relations in place; materialize the query's own
-	// relations on their natural instances, as NewSolver does.
-	for _, rd := range prog.Relations {
-		if base := b.rels[rd.Name]; base != nil {
-			s.rels[rd.Name] = base
-			s.queryBase[rd.Name] = true
-			continue
-		}
+	for _, name := range p.used {
+		s.rels[name] = b.rels[name]
+		s.queryBase[name] = true
+	}
+	for _, rd := range p.own {
 		attrs := make([]rel.Attr, len(rd.Attrs))
 		seen := make(map[string]int)
 		for i, a := range rd.Attrs {
@@ -557,11 +717,56 @@ func (b *QueryBase) Eval(src string, opts QueryOptions) (qr *QueryResult, err er
 		}
 		s.rels[rd.Name] = s.u.NewRelation(rd.Name, attrs...)
 	}
-	for _, rule := range prog.Rules {
+	return s
+}
+
+// run binds one query's constants, given as the tokens shapeKey found,
+// into the prepared shape p and evaluates it. The constants are checked
+// as the front end would check them in the query's own text, and in its
+// order: a number that does not parse, then out-of-range numbers, then
+// (after the strata limit, which depends on opts) names that do not
+// resolve.
+func (b *QueryBase) run(p *preparedQuery, toks []token, opts QueryOptions) (*QueryResult, error) {
+	if len(toks) != len(p.constDoms) {
+		panic(fmt.Sprintf("datalog: query shape has %d constants, its text %d", len(p.constDoms), len(toks)))
+	}
+	terms := make([]Term, len(toks))
+	for k, t := range toks {
+		c, err := constTerm(p.prog.File, t)
+		if err != nil {
+			return nil, err
+		}
+		terms[k] = c
+	}
+	var diags check.Diags
+	for k, t := range terms {
+		if d := p.constDoms[k]; t.Kind == TermConst {
+			if diag, bad := check.ConstRange(p.prog.File, t, d.Name, d.Size); bad {
+				diags = append(diags, diag)
+			}
+		}
+	}
+	if diags != nil {
+		diags.Sort()
+		return nil, diags.Err()
+	}
+	if err := checkStrata(len(p.strata), opts.MaxStrata); err != nil {
+		return nil, err
+	}
+	s := b.newSolver(p, opts)
+	s.consts = make(map[*Rule][]Term, len(p.prog.Rules))
+	for i, rule := range p.prog.Rules {
+		s.consts[rule] = terms[p.firstConst[i]:p.firstConst[i+1]]
+	}
+	s.initObs()
+	s.cMemoHits = s.reg.Counter("datalog.base_memo.hits")
+	s.cMemoMisses = s.reg.Counter("datalog.base_memo.misses")
+	s.cMemoPivoted = s.reg.Counter("datalog.base_memo.pivoted")
+	for _, rule := range p.prog.Rules {
 		if rule.IsFact() {
 			continue
 		}
-		cr, err := s.compileRule(rule, assignments[rule], pivots[rule])
+		cr, err := s.bindRule(p.rules[rule], s.consts[rule])
 		if err != nil {
 			s.releaseQueryState()
 			return nil, err
@@ -580,13 +785,12 @@ func (b *QueryBase) Eval(src string, opts QueryOptions) (qr *QueryResult, err er
 	res := &QueryResult{s: s, Stats: SolverStats{
 		RuleApplications: s.cApps.Value(),
 		Iterations:       int(s.cIters.Value()),
-		Relations:        s.relCards,
 		BaseMemoHits:     s.cMemoHits.Value(),
 		BaseMemoMisses:   s.cMemoMisses.Value(),
 		BaseMemoPivoted:  s.cMemoPivoted.Value(),
 	}}
-	for _, rd := range prog.Relations {
-		if rd.Kind == RelOutput && !s.queryBase[rd.Name] {
+	for _, rd := range p.own {
+		if rd.Kind == RelOutput {
 			res.Outputs = append(res.Outputs, s.rels[rd.Name])
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"bddbddb/internal/datalog/check"
@@ -237,5 +238,88 @@ q(x, z) :- path(x, y), path(y, z).
 	b.u.M.GC()
 	if live := b.u.M.LiveNodes(); live != baseline {
 		t.Fatalf("live nodes %d after queries, want baseline %d (query state leaked)", live, baseline)
+	}
+}
+
+// TestPreparedShapeLayouts: queries of one shape may differ in layout
+// and in their constants; each answers, or fails with diagnostics at
+// its own positions, exactly as on a base that never saw the shape.
+func TestPreparedShapeLayouts(t *testing.T) {
+	shapes := [][]string{
+		{
+			".relation q (to : V) output\nq(y) :- path(\"n1\", y).",
+			"# a comment\n.relation q (to : V) output\n\n  q(y)   :-\n\tpath( \"nosuch\" ,y).",
+			".relation q (to : V) output q(y) :- path(\"n2\", y).",
+			".relation q (to : V) output\nq(y) :- path(99, y).",
+			".relation q (to : V) output\n\n\nq(y) :- path(123456789012345678901234567890, y).",
+			".relation q (to : V) output\nq(y) :- path(5, y).",
+		},
+		{
+			".relation q (from : V, to : V) output\nq(\"n7\", y) :- path(\"n1\", y), !edge(\"n1\", y).\nq(3, 4).",
+			".relation q (from : V, to : V) output\nq(\"n0\", y) :- path(\"n2\", y), !edge(\"n2\", y).\n  q(30, 4).",
+			".relation q (from : V, to : V) output\nq(\"n0\", y) :- path(\"n2\", y), !edge(\"n2\", y).\nq(\"n3\", \"x\").",
+			".relation q (from : V, to : V) output\nq(\"zz\", y) :- path(\"n2\", y), !edge(\"yy\", y).\nq(1, 2).",
+			".relation q (from : V, to : V) output\nq(5, y) :- path(1, y), !edge(2, y).\nq(6, 7).",
+		},
+	}
+	outcome := func(b *QueryBase, src string) string {
+		res, err := b.Eval(src, QueryOptions{})
+		if err != nil {
+			var ce *check.Error
+			if errors.As(err, &ce) {
+				return fmt.Sprintf("error %v", ce.Diags)
+			}
+			return "error " + err.Error()
+		}
+		defer res.Close()
+		return fmt.Sprint(sorted(res.Outputs[0].Tuples()), res.Stats)
+	}
+	prepared := solvedBase(t)
+	for _, texts := range shapes {
+		for _, src := range texts {
+			got := outcome(prepared, src)
+			if want := outcome(solvedBase(t), src); got != want {
+				t.Errorf("%q:\nprepared %s\nfresh    %s", src, got, want)
+			}
+		}
+	}
+	// A slot's key is its token's kind: the texts above name five
+	// shapes, by their number and string constants.
+	if len(prepared.shapes) != 5 {
+		t.Errorf("%d shapes kept, want 5", len(prepared.shapes))
+	}
+}
+
+// TestPreparedShapesBounded: the base keeps at most maxShapes shapes,
+// dropping the oldest, and Release drops them all with their helper
+// nodes.
+func TestPreparedShapesBounded(t *testing.T) {
+	b := solvedBase(t)
+	b.u.M.GC()
+	baseline := b.u.M.LiveNodes()
+	for i := range maxShapes + 5 {
+		// The head's repeated variable joins an Equals helper, which
+		// the shape keeps.
+		src := fmt.Sprintf(".relation q%d (a : V, b : V) output\nq%d(y, y) :- path(1, y).", i, i)
+		res, err := b.Eval(src, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Close()
+	}
+	if len(b.shapes) != maxShapes || len(b.shapeOrder) != maxShapes {
+		t.Fatalf("%d shapes kept (%d in order), want %d", len(b.shapes), len(b.shapeOrder), maxShapes)
+	}
+	if _, ok := b.shapes[b.shapeOrder[0]]; !ok || strings.Contains(b.shapeOrder[0], "q0") {
+		t.Fatalf("oldest kept shape %q; want q0 through q4 dropped", b.shapeOrder[0])
+	}
+	b.u.M.GC()
+	if live := b.u.M.LiveNodes(); live <= baseline {
+		t.Fatalf("live nodes %d with shapes kept, baseline %d: the shapes hold no helper", live, baseline)
+	}
+	b.Release()
+	b.u.M.GC()
+	if live := b.u.M.LiveNodes(); live != baseline {
+		t.Fatalf("live nodes %d after Release, want baseline %d", live, baseline)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/big"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -66,11 +67,12 @@ type Options struct {
 	Tracer obs.Tracer
 	// Metrics, when set, receives a flat summary at the end of Solve:
 	// solve time, iteration and rule-application counts, per-rule
-	// timings, BDD stats (peak live nodes, GCs, per-cache hit ratios),
-	// and final relation cardinalities. Each solve merges its registry
-	// in (obs.Metrics.Merge), so a registry shared across several
-	// solves sums their counters and timers, and keeps the last solve's
-	// value of each gauge (BDD stats, relation cardinalities).
+	// timings and BDD stats (peak live nodes, GCs, per-cache hit
+	// ratios). Each solve merges its registry in (obs.Metrics.Merge), so
+	// a registry shared across several solves sums their counters and
+	// timers, and keeps the last solve's value of each gauge. Relation
+	// cardinalities are not counted by Solve; RecordRelationSizes adds
+	// them on request.
 	Metrics *obs.Metrics
 	// Control, when set, is polled for cancellation and resource budgets
 	// throughout evaluation: inside the BDD operations, per rule
@@ -94,40 +96,19 @@ type Options struct {
 type SolverStats struct {
 	RuleApplications int64
 	Iterations       int
-	SolveTime        time.Duration // facts and fixpoint; excludes the cardinality pass
+	SolveTime        time.Duration // facts and fixpoint
 	PeakLiveNodes    int
 	NodesAllocated   int64
 	GCs              int64
 	// Rules holds per-rule measurements in program order — the data
 	// behind the paper's Section 6.4 tuning loop.
 	Rules []RuleStats
-	// Relations reports each declared relation's final cardinality
-	// (exact satcount), valid after Solve — the paper's size columns.
-	Relations []RelationCard
 	// BaseMemoHits and BaseMemoMisses count, for a query, the literal
 	// evaluations that read a base relation's wildcard projection from
 	// the QueryBase memo and those that filled it. Zero outside
 	// QueryBase.Eval. BaseMemoPivoted counts the evaluations among
 	// them whose entry has the pivoted layout.
 	BaseMemoHits, BaseMemoMisses, BaseMemoPivoted int64
-}
-
-// RelationCard is one relation's final tuple count.
-type RelationCard struct {
-	Name   string
-	Tuples *big.Int
-}
-
-// RelationTuples returns the recorded final cardinality of the named
-// relation (saturating at MaxInt64), or -1 when no cardinality was
-// collected for it.
-func (st SolverStats) RelationTuples(name string) int64 {
-	for _, rc := range st.Relations {
-		if rc.Name == name {
-			return satInt64(rc.Tuples)
-		}
-	}
-	return -1
 }
 
 // RuleStats is the cost of one rule across the whole evaluation.
@@ -142,7 +123,6 @@ type RuleStats struct {
 // Registry key names used by the solver's counting path.
 const (
 	keySolve    = "datalog.solve"
-	keyCards    = "datalog.cardinalities"
 	keyRuleApps = "datalog.rule_applications"
 	keyIters    = "datalog.iterations"
 )
@@ -172,16 +152,19 @@ type Solver struct {
 	elemIdx  map[string]map[string]uint64
 	solved   bool
 	// queryBase marks relations a QueryBase bound in from a frozen
-	// snapshot: they are read-only inputs the solver does not own, and
-	// collectRelationCards skips them (satcounting a context-sensitive
-	// points-to relation per served query would dwarf the query itself).
+	// snapshot: they are read-only inputs the solver does not own.
 	queryBase map[string]bool
 	// base is the QueryBase a query-mode solver evaluates against (nil
 	// in batch mode); cMemoHits and cMemoMisses count the literals
 	// that found its wildcard projection memoized and those that
 	// filled it, and cMemoPivoted those of either whose entry is
 	// pivoted.
-	base         *QueryBase
+	base *QueryBase
+	// consts holds, in query mode, each rule's constant terms in
+	// textual order: the query's own, since the rules belong to a
+	// prepared shape shared by every query of that shape (see
+	// constTerms). Nil in batch mode.
+	consts       map[*Rule][]Term
 	cMemoHits    *obs.Counter
 	cMemoMisses  *obs.Counter
 	cMemoPivoted *obs.Counter
@@ -202,7 +185,6 @@ type Solver struct {
 	cHoistHits   *obs.Counter
 	cHoistMisses *obs.Counter
 	ruleObs      map[*Rule]*ruleObs
-	relCards     []RelationCard
 	// hRuleApply aggregates every rule application's wall time into one
 	// latency distribution (datalog.rule.apply_sec); hOpNodes records
 	// each plan op's materialized result size as the delta of the BDD
@@ -347,6 +329,9 @@ func NewSolver(prog *Program, opts Options) (*Solver, error) {
 		if err != nil {
 			return nil, err
 		}
+		if cr, err = s.bindRule(cr, ruleConsts(rule)); err != nil {
+			return nil, err
+		}
 		s.compiled[rule] = cr
 	}
 	return s, nil
@@ -376,9 +361,12 @@ func (s *Solver) initObs() {
 		if rule.IsFact() {
 			continue
 		}
-		key := fmt.Sprintf("datalog.rule.%03d", i)
+		// Queries build a solver per evaluation, so the names are
+		// built without fmt.
+		n := strconv.Itoa(i)
+		key := "datalog.rule." + strings.Repeat("0", max(0, 3-len(n))) + n
 		ro := &ruleObs{
-			span:  fmt.Sprintf("rule %d: %s", i, rule.Head.Pred),
+			span:  "rule " + n + ": " + rule.Head.Pred,
 			timer: s.reg.Timer(key),
 		}
 		// Tuples are counted only on request; leaving the key
@@ -446,7 +434,6 @@ func (s *Solver) Stats() SolverStats {
 		PeakLiveNodes:    int(s.reg.Gauge("bdd.peak_live_nodes").Value()),
 		NodesAllocated:   int64(s.reg.Gauge("bdd.produced_nodes").Value()),
 		GCs:              int64(s.reg.Gauge("bdd.gcs").Value()),
-		Relations:        s.relCards,
 	}
 	for _, r := range s.prog.Rules {
 		ro := s.ruleObs[r]
@@ -466,6 +453,15 @@ func (s *Solver) Stats() SolverStats {
 // Metrics exposes the solver's private registry (the single counting
 // path behind Stats) for callers that want raw access.
 func (s *Solver) Metrics() *obs.Metrics { return s.reg }
+
+// constTerms returns rule's constant terms in textual order (see
+// ruleConsts): in query mode the query's own, otherwise the rule's.
+func (s *Solver) constTerms(rule *Rule) []Term {
+	if s.consts != nil {
+		return s.consts[rule]
+	}
+	return ruleConsts(rule)
+}
 
 // resolveConst turns a term into a concrete domain value.
 func (s *Solver) resolveConst(t Term, domain string) (uint64, error) {
@@ -494,8 +490,7 @@ func (s *Solver) resolveConst(t Term, domain string) (uint64, error) {
 // resilience abort — or any other panic — escape as a panic.
 //
 // The datalog.solve timer (SolverStats.SolveTime) covers the facts and
-// the fixpoint only. The end-of-solve cardinality pass is timed apart,
-// as datalog.cardinalities; the datalog.solve span encloses both.
+// the fixpoint.
 func (s *Solver) Solve() (err error) {
 	defer resilience.Recover(&err)
 	if s.solved {
@@ -526,33 +521,21 @@ func (s *Solver) Solve() (err error) {
 		s.u.M.Stats().AddTo(s.reg)
 		s.reg.Set("datalog.backend.bdd.ops", float64(s.u.Ops()))
 	}
-	s.collectRelationCards()
 	if s.opts.Metrics != nil {
 		s.opts.Metrics.Merge(s.reg)
 	}
 	return nil
 }
 
-// collectRelationCards records every declared relation's final exact
-// cardinality — the paper's relation-size columns — into the stats and
-// the registry (as "relation.<name>.tuples"). The pass has its own
-// timer and span, datalog.cardinalities, nested in datalog.solve's span.
-func (s *Solver) collectRelationCards() {
-	start := time.Now()
-	if s.tr != nil {
-		s.tr.Begin(keyCards, obs.A("relations", len(s.prog.Relations)))
-		defer func() { s.tr.End() }()
-	}
-	defer func() { s.reg.Timer(keyCards).Observe(time.Since(start)) }()
+// RecordRelationSizes sets "relation.<name>.tuples" in m to the exact
+// cardinality of every declared relation: the paper's relation-size
+// columns. Solve does not count them, since only a metrics export reads
+// them; a command writing -metrics calls this once after its solve.
+func (s *Solver) RecordRelationSizes(m *obs.Metrics) {
 	for _, rd := range s.prog.Relations {
-		r := s.rels[rd.Name]
-		if r == nil || s.queryBase[rd.Name] {
-			continue
+		if r := s.rels[rd.Name]; r != nil {
+			m.Set("relation."+rd.Name+".tuples", r.SizeFloat())
 		}
-		size := r.Size()
-		s.relCards = append(s.relCards, RelationCard{Name: rd.Name, Tuples: size})
-		f, _ := new(big.Float).SetInt(size).Float64()
-		s.reg.Set("relation."+rd.Name+".tuples", f)
 	}
 }
 
@@ -569,7 +552,8 @@ func (s *Solver) applyFacts() error {
 		}
 		decl := s.prog.Relation(rule.Head.Pred)
 		vals := make([]uint64, len(rule.Head.Args))
-		for i, t := range rule.Head.Args {
+		// A fact is ground: its constants are its arguments.
+		for i, t := range s.constTerms(rule) {
 			v, err := s.resolveConst(t, decl.Attrs[i].Domain)
 			if err != nil {
 				return check.Errorf(check.CodeConstRange, s.prog.File, t.Line, t.Col, "%v", err)
@@ -632,9 +616,9 @@ func (s *Solver) withStratum(idx int, st *stratum, eval func(run *stratumRun)) {
 	}
 	run.rules = append(append([]*compiledRule(nil), run.base...), run.recur...)
 	for _, cr := range run.rules {
-		cr.plans = map[int]*plan.Plan{-1: plan.Optimize(cr.naive, run.card)}
+		cr.plans = map[int]*plan.Plan{-1: cr.optimize(-1, run.card)}
 		for _, pos := range cr.recursivePositions(run.inStratum) {
-			cr.plans[pos] = plan.Optimize(cr.naive.WithDelta(pos), run.card)
+			cr.plans[pos] = cr.optimize(pos, run.card)
 		}
 	}
 	defer func() {

@@ -81,6 +81,11 @@ func (f *Flags) Start(name string) (*Session, error) {
 	return s, nil
 }
 
+// MetricsRequested reports whether -metrics names a file: commands
+// compute metrics that cost a pass of their own (relation sizes) only
+// then.
+func (s *Session) MetricsRequested() bool { return s.flags.MetricsPath != "" }
+
 // Close stops profiles and writes the trace, metrics, and heap-profile
 // files. It is safe to call once; errors report the first failure.
 func (s *Session) Close() error {

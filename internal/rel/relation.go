@@ -519,10 +519,16 @@ func (r *Relation) Iterate(fn func(vals []uint64) bool) {
 		return
 	}
 	support := r.supportVars()
+	// Each attribute's bit positions in the support, found once per
+	// call rather than per bit of every tuple.
+	pos := make([][]int, len(r.attrs))
+	for i, a := range r.attrs {
+		pos[i] = a.Phys.Positions(support)
+	}
 	vals := make([]uint64, len(r.attrs))
 	r.u.M.AllSat(r.root, support, func(bits []bool) bool {
-		for i, a := range r.attrs {
-			vals[i] = a.Phys.Value(support, bits)
+		for i, p := range pos {
+			vals[i] = bdd.ValueAt(p, bits)
 		}
 		return fn(vals)
 	})

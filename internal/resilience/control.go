@@ -168,15 +168,23 @@ func (c *Controller) Check() {
 // Poll is the fine-grained check for the hot recursive BDD loops
 // (relprod, replace, apply). It runs the full check only every
 // pollStride calls, so its steady-state cost is a counter increment.
-// Aborts on violation.
+// Aborts on violation. The full check lives out of line in
+// strideExpired, so Poll stays within the compiler's inlining budget
+// and its steady state costs no call.
 func (c *Controller) Poll() {
 	if c == nil {
 		return
 	}
 	c.polls++
-	if c.polls&(pollStride-1) != 0 {
-		return
+	if c.polls&(pollStride-1) == 0 {
+		c.strideExpired()
 	}
+}
+
+// strideExpired is Poll's full check, once per pollStride calls.
+//
+//go:noinline
+func (c *Controller) strideExpired() {
 	if err := c.Err(); err != nil {
 		Abort(err)
 	}

@@ -138,6 +138,27 @@ func BenchmarkAliasQueryMiss(b *testing.B) {
 	})
 }
 
+// BenchmarkRenderAnswer times renderResult on one large answer:
+// megamek's context-projected points-to pairs, a few thousand rows of
+// two attributes, rendered whole (the daemon's default MaxTuples).
+func BenchmarkRenderAnswer(b *testing.B) {
+	_, rep := megamekReplica(b)
+	const q = ".relation pt (variable : V, heap : H) output\npt(v, h) :- vPC(_, v, h).\n"
+	res, err := rep.Base.Eval(q, datalog.QueryOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer res.Close()
+	var body []byte
+	b.ResetTimer()
+	for range b.N {
+		body = renderResult(q, res, 10000, 0)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(res.Outputs[0].Size().Int64()), "rows")
+	b.ReportMetric(float64(len(body)), "bytes")
+}
+
 // megamekReplica solves megamek context-sensitively and hydrates one
 // replica with the daemon's default query headroom.
 func megamekReplica(b *testing.B) (*extract.Facts, *Replica) {

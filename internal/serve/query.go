@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"bddbddb/internal/datalog"
 	"bddbddb/internal/datalog/check"
@@ -135,33 +133,9 @@ func (sh shape) whodunnitQuery(heapName string) (string, error) {
 	return "", &datalog.QueryRejectError{Reason: "snapshot holds neither vP nor vPC"}
 }
 
-// Response shapes. Tuples render as objects keyed by attribute name
-// with element names as values (the paper's .map naming), so answers
-// are directly readable and can be pasted back into further queries.
-
-type outputJSON struct {
-	Relation  string           `json:"relation"`
-	Attrs     []attrJSON       `json:"attrs"`
-	Tuples    []map[string]any `json:"tuples"`
-	Count     int64            `json:"count"`
-	Truncated bool             `json:"truncated"`
-}
-
 type attrJSON struct {
 	Name   string `json:"name"`
 	Domain string `json:"domain"`
-}
-
-type statsJSON struct {
-	RuleApplications int64   `json:"rule_applications"`
-	Iterations       int     `json:"iterations"`
-	SolveMs          float64 `json:"solve_ms"`
-}
-
-type resultJSON struct {
-	Query   string       `json:"query"`
-	Outputs []outputJSON `json:"outputs"`
-	Stats   statsJSON    `json:"stats"`
 }
 
 type errorJSON struct {
@@ -170,45 +144,6 @@ type errorJSON struct {
 	// RequestID echoes the request's trace identity so an error body
 	// alone is enough to find the matching access-log line.
 	RequestID string `json:"request_id,omitempty"`
-}
-
-// renderResult serializes a finished query. Each output relation is
-// truncated at maxTuples rows (Count always carries the exact total,
-// so truncation is visible, never silent).
-func renderResult(query string, res *datalog.QueryResult, maxTuples int, elapsed time.Duration) ([]byte, error) {
-	out := resultJSON{
-		Query:   query,
-		Outputs: []outputJSON{},
-		Stats: statsJSON{
-			RuleApplications: res.Stats.RuleApplications,
-			Iterations:       res.Stats.Iterations,
-			SolveMs:          float64(elapsed.Microseconds()) / 1000,
-		},
-	}
-	for _, r := range res.Outputs {
-		oj := outputJSON{Relation: r.Name, Tuples: []map[string]any{}}
-		attrs := r.Attrs()
-		for _, a := range attrs {
-			oj.Attrs = append(oj.Attrs, attrJSON{Name: a.Name, Domain: a.Dom.Name})
-		}
-		oj.Count = res.Stats.RelationTuples(r.Name)
-		n := 0
-		r.Iterate(func(vals []uint64) bool {
-			if n >= maxTuples {
-				oj.Truncated = true
-				return false
-			}
-			row := make(map[string]any, len(attrs))
-			for i, a := range attrs {
-				row[a.Name] = a.Dom.ElemName(vals[i])
-			}
-			oj.Tuples = append(oj.Tuples, row)
-			n++
-			return true
-		})
-		out.Outputs = append(out.Outputs, oj)
-	}
-	return json.Marshal(out)
 }
 
 // statusFor maps the query- and update-error taxonomy to HTTP

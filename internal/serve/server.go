@@ -303,8 +303,9 @@ func newFromSnapshot(snap *Snapshot, cfg Config) (*Server, error) {
 
 // buildPool hydrates a full replica set from snap, starts its workers
 // with generation gen's views, then releases snap's serialized DAG,
-// which nothing reads after hydration. On hydration failure the
-// partial pool is torn down.
+// which nothing reads after hydration. The replicas hydrate
+// concurrently: each builds its own manager, and the dump is only read.
+// On hydration failure no worker starts and the replicas are garbage.
 func (s *Server) buildPool(snap *Snapshot, gen uint64) (*generation, error) {
 	p := &pool{jobs: make(chan *job, s.cfg.MaxInFlight)}
 	g := &generation{gen: gen, snap: snap, pool: p}
@@ -312,17 +313,28 @@ func (s *Server) buildPool(snap *Snapshot, gen uint64) (*generation, error) {
 	for _, dm := range snap.domains {
 		extra[dm.name] = s.cfg.QueryHeadroom
 	}
-	for i := 0; i < s.cfg.Replicas; i++ {
-		rep, err := snap.Hydrate(extra)
+	reps := make([]*Replica, s.cfg.Replicas)
+	errs := make([]error, s.cfg.Replicas)
+	var wg sync.WaitGroup
+	for i := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reps[i], errs[i] = snap.Hydrate(extra)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
-			p.close()
 			return nil, fmt.Errorf("serve: hydrating replica %d: %w", i, err)
 		}
+	}
+	for i, rep := range reps {
 		if i == 0 {
 			g.val = rep.Base
 			g.sh = shapeOf(rep.Base.HasRelation)
 		}
-		s.pushReplicaStats(i, rep)
+		s.replicaGauges(i).push(rep)
 		ctl := make(chan func(views))
 		p.ctl = append(p.ctl, ctl)
 		p.wg.Add(1)
@@ -472,6 +484,7 @@ func (s *Server) Fingerprint() string { return s.current().snap.Fingerprint() }
 // of the generation it was admitted under.
 func (s *Server) worker(i int, p *pool, ctl <-chan func(views), v views) {
 	defer p.wg.Done()
+	gauges := s.replicaGauges(i)
 	for {
 		select {
 		case f := <-ctl:
@@ -482,30 +495,45 @@ func (s *Server) worker(i int, p *pool, ctl <-chan func(views), v views) {
 			}
 			rep := v[j.gen]
 			s.runJob(rep, j)
-			s.pushReplicaStats(i, rep)
+			gauges.push(rep)
 		}
 	}
 }
 
-// pushReplicaStats publishes one replica's BDD substrate state as
-// gauges. Only the owning worker goroutine calls it (plus once at
-// hydration, before the worker starts), so the manager is never read
-// concurrently; the sampler and /metrics read the registry, which is
-// safe.
-func (s *Server) pushReplicaStats(i int, rep *Replica) {
+// replicaGauges are replica i's substrate gauges,
+// serve.replica.<i>.*; a worker looks them up once, not per job.
+type replicaGauges struct {
+	live, produced, gcs, hitRatio, memoNodes *obs.Gauge
+}
+
+func (s *Server) replicaGauges(i int) *replicaGauges {
+	prefix := fmt.Sprintf("serve.replica.%d.", i)
+	return &replicaGauges{
+		live:      s.reg.Gauge(prefix + "live_nodes"),
+		produced:  s.reg.Gauge(prefix + "produced_nodes"),
+		gcs:       s.reg.Gauge(prefix + "gcs"),
+		hitRatio:  s.reg.Gauge(prefix + "op_cache_hit_ratio"),
+		memoNodes: s.reg.Gauge(prefix + "base_memo_nodes"),
+	}
+}
+
+// push publishes the replica's BDD substrate state. Only the owning
+// worker goroutine calls it (plus once at hydration, before the worker
+// starts), so the manager is never read concurrently; the sampler and
+// /metrics read the registry, which is safe.
+func (g *replicaGauges) push(rep *Replica) {
 	m := rep.U.M
 	st := m.Stats()
-	prefix := fmt.Sprintf("serve.replica.%d.", i)
-	s.reg.Set(prefix+"live_nodes", float64(m.LiveNodes()))
-	s.reg.Set(prefix+"produced_nodes", float64(st.Produced))
-	s.reg.Set(prefix+"gcs", float64(st.GCs))
+	g.live.Set(float64(m.LiveNodes()))
+	g.produced.Set(float64(st.Produced))
+	g.gcs.Set(float64(st.GCs))
 	total := st.CacheHits + st.CacheMiss
 	ratio := 0.0
 	if total > 0 {
 		ratio = float64(st.CacheHits) / float64(total)
 	}
-	s.reg.Set(prefix+"op_cache_hit_ratio", ratio)
-	s.reg.Set(prefix+"base_memo_nodes", float64(rep.Base.MemoNodes()))
+	g.hitRatio.Set(ratio)
+	g.memoNodes.Set(float64(rep.Base.MemoNodes()))
 }
 
 func (s *Server) runJob(rep *Replica, j *job) {
@@ -545,7 +573,7 @@ func (s *Server) runJob(rep *Replica, j *job) {
 			res.Close()
 			s.gLiveStates.Add(-1)
 		}()
-		j.body, j.err = renderResult(j.src, res, s.cfg.MaxTuples, time.Since(t0))
+		j.body = renderResult(j.src, res, s.cfg.MaxTuples, time.Since(t0))
 	}()
 	rep.U.M.MaybeGC()
 	s.tQuery.Observe(time.Since(t0))

@@ -222,7 +222,7 @@ func (s *Server) publishPatch(sv *datalog.Solver, old *generation) (*generation,
 				ng.val = rep.Base
 				ng.sh = shapeOf(rep.Base.HasRelation)
 			}
-			s.pushReplicaStats(i, rep)
+			s.replicaGauges(i).push(rep)
 			return nil
 		}()
 	})
