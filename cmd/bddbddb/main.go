@@ -24,8 +24,8 @@
 //
 // Observability: -trace writes a Chrome trace-event file of the solve
 // (stratum → iteration → rule → op spans), -metrics a flat metrics JSON,
-// -v logs solver progress to stderr, and -cpuprofile/-memprofile write
-// runtime/pprof profiles.
+// -progress prints a periodic one-line heartbeat to stderr, and
+// -cpuprofile/-memprofile write runtime/pprof profiles.
 //
 // Resilience: -timeout and -max-nodes bound the run (exit code 3 on
 // exhaustion), and Ctrl-C cancels it cleanly (exit code 4).

@@ -27,8 +27,6 @@
 //	GET  /whodunnit?heap=NAME stores that may have written a reference
 //	                          to the heap object (with contexts when
 //	                          the analysis is context-sensitive)
-//	GET  /precision           the startup {ci, cs, heap-cs} precision
-//	                          comparison (404 unless -precision was set)
 //	POST /query               ad-hoc Datalog (raw text or {"query":...})
 //	POST /update              live input-tuple delta (JSON add/remove
 //	                          sets); incrementally re-solves, cuts a new
@@ -51,18 +49,23 @@
 // here, 429 per-request budget exhausted
 // (-query-timeout/-query-max-nodes), 503 shed under load or draining.
 // SIGINT/SIGTERM drains gracefully: in-flight queries finish (up to
-// -grace), new ones get 503. SIGQUIT dumps the sampler's time series to
-// stderr and keeps serving. SIGHUP reloads the -update-file delta and
-// applies it through the same lifecycle as POST /update; each update is
-// bounded by -update-timeout/-update-max-nodes and degrades to a full
-// background re-solve when the incremental path exhausts the budget.
-// Any update failure rolls back completely — the previous generation
-// keeps serving.
+// -grace), new ones get 503. POST /update is the only way to change the
+// served facts; each update is bounded by
+// -update-timeout/-update-max-nodes and degrades to a full background
+// re-solve when the incremental path exhausts the budget. Any update
+// failure rolls back completely — the previous generation keeps
+// serving.
+//
+// Each observation has one sink: spans go to -trace (with -replicas 1,
+// each query's solve spans too), per-request records to -access-log,
+// counters to /metrics and -metrics, and the substrate gauges' recent
+// history to /debug/timeseries; -progress is the live stderr view. The
+// result cache's byte bound and entry lifetime, the query strata limit
+// and the sampler period take serve.Config's defaults.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -78,10 +81,8 @@ import (
 	"time"
 
 	"bddbddb/internal/analysis"
-	"bddbddb/internal/datalog"
 	"bddbddb/internal/extract"
 	"bddbddb/internal/obs"
-	"bddbddb/internal/precision"
 	"bddbddb/internal/program"
 	"bddbddb/internal/resilience"
 	"bddbddb/internal/serve"
@@ -91,22 +92,16 @@ import (
 func main() {
 	addr := flag.String("addr", ":8077", "listen address")
 	algo := flag.String("algo", "cs", "analysis to serve: "+strings.Join(servable, "|"))
-	precisionFlag := flag.Bool("precision", false, "compute the {ci, cs, heap-cs} precision comparison at startup and serve it at /precision")
 	synthName := flag.String("synth", "", "generate the input program from the named synthetic benchmark (e.g. quick)")
 	replicas := flag.Int("replicas", runtime.GOMAXPROCS(0), "snapshot replicas / worker goroutines")
 	headroom := flag.Int("query-headroom", 1, "extra physical instances per domain for ad-hoc query variables")
 	cacheEntries := flag.Int("cache-entries", 1024, "result cache capacity in entries (-1 disables caching)")
-	cacheBytes := flag.Int("cache-bytes", 4<<20, "result cache capacity in body bytes")
-	cacheTTL := flag.Duration("cache-ttl", 5*time.Minute, "result cache entry lifetime (0 = no expiry)")
 	maxInFlight := flag.Int("max-inflight", 0, "admission limit; excess requests are shed with 503 (0 = 2×replicas)")
 	queryTimeout := flag.Duration("query-timeout", 5*time.Second, "per-request evaluation budget (429 when exceeded)")
 	queryMaxNodes := flag.Int("query-max-nodes", 0, "per-request live BDD node budget (0 = unlimited)")
 	maxTuples := flag.Int("max-tuples", 10000, "max tuples rendered per output relation (count stays exact)")
-	maxStrata := flag.Int("max-query-strata", 1, "stratification depth allowed in ad-hoc queries")
 	grace := flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight requests")
 	accessLog := flag.String("access-log", "", "append one JSON line per request to this file (\"-\" = stderr)")
-	sampleInterval := flag.Duration("sample-interval", time.Second, "background substrate sampler period for /debug/timeseries (negative disables)")
-	updateFile := flag.String("update-file", "", "JSON delta file re-read and applied on SIGHUP")
 	updateSlack := flag.Int("update-slack", 64, "spare domain capacity for element names arriving in live updates")
 	updateTimeout := flag.Duration("update-timeout", 2*time.Minute, "per-update budget before degrading to a full background re-solve")
 	updateMaxNodes := flag.Int("update-max-nodes", 0, "per-update live BDD node budget (0 = unlimited)")
@@ -141,25 +136,20 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	status := run(ctx, sess, rflags, config{
 		addr: *addr, algo: *algo, synthName: *synthName,
-		grace: *grace, precision: *precisionFlag,
-		updateFile: *updateFile, updateSlack: *updateSlack,
+		grace: *grace, updateSlack: *updateSlack,
 		serve: serve.Config{
 			UpdateTimeout:  *updateTimeout,
 			UpdateMaxNodes: *updateMaxNodes,
 			Replicas:       *replicas,
 			QueryHeadroom:  *headroom,
 			CacheEntries:   *cacheEntries,
-			CacheBytes:     *cacheBytes,
-			CacheTTL:       *cacheTTL,
 			MaxInFlight:    *maxInFlight,
 			QueryTimeout:   *queryTimeout,
 			QueryMaxNodes:  *queryMaxNodes,
 			MaxTuples:      *maxTuples,
-			MaxStrata:      *maxStrata,
 			Metrics:        sess.Metrics,
 			Tracer:         sess.Tracer,
 			AccessLog:      alog,
-			SampleInterval: *sampleInterval,
 		},
 	})
 	stop()
@@ -182,9 +172,7 @@ var servable = []string{"ci", "cif", "cs", "heap-cs"}
 
 type config struct {
 	addr, algo, synthName string
-	precision             bool
 	grace                 time.Duration
-	updateFile            string
 	updateSlack           int
 	serve                 serve.Config
 }
@@ -228,19 +216,6 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, cfg co
 	if err != nil {
 		return fail(err)
 	}
-	if cfg.precision {
-		// The comparison re-solves all three modes on a private config
-		// with no domain slack (the report never serves updates).
-		pcfg := analysis.Config{Tracer: sess.Tracer, Context: ctx, Budget: rflags.Budget()}
-		t1 := time.Now()
-		rep, perr := precision.Compare(workloadName(cfg), facts, pcfg, precision.Options{})
-		if perr != nil {
-			return fail(perr)
-		}
-		cfg.serve.Precision = rep
-		fmt.Fprintf(os.Stderr, "bddbddbd: precision comparison ready in %v (heap contexts %d, cloned sites %d)\n",
-			time.Since(t1).Round(time.Millisecond), rep.HeapContexts, rep.ClonedSites)
-	}
 	fmt.Fprintf(os.Stderr, "bddbddbd: solved in %v%s\n", time.Since(t0).Round(time.Millisecond),
 		map[bool]string{true: " (degraded to context-insensitive)", false: ""}[res.Degraded])
 	for _, sch := range res.Schemas() {
@@ -257,63 +232,12 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, cfg co
 	if err != nil {
 		return fail(err)
 	}
-	// SIGHUP re-reads -update-file and applies it as a live delta —
-	// the same lifecycle as POST /update: incremental re-solve, new
-	// snapshot generation, atomic swap; rollback on any failure.
-	hupc := make(chan os.Signal, 1)
-	signal.Notify(hupc, syscall.SIGHUP)
-	defer signal.Stop(hupc)
-	go func() {
-		for range hupc {
-			if cfg.updateFile == "" {
-				fmt.Fprintln(os.Stderr, "bddbddbd: SIGHUP: no -update-file configured")
-				continue
-			}
-			raw, err := os.ReadFile(cfg.updateFile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bddbddbd: SIGHUP:", err)
-				continue
-			}
-			var wd datalog.WireDelta
-			if err := json.Unmarshal(raw, &wd); err != nil {
-				fmt.Fprintf(os.Stderr, "bddbddbd: SIGHUP: bad delta in %s: %v\n", cfg.updateFile, err)
-				continue
-			}
-			ur, err := srv.ApplyUpdate(ctx, wd)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bddbddbd: SIGHUP: update rolled back:", err)
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "bddbddbd: SIGHUP: update applied: generation %d, snapshot %s (+%d/-%d tuples, full=%v, %v)\n",
-				ur.Generation, ur.Fingerprint, ur.Stats.Added, ur.Stats.Removed, ur.Stats.Full, ur.Stats.Duration.Round(time.Microsecond))
-		}
-	}()
-	// SIGQUIT dumps the sampler's time-series ring to stderr and keeps
-	// serving — a poor man's flight recorder for "the daemon felt slow
-	// five minutes ago". (Registering the handler replaces the Go
-	// runtime's default stack-dump-and-exit for SIGQUIT.)
-	quitc := make(chan os.Signal, 1)
-	signal.Notify(quitc, syscall.SIGQUIT)
-	defer signal.Stop(quitc)
-	go func() {
-		for range quitc {
-			if sm := srv.Sampler(); sm != nil {
-				fmt.Fprintf(os.Stderr, "bddbddbd: SIGQUIT time-series dump (snapshot %s):\n", srv.Fingerprint())
-				if err := sm.WriteJSON(os.Stderr); err != nil {
-					fmt.Fprintln(os.Stderr, "bddbddbd: timeseries dump:", err)
-				}
-				fmt.Fprintln(os.Stderr)
-			} else {
-				fmt.Fprintln(os.Stderr, "bddbddbd: SIGQUIT: sampler disabled (-sample-interval < 0)")
-			}
-		}
-	}()
 
 	hs := &http.Server{Addr: cfg.addr, Handler: srv}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "bddbddbd: serving on %s with %d replicas (%d BDD nodes each, snapshot %s)\n",
-		cfg.addr, srv.Replicas(), serveNodes(srv), srv.Fingerprint())
+		cfg.addr, srv.Replicas(), srv.SnapshotNodes(), srv.Fingerprint())
 
 	select {
 	case err := <-errc:
@@ -338,14 +262,6 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags, cfg co
 	return 0
 }
 
-// workloadName labels the precision report with the input's identity.
-func workloadName(cfg config) string {
-	if cfg.synthName != "" {
-		return cfg.synthName
-	}
-	return flag.Arg(0)
-}
-
 func loadProgram(synthName string) (*program.Program, error) {
 	if synthName != "" {
 		if synthName == "quick" {
@@ -363,8 +279,6 @@ func loadProgram(synthName string) (*program.Program, error) {
 	}
 	return program.Parse(string(src))
 }
-
-func serveNodes(s *serve.Server) int { return s.SnapshotNodes() }
 
 func fail(err error) int {
 	if errors.Is(err, http.ErrServerClosed) {

@@ -10,8 +10,8 @@
 //
 // -json writes the figure tables as flat metrics JSON (the BENCH_*.json
 // trajectory format) with keys like figure4.<bench>.cs_pointer.time_sec.
-// The shared observability flags (-trace, -metrics, -v, -cpuprofile,
-// -memprofile) instrument the analysis runs themselves.
+// The shared observability flags (-trace, -metrics, -progress,
+// -cpuprofile, -memprofile) instrument the analysis runs themselves.
 //
 // Resilience: -timeout and -max-nodes bound the whole regeneration
 // (exit code 3 on exhaustion) and Ctrl-C cancels it (exit code 4).

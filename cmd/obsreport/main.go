@@ -1,7 +1,7 @@
 // Command obsreport reads the observability files the other commands
 // emit — flat metrics JSON (-metrics, BENCH_*.json), Chrome
-// trace-event JSON (-trace), and sampler time-series dumps
-// (/debug/timeseries, SIGQUIT) — and reduces them to the views a perf
+// trace-event JSON (-trace), and the daemon's sampler time series
+// (/debug/timeseries) — and reduces them to the views a perf
 // investigation starts from.
 //
 // Usage:

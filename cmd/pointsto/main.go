@@ -44,8 +44,8 @@
 // stratum/iteration/rule spans under each solve), -metrics a flat
 // metrics JSON (lowering tallies, fact counts, solve time, peak live
 // BDD nodes, GC count, per-cache hit ratios, relation cardinalities),
-// -v logs phase progress to stderr, and -cpuprofile/-memprofile write
-// runtime/pprof profiles.
+// -progress prints a periodic one-line heartbeat to stderr, and
+// -cpuprofile/-memprofile write runtime/pprof profiles.
 //
 // Resilience: -timeout and -max-nodes bound the run (exit code 3 on
 // exhaustion) and Ctrl-C cancels it cleanly (exit code 4).

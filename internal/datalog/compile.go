@@ -377,6 +377,13 @@ func (s *Solver) compileRule(rule *Rule, asn map[string]int, pivots []map[string
 				dupOps = append(dupOps, &plan.DupHead{JoinAttr: first, NewAttr: target})
 				eq, err := s.u.M.Equals(first.Phys, target.Phys)
 				if err != nil {
+					if s.base != nil {
+						// A replica's headroom instances follow every
+						// main block, so they interleave with no main
+						// instance.
+						return nil, rejectf("head variable %s repeats on instances %s and %s, which are not bitwise interleaved",
+							t.Var, first.Phys.Name, target.Phys.Name)
+					}
 					return nil, fmt.Errorf("datalog: head duplicate in %s: %v", rule, err)
 				}
 				cr.dups[target.Name] = s.u.NewRelationFromBDD("dup:"+target.Name, eq, first, target)

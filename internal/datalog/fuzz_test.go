@@ -1,12 +1,18 @@
 package datalog
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"bddbddb/internal/datalog/check"
+	"bddbddb/internal/resilience"
 )
 
 // FuzzParseAndCheck feeds arbitrary text through the parser and the
@@ -59,6 +65,103 @@ func FuzzParseAndCheck(f *testing.F) {
 		}
 		if _, err := stratify(prog); (err != nil) != hasDL030 {
 			t.Fatalf("stratify error %v, DL030 diagnosed: %v", err, hasDL030)
+		}
+	})
+}
+
+// FuzzApplyWireDelta drives the daemon's one update entry point, POST
+// /update's body, through LiveSolver.Begin on a fresh solve of
+// testdata/pointsto.dl (V has spare capacity beyond variable.map's
+// names). Every input must be refused or applied, never panic; a
+// refused update leaves the solver's content unchanged, and an applied
+// one rolls back to it. The budget is small, so some updates take the
+// degraded full re-solve path.
+//
+//	go test -run '^$' -fuzz '^FuzzApplyWireDelta$' -fuzztime 30s ./internal/datalog
+func FuzzApplyWireDelta(f *testing.F) {
+	dir := filepath.Join("..", "..", "testdata")
+	src, err := os.ReadFile(filepath.Join(dir, "pointsto.dl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	prog := MustParse(string(src))
+	names, err := os.ReadFile(filepath.Join(dir, "variable.map"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	vnames := strings.Fields(string(names))
+	facts := make(map[string][][]uint64)
+	for _, rd := range prog.Relations {
+		if rd.Kind != RelInput {
+			continue
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, rd.Name+".tuples"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, line := range strings.Split(string(raw), "\n") {
+			if fs := strings.Fields(line); len(fs) > 0 && fs[0] != "#" {
+				row := make([]uint64, len(fs))
+				for i, fv := range fs {
+					if row[i], err = strconv.ParseUint(fv, 10, 64); err != nil {
+						f.Fatal(err)
+					}
+				}
+				facts[rd.Name] = append(facts[rd.Name], row)
+			}
+		}
+	}
+	// Seeds: add, remove, mixed, new names, empty, unknown relation,
+	// and a delta large enough to trip the node budget.
+	for _, seed := range []string{
+		`{"add":{"vP0":[["c",2]]}}`,
+		`{"remove":{"assign":[["b","a"]]}}`,
+		`{"add":{"assign":[[2,3]]},"remove":{"vP0":[[0,0]]}}`,
+		`{"add":{"vP0":[["fresh.var",1]],"load":[["fresh.var",0,"d"]]}}`,
+		`{}`,
+		`{"add":{"nosuch":[[0]]}}`,
+		`{"add":{"assign":[[0,3],[1,10],[2,1],[3,8],[4,15],[5,6],[6,13],[7,4],[8,11],[9,2],[10,9],[11,0],[12,7],[13,14],[14,5],[15,12]],"vP0":[[0,0],[1,1],[2,2],[3,3],[4,4],[5,5],[6,6],[7,7],[8,0],[9,1],[10,2],[11,3],[12,4],[13,5],[14,6],[15,7]],"store":[[0,0,0],[1,1,5],[2,2,10],[3,3,15],[4,0,4],[5,1,9],[6,2,14],[7,3,3],[8,0,8],[9,1,13],[10,2,2],[11,3,7],[12,0,12],[13,1,1],[14,2,6],[15,3,11]],"load":[[0,1,0],[1,2,3],[2,3,6],[3,0,9],[4,1,12],[5,2,15],[6,3,2],[7,0,5],[8,1,8],[9,2,11],[10,3,14],[11,0,1],[12,1,4],[13,2,7],[14,3,10],[15,0,13]]}}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var wd WireDelta
+		if json.Unmarshal(body, &wd) != nil {
+			return
+		}
+		// The name table is the solver's own (updates register names
+		// in it). A small node table grows, and so checks the node
+		// budget, within a few dozen tuples' worth of new nodes.
+		s, err := NewSolver(prog, Options{
+			ElemNames: map[string][]string{"V": vnames},
+			NodeSize:  1 << 9,
+			CacheSize: 1 << 8,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, rows := range facts {
+			for _, row := range rows {
+				s.Relation(name).AddTuple(row...)
+			}
+		}
+		if err := s.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		before := mustFingerprint(t, s)
+		ls, err := NewLiveSolver(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl := resilience.NewController(context.Background(), resilience.Budget{
+			MaxLiveNodes: s.u.M.LiveNodes() + 64,
+			Timeout:      time.Second,
+		})
+		if _, err := ls.Begin(ctl, wd); err == nil {
+			ls.Rollback()
+		}
+		if got := mustFingerprint(t, ls.Solver()); got != before {
+			t.Fatalf("delta %s changed the content: %s -> %s", body, before, got)
 		}
 	})
 }

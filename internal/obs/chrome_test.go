@@ -127,37 +127,6 @@ func TestChromeTraceDeterministic(t *testing.T) {
 	}
 }
 
-func TestLogTracer(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogTracer(&buf)
-	l.Begin("outer", A("k", "v"))
-	l.Begin("inner")
-	l.Instant("mark")
-	l.End()
-	l.Counter("dropped", map[string]float64{"x": 1})
-	l.End()
-	out := buf.String()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("got %d lines, want 5:\n%s", len(lines), out)
-	}
-	if lines[0] != "> outer (k=v)" {
-		t.Errorf("line 0 = %q", lines[0])
-	}
-	if lines[1] != "  > inner" {
-		t.Errorf("line 1 = %q", lines[1])
-	}
-	if !strings.HasPrefix(lines[2], "    * mark") {
-		t.Errorf("line 2 = %q", lines[2])
-	}
-	if !strings.HasPrefix(lines[3], "  < inner") {
-		t.Errorf("line 3 = %q", lines[3])
-	}
-	if strings.Contains(out, "dropped") {
-		t.Errorf("counter sample should not be logged:\n%s", out)
-	}
-}
-
 func TestMulti(t *testing.T) {
 	if Multi() != nil {
 		t.Error("Multi() should be nil")

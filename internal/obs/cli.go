@@ -10,13 +10,12 @@ import (
 )
 
 // Flags bundles the observability flags every command shares:
-// -trace, -metrics, -v, -progress, -cpuprofile, -memprofile. Register
+// -trace, -metrics, -progress, -cpuprofile, -memprofile. Register
 // them on a FlagSet, then Start a Session after flag parsing and defer
 // Close.
 type Flags struct {
 	TracePath   string
 	MetricsPath string
-	Verbose     bool
 	Progress    time.Duration
 	CPUProfile  string
 	MemProfile  string
@@ -26,18 +25,17 @@ type Flags struct {
 func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.TracePath, "trace", "", "write a Chrome trace-event JSON file (open in Perfetto or chrome://tracing)")
 	fs.StringVar(&f.MetricsPath, "metrics", "", "write a flat metrics JSON file")
-	fs.BoolVar(&f.Verbose, "v", false, "log phase progress to stderr")
 	fs.DurationVar(&f.Progress, "progress", 0, "print a one-line heartbeat (phase, stratum/iteration, live nodes) to stderr at this interval (e.g. 2s; 0 = off)")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file at exit")
 }
 
 // Session is a started observability session: a Tracer (nil when both
-// -trace and -v are off, so call sites stay free), a Metrics registry,
-// and any running profiles. Close flushes everything.
+// -trace and -progress are off, so call sites stay free), a Metrics
+// registry, and any running profiles. Close flushes everything.
 type Session struct {
-	// Tracer fans out to the Chrome trace buffer and/or the -v logger.
-	// Nil when neither is requested.
+	// Tracer fans out to the Chrome trace buffer and/or the -progress
+	// heartbeat's phase tracker. Nil when neither is requested.
 	Tracer Tracer
 	// Metrics is the session registry; Close writes it to -metrics.
 	Metrics *Metrics
@@ -57,9 +55,6 @@ func (f *Flags) Start(name string) (*Session, error) {
 	if f.TracePath != "" {
 		s.chrome = NewChromeTrace()
 		tracers = append(tracers, s.chrome)
-	}
-	if f.Verbose {
-		tracers = append(tracers, NewLogTracer(os.Stderr))
 	}
 	if f.Progress > 0 {
 		p := NewProgress()

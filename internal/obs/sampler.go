@@ -96,8 +96,8 @@ func (s *Sampler) Stop() {
 	s.stop = nil
 }
 
-// SampleNow takes one sample immediately (also used by tests and by
-// SIGQUIT dumps that want a fresh final point).
+// SampleNow takes one sample immediately (the ticker's step; tests
+// call it directly).
 func (s *Sampler) SampleNow() SamplePoint {
 	sm := SamplePoint{Time: time.Now(), Values: s.source()}
 	s.mu.Lock()

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"bddbddb/internal/datalog"
@@ -108,30 +107,5 @@ flat(v) :- vPC(_, "v0", h), vPC(_, v, h).`)
 	}
 	if got := attrValues(t, body, "alias"); len(got) != 3 {
 		t.Fatalf("projected aliases = %v, want all three variables", got)
-	}
-}
-
-// TestPrecisionEndpoint: /precision serves the startup-computed report
-// verbatim when configured and a helpful 404 when not.
-func TestPrecisionEndpoint(t *testing.T) {
-	rep := map[string]any{"workload": "mini", "heap_contexts": 2}
-	s, err := New(heapSolver(t), Config{Replicas: 1, Precision: rep})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := newTestHTTP(t, s)
-	code, body, _ := get(t, hs+"/precision")
-	if code != 200 || !strings.Contains(body, `"workload":"mini"`) {
-		t.Fatalf("precision: %d %s", code, body)
-	}
-
-	s2, err := New(heapSolver(t), Config{Replicas: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs2 := newTestHTTP(t, s2)
-	code, body, _ = get(t, hs2+"/precision")
-	if code != 404 || !strings.Contains(body, "-precision") {
-		t.Fatalf("unconfigured precision: %d %s, want 404 with a hint", code, body)
 	}
 }

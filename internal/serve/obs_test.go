@@ -312,13 +312,10 @@ func TestTimeseriesEndpoint(t *testing.T) {
 }
 
 func TestTimeseriesDisabled(t *testing.T) {
-	s, hs := testServer(t, Config{Replicas: 1, SampleInterval: -1})
-	if s.Sampler() != nil {
-		t.Fatal("sampler should be nil when disabled")
-	}
-	code, _, _ := get(t, hs.URL+"/debug/timeseries")
-	if code != 404 {
-		t.Errorf("disabled sampler endpoint status = %d, want 404", code)
+	_, hs := testServer(t, Config{Replicas: 1, SampleInterval: -1})
+	code, body, _ := get(t, hs.URL+"/debug/timeseries")
+	if code != 404 || !strings.Contains(body, "sampler disabled") {
+		t.Errorf("disabled sampler endpoint: %d %s, want 404 naming the disabled sampler", code, body)
 	}
 }
 

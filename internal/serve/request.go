@@ -14,9 +14,9 @@ import (
 // Request-scoped observability: every request gets an ID (the client's
 // X-Request-Id when it sends one, a fresh one otherwise) that is echoed
 // in the response header, stamped into error bodies and resilience
-// failures, written to the JSON-lines access log, and attached to the
-// per-query trace events — so a 422 or 429 seen by a client joins back
-// to the daemon-side record of what killed it.
+// failures, and written to the JSON-lines access log — so a 422 or 429
+// seen by a client joins back to the daemon-side record of what killed
+// it.
 
 // statusRecorder wraps the ResponseWriter to capture what the handler
 // did (status, body size) and to carry the request's identity inward:
@@ -103,8 +103,7 @@ var queryEndpoints = map[string]bool{
 
 // ServeHTTP is the middleware entry: assign the request ID, dispatch,
 // then record the request — latency histogram (per endpoint, split by
-// snapshot shape and cache outcome), access-log line, and a trace
-// instant carrying the ID.
+// snapshot shape and cache outcome) and access-log line.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	rid := sanitizeRequestID(r.Header.Get("X-Request-Id"))
@@ -132,14 +131,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		name := "serve.latency." + endpoint + "." + sh + "." + outcome
 		s.reg.Histogram(name, obs.LatencyBuckets()).ObserveDuration(elapsed)
-	}
-	if s.tracer != nil {
-		s.tracer.Instant("serve.request",
-			obs.A("request_id", rid),
-			obs.A("endpoint", r.URL.Path),
-			obs.A("status", rec.status),
-			obs.A("cache", cache),
-			obs.A("us", elapsed.Microseconds()))
 	}
 	s.alog.Log(obs.AccessRecord{
 		Time:       start.UTC(),

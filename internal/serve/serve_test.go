@@ -234,6 +234,29 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 }
 
+// TestRepeatedHeadVariable: a head variable repeated across two of the
+// replica's main instances is answered; repeated onto a headroom
+// instance, which is not bitwise interleaved with the main ones, it is
+// rejected (422) naming the variable and both instances, not a 500.
+func TestRepeatedHeadVariable(t *testing.T) {
+	_, hs := testServer(t, Config{Replicas: 1, CacheEntries: -1})
+	code, body := post(t, hs.URL+"/query", `.relation q (a : V, b : V) output
+q(y, y) :- assign(x, y).`)
+	if code != 200 || !strings.Contains(body, `"count":3`) {
+		t.Fatalf("main instances: %d %s", code, body)
+	}
+	code, body = post(t, hs.URL+"/query", `.relation q (a : V, b : V, c : V) output
+q(x, y, y) :- assign(x, y).`)
+	if code != 422 || !strings.Contains(body, `"class":"rejected"`) {
+		t.Fatalf("headroom instance: %d %s, want 422 rejected", code, body)
+	}
+	for _, want := range []string{"head variable y", "V1", "V2"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("rejection %s does not name %q", body, want)
+		}
+	}
+}
+
 func TestBudgetExhaustionIs429(t *testing.T) {
 	_, hs := testServer(t, Config{Replicas: 1, QueryTimeout: time.Nanosecond, CacheEntries: -1})
 	code, body, _ := get(t, hs.URL+"/pointsto?var=v0")

@@ -55,11 +55,10 @@ type Config struct {
 	// Degraded is surfaced in /healthz: the daemon fell back to a less
 	// precise analysis when the startup solve ran out of budget.
 	Degraded bool
-	// Tracer, when set, receives one instant event per served request
-	// (request ID, endpoint, status, cache outcome). With Replicas == 1
-	// it additionally flows into each query's solve spans; with more
-	// replicas concurrent workers would interleave span nesting, so only
-	// the flat per-request instants are emitted.
+	// Tracer, when set and Replicas == 1, receives each query's solve
+	// spans. With more replicas concurrent workers would interleave span
+	// nesting, so it receives nothing; per-request records go to
+	// AccessLog.
 	Tracer obs.Tracer
 	// AccessLog, when set, receives one JSON line per request.
 	AccessLog io.Writer
@@ -67,14 +66,9 @@ type Config struct {
 	// /debug/timeseries substrate gauges (0 = 1s; negative disables the
 	// sampler). Its ring keeps the last 600 samples.
 	SampleInterval time.Duration
-	// Precision, when set, is served verbatim as JSON at /precision —
-	// the daemon computes a precision.Report at startup when asked to.
-	// Nil means the endpoint answers 404 with a hint. Held as any so
-	// the serve layer stays decoupled from the comparison engine.
-	Precision any
 	// Updater, when set, enables the live-update lifecycle (POST
-	// /update and SIGHUP delta reload): it owns the solver the serve
-	// snapshots are cut from. Nil disables updates (501).
+	// /update): it owns the solver the serve snapshots are cut from.
+	// Nil disables updates (501).
 	Updater Updater
 	// UpdateTimeout / UpdateMaxNodes bound each update's incremental
 	// re-solve (per-update resilience.Controller); exceeding them
@@ -168,7 +162,7 @@ type Server struct {
 	mux     *http.ServeMux
 	cache   *Cache
 	reg     *obs.Metrics
-	tracer  obs.Tracer
+	tracer  obs.Tracer // queries' solve spans; nil unless one replica
 	alog    *obs.AccessLogger
 	sampler *obs.Sampler
 	build   obs.BuildInfo
@@ -251,10 +245,14 @@ func newFromSnapshot(snap *Snapshot, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		reg:      reg,
-		tracer:   cfg.Tracer,
 		build:    obs.ReadBuildInfo(),
 		start:    time.Now(),
 		updateMu: make(chan struct{}, 1),
+	}
+	// Solve spans nest on one stack per tracer, so queries trace only
+	// when a single worker runs them.
+	if cfg.Replicas == 1 {
+		s.tracer = cfg.Tracer
 	}
 	if cfg.AccessLog != nil {
 		s.alog = obs.NewAccessLogger(cfg.AccessLog)
@@ -281,7 +279,6 @@ func newFromSnapshot(snap *Snapshot, cfg Config) (*Server, error) {
 	mux.HandleFunc("/pointsto", s.handlePointsTo)
 	mux.HandleFunc("/aliases", s.handleAliases)
 	mux.HandleFunc("/whodunnit", s.handleWhodunnit)
-	mux.HandleFunc("/precision", s.handlePrecision)
 	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/update", s.handleUpdate)
 	mux.HandleFunc("/schema", s.handleSchema)
@@ -470,10 +467,6 @@ func (s *Server) Close() {
 	})
 }
 
-// Sampler exposes the background substrate sampler (nil when disabled)
-// — the daemon dumps its buffer on SIGQUIT.
-func (s *Server) Sampler() *obs.Sampler { return s.sampler }
-
 // Fingerprint identifies the snapshot the server answers from.
 func (s *Server) Fingerprint() string { return s.current().snap.Fingerprint() }
 
@@ -544,17 +537,10 @@ func (s *Server) runJob(rep *Replica, j *job) {
 		MaxLiveNodes: s.cfg.QueryMaxNodes,
 	})
 	ctl.SetTag(j.rid)
-	// Solve spans nest globally in the Chrome/log tracers, so the
-	// per-query solve trace is only safe single-replica; the flat
-	// per-request instants in ServeHTTP cover the concurrent case.
-	var tr obs.Tracer
-	if s.cfg.Replicas == 1 {
-		tr = s.tracer
-	}
 	t0 := time.Now()
 	res, err := rep.Base.Eval(j.src, datalog.QueryOptions{
 		Control:   ctl,
-		Tracer:    tr,
+		Tracer:    s.tracer,
 		MaxStrata: s.cfg.MaxStrata,
 	})
 	if err != nil {
@@ -724,19 +710,6 @@ func (s *Server) handleWhodunnit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.runQuery(w, r, NormalizeQuery(src))
-}
-
-// handlePrecision serves the startup-computed mode-comparison report.
-func (s *Server) handlePrecision(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Precision == nil {
-		writeJSON(w, http.StatusNotFound, errorJSON{
-			Error:     "no precision report: start the daemon with -precision",
-			Class:     "rejected",
-			RequestID: requestID(w),
-		})
-		return
-	}
-	writeJSON(w, http.StatusOK, s.cfg.Precision)
 }
 
 // handleQuery evaluates an ad-hoc Datalog query: POST with either a
