@@ -51,10 +51,10 @@
 // SIGINT/SIGTERM drains gracefully: in-flight queries finish (up to
 // -grace), new ones get 503. POST /update is the only way to change the
 // served facts; each update is bounded by
-// -update-timeout/-update-max-nodes and degrades to a full background
-// re-solve when the incremental path exhausts the budget. Any update
-// failure rolls back completely — the previous generation keeps
-// serving.
+// -update-timeout/-update-max-nodes, and when the incremental path
+// exhausts the budget the update is re-run unbudgeted, recomputing
+// every stratum it reaches. Any update failure rolls back completely —
+// the previous generation keeps serving.
 //
 // Each observation has one sink: spans go to -trace (with -replicas 1,
 // each query's solve spans too), per-request records to -access-log,
@@ -103,7 +103,7 @@ func main() {
 	grace := flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight requests")
 	accessLog := flag.String("access-log", "", "append one JSON line per request to this file (\"-\" = stderr)")
 	updateSlack := flag.Int("update-slack", 64, "spare domain capacity for element names arriving in live updates")
-	updateTimeout := flag.Duration("update-timeout", 2*time.Minute, "per-update budget before degrading to a full background re-solve")
+	updateTimeout := flag.Duration("update-timeout", 2*time.Minute, "per-update budget before degrading to an unbudgeted recompute of the affected strata")
 	updateMaxNodes := flag.Int("update-max-nodes", 0, "per-update live BDD node budget (0 = unlimited)")
 	var oflags obs.Flags
 	oflags.Register(flag.CommandLine)

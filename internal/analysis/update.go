@@ -5,10 +5,11 @@ import (
 )
 
 // Live wraps a completed analysis result's solver in the live-update
-// lifecycle, for the daemon's POST /update / SIGHUP path: incremental
-// re-solve of input-tuple deltas under a budget, degrading to a full
-// from-scratch re-solve when the budget trips (datalog.LiveSolver's
-// ladder). The returned LiveSolver satisfies serve.Updater.
+// lifecycle, for the daemon's POST /update: incremental re-solve of
+// input-tuple deltas under a budget, degrading to an unbudgeted
+// recompute of the affected strata when the budget trips
+// (datalog.LiveSolver.Begin). The returned LiveSolver satisfies
+// serve.Updater.
 //
 // Scope: deltas edit the *extracted input relations* (vP0, store,
 // load, actual, mI, ...) of the program the result was solved with.

@@ -48,10 +48,10 @@ func randomAddDelta(s *datalog.Solver, rng *rand.Rand, n int) datalog.Delta {
 // re-solve wall time into BENCH_incremental.json: for the two largest
 // BENCH_figure4 synthetic configurations solved context-sensitively,
 // add-only deltas of 1, 10 and 100 tuples are applied through the
-// incremental path, latencies observed into the PR-7 histogram, and
-// p50/p99 reported next to the wall time of the degradation ladder's
-// bottom rung (Rebase — the same full from-scratch re-solve a budget
-// trip falls back to). Gated behind BENCH_INCREMENTAL_OUT so the
+// incremental path, latencies observed into a latency histogram, and
+// p50/p99 reported next to the wall time of a from-scratch solve of
+// the inputs with a 1-tuple delta applied (Config.PreSolve, as the
+// differential oracle does). Gated behind BENCH_INCREMENTAL_OUT so the
 // regular test run stays fast:
 //
 //	BENCH_INCREMENTAL_OUT=BENCH_incremental.json go test ./internal/analysis -run TestWriteIncrementalBench
@@ -71,22 +71,24 @@ func TestWriteIncrementalBench(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		inc, err := datalog.NewIncrementalSolver(r.Solver)
+		ls, err := Live(r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctl := resilience.NewController(context.Background(), resilience.Budget{})
 		rng := rand.New(rand.NewSource(42))
 
-		// Full re-solve wall time: the ladder's bottom rung, applied to
-		// a 1-tuple delta — what a budget trip would actually cost.
+		// Full re-solve wall time: the whole analysis solved from
+		// scratch with a 1-tuple delta applied.
+		d := randomAddDelta(r.Solver, rng, 1)
 		fullStart := time.Now()
-		full, err := inc.Rebase(ctl, randomAddDelta(r.Solver, rng, 1))
-		if err != nil {
-			t.Fatalf("%s: rebase: %v", name, err)
+		if _, err := RunContextSensitive(f, nil, Config{PreSolve: func(s *datalog.Solver) error {
+			datalog.ApplyDeltaToRelations(s, d)
+			return nil
+		}}); err != nil {
+			t.Fatalf("%s: full re-solve: %v", name, err)
 		}
 		fullSec := time.Since(fullStart).Seconds()
-		_ = full
 		vals["incremental."+name+".full_resolve_sec"] = fullSec
 		t.Logf("%s full re-solve %.4fs", name, fullSec)
 
@@ -97,13 +99,12 @@ func TestWriteIncrementalBench(t *testing.T) {
 			}
 			h := obs.NewHistogram(obs.LatencyBuckets())
 			for rep := 0; rep < reps; rep++ {
-				d := randomAddDelta(r.Solver, rng, size)
+				wd := wire(randomAddDelta(r.Solver, rng, size))
 				start := time.Now()
-				txn, err := inc.Update(ctl, d)
-				if err != nil {
+				if _, err := ls.Begin(ctl, wd); err != nil {
 					t.Fatalf("%s d%d: %v", name, size, err)
 				}
-				txn.Commit()
+				ls.Commit()
 				h.Observe(time.Since(start).Seconds())
 			}
 			p50, p99 := h.Quantile(0.50), h.Quantile(0.99)

@@ -63,28 +63,20 @@ func TestUpdateCountersPinned(t *testing.T) {
 	}
 	got := []map[string]int64{counters()}
 	d := randomUpdateDelta(s, rand.New(rand.NewSource(7)))
-	inc, err := datalog.NewIncrementalSolver(s)
+	ls, err := Live(r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctl := resilience.NewController(context.Background(), resilience.Budget{})
-	add, err := inc.Update(ctl, datalog.Delta{Add: d.Add})
-	if err != nil {
-		t.Fatal(err)
-	}
-	add.Commit()
+	add := update(t, ls, ctl, datalog.Delta{Add: d.Add})
 	got = append(got, counters())
-	rem, err := inc.Update(ctl, datalog.Delta{Remove: d.Remove})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rem.Commit()
+	rem := update(t, ls, ctl, datalog.Delta{Remove: d.Remove})
 	got = append(got, counters())
-	if add.Stats.StrataFast == 0 || add.Stats.StrataRecomputed != 0 {
-		t.Errorf("add-only update: %+v, want fast strata only", add.Stats)
+	if add.StrataFast == 0 || add.StrataRecomputed != 0 {
+		t.Errorf("add-only update: %+v, want fast strata only", add)
 	}
-	if rem.Stats.StrataRecomputed == 0 {
-		t.Errorf("removal: %+v, want a recomputed stratum", rem.Stats)
+	if rem.StrataRecomputed == 0 {
+		t.Errorf("removal: %+v, want a recomputed stratum", rem)
 	}
 
 	want := []map[string]int64{{

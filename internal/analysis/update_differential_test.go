@@ -100,6 +100,38 @@ func randomUpdateDelta(s *datalog.Solver, rng *rand.Rand) datalog.Delta {
 	return d
 }
 
+// wire is d in its numeric wire form, for LiveSolver.Begin.
+func wire(d datalog.Delta) datalog.WireDelta {
+	side := func(rows map[string][][]uint64) map[string][]datalog.WireTuple {
+		if rows == nil {
+			return nil
+		}
+		out := make(map[string][]datalog.WireTuple, len(rows))
+		for name, tuples := range rows {
+			for _, vals := range tuples {
+				wt := make(datalog.WireTuple, len(vals))
+				for i, v := range vals {
+					wt[i] = datalog.WireValue{Num: v}
+				}
+				out[name] = append(out[name], wt)
+			}
+		}
+		return out
+	}
+	return datalog.WireDelta{Add: side(d.Add), Remove: side(d.Remove)}
+}
+
+// update applies d to ls through Begin and commits it.
+func update(t *testing.T, ls *datalog.LiveSolver, ctl *resilience.Controller, d datalog.Delta) datalog.UpdateStats {
+	t.Helper()
+	st, err := ls.Begin(ctl, wire(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls.Commit()
+	return st
+}
+
 func TestIncrementalUpdateDifferentialMatrix(t *testing.T) {
 	p := synth.Params{
 		Name: "upd", Seed: 11,
@@ -123,7 +155,7 @@ func TestIncrementalUpdateDifferentialMatrix(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(e.name)) * 31))
 			d := randomUpdateDelta(live.Solver, rng)
 
-			inc, err := datalog.NewIncrementalSolver(live.Solver)
+			ls, err := Live(live)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,24 +165,16 @@ func TestIncrementalUpdateDifferentialMatrix(t *testing.T) {
 			// the add-only fast path through every algorithm's
 			// strata, not just the removal recompute path.
 			ctl := resilience.NewController(context.Background(), resilience.Budget{})
-			txnAdd, err := inc.Update(ctl, datalog.Delta{Add: d.Add})
-			if err != nil {
-				t.Fatal(err)
-			}
-			txnAdd.Commit()
+			adds := update(t, ls, ctl, datalog.Delta{Add: d.Add})
 			if len(d.Remove) == 0 {
 				t.Fatal("random delta sampled no removals; enlarge the synth config")
 			}
-			txnRem, err := inc.Update(ctl, datalog.Delta{Remove: d.Remove})
-			if err != nil {
-				t.Fatal(err)
-			}
-			txnRem.Commit()
+			removes := update(t, ls, ctl, datalog.Delta{Remove: d.Remove})
 			gotFP, err := live.Solver.ContentFingerprint()
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("adds: %+v; removes: %+v", txnAdd.Stats, txnRem.Stats)
+			t.Logf("adds: %+v; removes: %+v", adds, removes)
 
 			oracleCfg := cfg
 			oracleCfg.PreSolve = func(s *datalog.Solver) error {

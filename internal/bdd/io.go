@@ -96,9 +96,6 @@ type DAGWriter struct {
 // a full dump.
 func (m *Manager) NewDAGWriter() *DAGWriter { return &DAGWriter{m: m, pin: true, n: 2} }
 
-// Manager returns the manager the writer's ids are bound to.
-func (w *DAGWriter) Manager() *Manager { return w.m }
-
 // Len returns the number of ids issued, terminals included: the base
 // count the next delta names.
 func (w *DAGWriter) Len() int { return w.n }

@@ -74,8 +74,10 @@ func FuzzParseAndCheck(f *testing.F) {
 // testdata/pointsto.dl (V has spare capacity beyond variable.map's
 // names). Every input must be refused or applied, never panic; a
 // refused update leaves the solver's content unchanged, and an applied
-// one rolls back to it. The budget is small, so some updates take the
-// degraded full re-solve path.
+// one rolls back to it. The budget is small, so some updates trip it
+// and degrade to their unbudgeted recompute. Every input's solver is
+// built from one shared Options, which no update may write: names an
+// update registers belong to its solver.
 //
 //	go test -run '^$' -fuzz '^FuzzApplyWireDelta$' -fuzztime 30s ./internal/datalog
 func FuzzApplyWireDelta(f *testing.F) {
@@ -124,19 +126,19 @@ func FuzzApplyWireDelta(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	// A small node table grows, and so checks the node budget, within a
+	// few dozen tuples' worth of new nodes.
+	opts := Options{
+		ElemNames: map[string][]string{"V": vnames},
+		NodeSize:  1 << 9,
+		CacheSize: 1 << 8,
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var wd WireDelta
 		if json.Unmarshal(body, &wd) != nil {
 			return
 		}
-		// The name table is the solver's own (updates register names
-		// in it). A small node table grows, and so checks the node
-		// budget, within a few dozen tuples' worth of new nodes.
-		s, err := NewSolver(prog, Options{
-			ElemNames: map[string][]string{"V": vnames},
-			NodeSize:  1 << 9,
-			CacheSize: 1 << 8,
-		})
+		s, err := NewSolver(prog, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,6 +164,9 @@ func FuzzApplyWireDelta(f *testing.F) {
 		}
 		if got := mustFingerprint(t, ls.Solver()); got != before {
 			t.Fatalf("delta %s changed the content: %s -> %s", body, before, got)
+		}
+		if len(opts.ElemNames) != 1 || len(opts.ElemNames["V"]) != len(vnames) {
+			t.Fatalf("delta %s changed the shared Options.ElemNames: %v", body, opts.ElemNames)
 		}
 	})
 }

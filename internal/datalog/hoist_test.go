@@ -67,19 +67,10 @@ func testHoistMaintenanceMatchesRecompute(t *testing.T) {
 	if err := s.Solve(); err != nil {
 		t.Fatal(err)
 	}
-	inc, err := NewIncrementalSolver(s)
-	if err != nil {
-		t.Fatal(err)
-	}
 	add := map[string][][]uint64{"vP0": {{8, 4}, {14, 5}}, "store": {{11, 3, 10}}}
-	txn, err := inc.Update(nil, Delta{Add: add})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if txn.Stats.StrataFast == 0 {
+	if st := mustUpdate(t, newLive(t, s), nil, Delta{Add: add}); st.StrataFast == 0 {
 		t.Fatal("the update took no fast (delta) path")
 	}
-	txn.Commit()
 	if maintained == 0 {
 		t.Fatal("no hoisted normalization of vP was current after a growth: the test exercises nothing")
 	}

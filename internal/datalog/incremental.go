@@ -2,7 +2,6 @@ package datalog
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -31,12 +30,16 @@ import (
 //
 // Every update is transactional: the pre-update value of each input the
 // delta edits is cloned up front, and each re-evaluated stratum's heads
-// just before it runs; any failure — validation, budget, cancellation,
-// or an injected fault — rolls the solver back to them bit-identically.
+// just before it runs; any failure — budget, cancellation, or an
+// injected fault — rolls the solver back to them bit-identically. A
+// rejected delta never gets that far: it is checked whole before
+// anything, element names included, is registered.
 
 // ErrUpdateRejected classifies update deltas that are well-formed JSON
 // but not applicable: unknown relations, derived (non-input) targets,
-// arity or domain-range violations, unknown element names in removals.
+// arity or domain-range violations, element names on a domain without
+// a name table, unknown element names in removals, and new names on a
+// full domain.
 var ErrUpdateRejected = errors.New("datalog: update rejected")
 
 // UpdateRejectError carries the rejection reason.
@@ -56,7 +59,8 @@ func rejectUpdatef(format string, args ...any) error {
 // WireValue is one attribute value of a delta tuple on the wire:
 // either a numeric domain index or an element name resolved through
 // the domain's name table (names new to the solver are registered on
-// the fly for additions, when the domain has spare capacity).
+// the fly for additions, when the domain has spare capacity). Only
+// domains given a name table (Options.ElemNames) accept names.
 type WireValue struct {
 	Num   uint64
 	Name  string
@@ -126,9 +130,9 @@ type Delta struct {
 
 // UpdateStats reports what one update did.
 type UpdateStats struct {
-	// Added / Removed count the tuples that actually changed input
-	// relations (duplicates of existing tuples and removals of absent
-	// tuples don't count).
+	// Added / Removed count the tuples the input relations gained and
+	// lost: the net change, so duplicates of existing tuples, removals
+	// of absent tuples and tuples both added and removed don't count.
 	Added   int64 `json:"added"`
 	Removed int64 `json:"removed"`
 	// StrataResolved counts the strata the delta touched; StrataFast of
@@ -137,98 +141,55 @@ type UpdateStats struct {
 	StrataResolved   int `json:"strata_resolved"`
 	StrataFast       int `json:"strata_fast"`
 	StrataRecomputed int `json:"strata_recomputed"`
-	// Full marks a degradation to a full from-scratch re-solve
-	// (LiveSolver's ladder, when the incremental path exceeds its
-	// budget).
+	// Full marks an update whose incremental path exceeded its budget:
+	// it was rolled back and re-run unbudgeted, every stratum it reaches
+	// recomputed from its fact baseline — the from-scratch computation
+	// scoped to the affected strata.
 	Full bool `json:"full"`
-	// Duration is the wall time of the re-solve.
+	// Duration is the wall time of the re-solve, a degraded update's
+	// failed incremental attempt included.
 	Duration time.Duration `json:"-"`
 }
 
-// IncrementalSolver wraps a solved Solver with the live-update
-// lifecycle. It is single-threaded, like the solver itself: callers
-// serialize updates externally (the serve layer holds one update at a
-// time by construction).
-type IncrementalSolver struct {
+// LiveSolver applies live updates to a solved Solver. Begin applies a
+// delta and leaves it pending — Solver() then holds the new fixpoint —
+// and exactly one of Commit or Rollback finishes it. It implements the
+// serve layer's Updater contract. It is single-threaded, like the
+// solver itself: callers serialize updates (the serve layer holds one
+// update at a time by construction).
+type LiveSolver struct {
 	s *Solver
-	// defined marks relations that are the head of at least one
-	// non-fact rule — the derived relations updates may not touch.
-	defined map[string]bool
-	// factTuples is the per-relation baseline the program's fact rules
-	// assert — what a derived relation holds before any stratum runs,
-	// and what a stratum recompute resets its heads to.
-	factTuples map[string][][]uint64
+	// derived marks relations that are the head of at least one
+	// non-fact rule — the relations updates may not touch.
+	derived map[string]bool
+	// undo holds, from Begin until Commit or Rollback, the pre-update
+	// value of every relation the pending update changed; it is nil
+	// when no update is pending.
+	undo map[string]*rel.Relation
 }
 
-// NewIncrementalSolver prepares s for live updates. The solver must
-// have completed Solve and own its relations (query-base solvers
-// evaluate against borrowed frozen snapshots and cannot be updated).
-func NewIncrementalSolver(s *Solver) (*IncrementalSolver, error) {
+// NewLiveSolver prepares s for live updates. The solver must have
+// completed Solve and own its relations (query-base solvers evaluate
+// against borrowed frozen snapshots and cannot be updated).
+func NewLiveSolver(s *Solver) (*LiveSolver, error) {
 	if !s.solved {
-		return nil, fmt.Errorf("datalog: incremental solver requires a completed Solve")
+		return nil, fmt.Errorf("datalog: live solver requires a completed Solve")
 	}
 	if len(s.queryBase) > 0 {
-		return nil, fmt.Errorf("datalog: incremental solver cannot wrap a query-base solver")
+		return nil, fmt.Errorf("datalog: live solver cannot wrap a query-base solver")
 	}
-	inc := &IncrementalSolver{
-		s:          s,
-		defined:    make(map[string]bool),
-		factTuples: make(map[string][][]uint64),
-	}
-	for _, rule := range s.prog.Rules {
-		if rule.IsFact() {
-			continue
-		}
-		inc.defined[rule.Head.Pred] = true
-	}
+	l := &LiveSolver{s: s, derived: make(map[string]bool)}
 	for _, rule := range s.prog.Rules {
 		if !rule.IsFact() {
-			continue
+			l.derived[rule.Head.Pred] = true
 		}
-		decl := s.prog.Relation(rule.Head.Pred)
-		vals := make([]uint64, len(rule.Head.Args))
-		for i, t := range rule.Head.Args {
-			v, err := s.resolveConst(t, decl.Attrs[i].Domain)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		inc.factTuples[rule.Head.Pred] = append(inc.factTuples[rule.Head.Pred], vals)
 	}
-	return inc, nil
+	return l, nil
 }
 
-// Solver returns the wrapped solver.
-func (inc *IncrementalSolver) Solver() *Solver { return inc.s }
-
-// AddElemName registers a new element name at the end of the domain's
-// name table and returns its index. Fails when the domain is full —
-// size the domain with slack (analysis.Config.DomainSlack) to leave
-// room for names arriving via updates. Registration survives a rolled
-// back update: a name binding is metadata, not derived state.
-func (s *Solver) AddElemName(domain, name string) (uint64, error) {
-	ld := s.u.Domain(domain)
-	if ld == nil {
-		return 0, fmt.Errorf("datalog: unknown domain %q", domain)
-	}
-	names := ld.ElemNames()
-	id := uint64(len(names))
-	if id >= ld.Size {
-		return 0, fmt.Errorf("datalog: domain %s is full (%d elements); no capacity for new name %q", domain, ld.Size, name)
-	}
-	updated := append(append([]string(nil), names...), name)
-	ld.SetElemNames(updated)
-	if s.elemIdx[domain] == nil {
-		s.elemIdx[domain] = make(map[string]uint64)
-	}
-	s.elemIdx[domain][name] = id
-	if s.opts.ElemNames == nil {
-		s.opts.ElemNames = make(map[string][]string)
-	}
-	s.opts.ElemNames[domain] = updated
-	return id, nil
-}
+// Solver returns the live solver; during a pending update it holds the
+// update's fixpoint.
+func (l *LiveSolver) Solver() *Solver { return l.s }
 
 // ElemIndex resolves an element name in a domain's name table.
 func (s *Solver) ElemIndex(domain, name string) (uint64, bool) {
@@ -236,55 +197,127 @@ func (s *Solver) ElemIndex(domain, name string) (uint64, bool) {
 	return v, ok
 }
 
-// ResolveWire resolves a wire delta's element names into concrete
-// domain values. Names unknown to an addition's domain are registered
-// via AddElemName (new methods, new variables); removals may only name
-// elements that already exist.
-func (inc *IncrementalSolver) ResolveWire(wd WireDelta) (Delta, error) {
-	out := Delta{}
-	var err error
-	if out.Add, err = inc.resolveSide(wd.Add, true); err != nil {
-		return Delta{}, err
+// Begin applies wd under ctl's budget. On return with nil error the
+// update is applied but pending: Solver() holds the new fixpoint, and
+// the caller must Commit or Rollback. A budget violation or
+// cancellation on the incremental path rolls the update back and
+// re-runs it with no controller, recomputing every stratum it reaches
+// (Stats.Full reports it). Any other error leaves the solver as it
+// was before Begin.
+func (l *LiveSolver) Begin(ctl *resilience.Controller, wd WireDelta) (UpdateStats, error) {
+	if l.undo != nil {
+		return UpdateStats{}, fmt.Errorf("datalog: update already pending (missing Commit/Rollback)")
 	}
-	if out.Remove, err = inc.resolveSide(wd.Remove, false); err != nil {
-		return Delta{}, err
+	d, err := l.resolve(wd)
+	if err != nil {
+		return UpdateStats{}, err
 	}
-	return out, nil
+	start := time.Now()
+	st, err := l.update(ctl, d, false)
+	if errors.Is(err, resilience.ErrBudgetExceeded) || errors.Is(err, resilience.ErrCanceled) {
+		// A degraded update is only useful if it can finish, so it runs
+		// detached from the tripped budget (mirrors analysis.degrade).
+		if st, err = l.update(nil, d, true); err != nil {
+			err = fmt.Errorf("datalog: degraded update: %w", err)
+		}
+		st.Full = true
+	}
+	if err != nil {
+		return UpdateStats{}, err
+	}
+	st.Duration = time.Since(start)
+	return st, nil
 }
 
-func (inc *IncrementalSolver) resolveSide(side map[string][]WireTuple, allowNew bool) (map[string][][]uint64, error) {
+// Commit makes the pending update permanent, freeing its undo clones.
+func (l *LiveSolver) Commit() {
+	for _, r := range l.undo {
+		r.Free()
+	}
+	l.undo = nil
+}
+
+// Rollback restores every relation the pending update changed to its
+// pre-update contents. Element names the update registered stay: a name
+// binding is metadata, not derived state.
+func (l *LiveSolver) Rollback() {
+	for name, r := range l.undo {
+		l.s.ReplaceRelation(name, r)
+	}
+	l.undo = nil
+}
+
+// resolve checks wd against the program and the domains' name tables
+// and turns it into domain values. The whole delta is checked before
+// any name is registered, so a rejected delta leaves the name tables
+// as they were: every target must be a declared input relation, every
+// tuple have the relation's arity, every index lie in its domain, and
+// every name belong to a domain with a name table. Removals may only
+// name known elements (or ones this delta's additions introduce);
+// additions register unknown names at the end of the table, while the
+// domain has room.
+func (l *LiveSolver) resolve(wd WireDelta) (Delta, error) {
+	if wd.Empty() {
+		return Delta{}, rejectUpdatef("empty delta")
+	}
+	// added maps each domain's names new in this delta to the indices
+	// they will take.
+	added := make(map[string]map[string]uint64)
+	var d Delta
+	var err error
+	if d.Add, err = l.resolveSide(wd.Add, true, added); err != nil {
+		return Delta{}, err
+	}
+	if d.Remove, err = l.resolveSide(wd.Remove, false, added); err != nil {
+		return Delta{}, err
+	}
+	// The delta is valid: register its new names. The table is copied,
+	// never appended to in place, since the solver's first table is the
+	// caller's Options.ElemNames slice.
+	s := l.s
+	for dom, names := range added {
+		ld := s.u.Domain(dom)
+		table := append([]string(nil), ld.ElemNames()...)
+		table = append(table, make([]string, len(names))...)
+		for name, v := range names {
+			table[v] = name
+			s.elemIdx[dom][name] = v
+		}
+		ld.SetElemNames(table)
+	}
+	return d, nil
+}
+
+// resolveSide checks and resolves one side of a wire delta, relations
+// in name order.
+func (l *LiveSolver) resolveSide(side map[string][]WireTuple, add bool, added map[string]map[string]uint64) (map[string][][]uint64, error) {
 	if len(side) == 0 {
 		return nil, nil
 	}
-	s := inc.s
+	names := make([]string, 0, len(side))
+	for name := range side {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	out := make(map[string][][]uint64, len(side))
-	for name, wts := range side {
-		decl := s.prog.Relation(name)
+	for _, name := range names {
+		decl := l.s.prog.Relation(name)
 		if decl == nil {
 			return nil, rejectUpdatef("unknown relation %q", name)
 		}
-		rows := make([][]uint64, 0, len(wts))
-		for _, wt := range wts {
+		if l.derived[name] {
+			return nil, rejectUpdatef("relation %s is derived by rules; only input relations accept deltas", name)
+		}
+		rows := make([][]uint64, 0, len(side[name]))
+		for _, wt := range side[name] {
 			if len(wt) != len(decl.Attrs) {
 				return nil, rejectUpdatef("relation %s has %d attributes, tuple has %d values", name, len(decl.Attrs), len(wt))
 			}
 			vals := make([]uint64, len(wt))
 			for i, wv := range wt {
-				dom := decl.Attrs[i].Domain
-				if !wv.Named {
-					vals[i] = wv.Num
-					continue
-				}
-				if v, ok := s.elemIdx[dom][wv.Name]; ok {
-					vals[i] = v
-					continue
-				}
-				if !allowNew {
-					return nil, rejectUpdatef("unknown %s element %q in removal (removals cannot introduce names)", dom, wv.Name)
-				}
-				v, err := s.AddElemName(dom, wv.Name)
+				v, err := l.resolveValue(decl, i, wv, add, added)
 				if err != nil {
-					return nil, rejectUpdatef("%v", err)
+					return nil, err
 				}
 				vals[i] = v
 			}
@@ -295,86 +328,48 @@ func (inc *IncrementalSolver) resolveSide(side map[string][]WireTuple, allowNew 
 	return out, nil
 }
 
-// validate checks a resolved delta against the program: every target
-// must be a declared non-derived relation, every value in range.
-func (inc *IncrementalSolver) validate(d Delta) error {
-	s := inc.s
-	check := func(side map[string][][]uint64) error {
-		for name, rows := range side {
-			decl := s.prog.Relation(name)
-			if decl == nil {
-				return rejectUpdatef("unknown relation %q", name)
-			}
-			if inc.defined[name] {
-				return rejectUpdatef("relation %s is derived by rules; only input relations accept deltas", name)
-			}
-			for _, vals := range rows {
-				if len(vals) != len(decl.Attrs) {
-					return rejectUpdatef("relation %s has %d attributes, tuple has %d values", name, len(decl.Attrs), len(vals))
-				}
-				for i, v := range vals {
-					dom := s.u.Domain(decl.Attrs[i].Domain)
-					if v >= dom.Size {
-						return rejectUpdatef("relation %s attribute %s: value %d outside domain %s (size %d)",
-							name, decl.Attrs[i].Name, v, dom.Name, dom.Size)
-					}
-				}
-			}
+// resolveValue checks and resolves wv as the value of decl's attribute
+// i. A name new on an addition takes its domain's next free index,
+// recorded in added but not yet registered.
+func (l *LiveSolver) resolveValue(decl *RelationDecl, i int, wv WireValue, add bool, added map[string]map[string]uint64) (uint64, error) {
+	dom := l.s.u.Domain(decl.Attrs[i].Domain)
+	if !wv.Named {
+		if wv.Num >= dom.Size {
+			return 0, rejectUpdatef("relation %s attribute %s: value %d outside domain %s (size %d)",
+				decl.Name, decl.Attrs[i].Name, wv.Num, dom.Name, dom.Size)
 		}
-		return nil
+		return wv.Num, nil
 	}
-	if err := check(d.Add); err != nil {
-		return err
+	idx := l.s.elemIdx[dom.Name]
+	if idx == nil {
+		return 0, rejectUpdatef("%s element %q: domain %s has no name table; give its index", decl.Name, wv.Name, dom.Name)
 	}
-	return check(d.Remove)
+	if v, ok := idx[wv.Name]; ok {
+		return v, nil
+	}
+	if v, ok := added[dom.Name][wv.Name]; ok {
+		return v, nil
+	}
+	if !add {
+		return 0, rejectUpdatef("unknown %s element %q in removal (removals cannot introduce names)", dom.Name, wv.Name)
+	}
+	v := uint64(len(dom.ElemNames()) + len(added[dom.Name]))
+	if v >= dom.Size {
+		return 0, rejectUpdatef("domain %s is full (%d elements); no capacity for new name %q", dom.Name, dom.Size, wv.Name)
+	}
+	if added[dom.Name] == nil {
+		added[dom.Name] = make(map[string]uint64)
+	}
+	added[dom.Name][wv.Name] = v
+	return v, nil
 }
 
-// UpdateTxn is an applied-but-uncommitted update. The solver already
-// holds the new fixpoint; Commit releases the undo state, Rollback
-// restores every touched relation to its pre-update value. Exactly one
-// of the two must be called.
-type UpdateTxn struct {
-	s    *Solver
-	undo map[string]*rel.Relation
-	// Stats describes the work the update performed.
-	Stats UpdateStats
-}
-
-// Commit frees the undo clones, making the update permanent.
-func (t *UpdateTxn) Commit() {
-	for _, r := range t.undo {
-		r.Free()
-	}
-	t.undo = nil
-}
-
-// Rollback restores every relation the update touched to its
-// pre-update contents.
-func (t *UpdateTxn) Rollback() {
-	for name, r := range t.undo {
-		t.s.ReplaceRelation(name, r)
-	}
-	t.undo = nil
-}
-
-// relFromTuples materializes rows as a relation with like's schema.
-func relFromTuples(u *rel.Universe, name string, like *rel.Relation, rows [][]uint64) *rel.Relation {
-	r := u.NewRelation(name, like.Attrs()...)
-	r.AddTuples(rows)
-	return r
-}
-
-// Update applies a resolved delta and incrementally re-solves the
-// strata it touches, under ctl's budget. On success the returned
-// transaction holds the undo state (Commit or Rollback it); on any
-// error — rejection, budget, cancellation, injected fault — the solver
-// is already rolled back and the error is returned with a nil txn.
-func (inc *IncrementalSolver) Update(ctl *resilience.Controller, d Delta) (*UpdateTxn, error) {
-	s := inc.s
-	if err := inc.validate(d); err != nil {
-		return nil, err
-	}
-	start := time.Now()
+// update applies d to the inputs and re-solves the strata it reaches
+// under ctl's budget; with full set, each of those strata is recomputed
+// from its fact baseline. On success l.undo holds the update's undo
+// state; on any error the solver is already rolled back.
+func (l *LiveSolver) update(ctl *resilience.Controller, d Delta, full bool) (st UpdateStats, err error) {
+	s := l.s
 	// Install the update's controller for the duration of the update.
 	prevCtl := s.opts.Control
 	s.opts.Control = ctl
@@ -383,150 +378,96 @@ func (inc *IncrementalSolver) Update(ctl *resilience.Controller, d Delta) (*Upda
 		s.opts.Control = prevCtl
 		s.u.M.SetControl(prevCtl)
 	}()
-	txn := &UpdateTxn{s: s, undo: make(map[string]*rel.Relation)}
-	err := func() (err error) {
-		defer resilience.Recover(&err)
-		resilience.FaultPoint(resilience.FaultUpdateApply)
-		ctl.Check()
-
-		changedInputs := make(map[string]bool)
-		for name := range d.Add {
-			changedInputs[name] = true
+	l.undo = make(map[string]*rel.Relation)
+	// changedAdd holds each changed predicate's gained tuples (owned);
+	// changedShrunk marks predicates that lost tuples.
+	changedAdd := make(map[string]*rel.Relation)
+	changedShrunk := make(map[string]bool)
+	defer func() {
+		for _, r := range changedAdd {
+			r.Free()
 		}
-		for name := range d.Remove {
-			changedInputs[name] = true
+		if err != nil {
+			l.Rollback()
 		}
-		for name := range changedInputs {
-			txn.undo[name] = s.rels[name].Clone("undo:" + name)
-		}
-
-		// Apply the delta to the inputs. changedAdd holds each changed
-		// predicate's gained tuples (owned); changedShrunk marks
-		// predicates that lost tuples.
-		changedAdd := make(map[string]*rel.Relation)
-		changedShrunk := make(map[string]bool)
-		defer func() {
-			for _, r := range changedAdd {
-				r.Free()
-			}
-		}()
-		names := make([]string, 0, len(changedInputs))
-		for name := range changedInputs {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			r := s.rels[name]
-			if rows := d.Add[name]; len(rows) > 0 {
-				add := relFromTuples(s.u, "add:"+name, r, rows)
-				fresh := add.Minus("Δ+"+name, r)
-				add.Free()
-				if fresh.IsEmpty() {
-					fresh.Free()
-				} else {
-					txn.Stats.Added += satInt64(fresh.Size())
-					r.UnionWith(fresh)
-					changedAdd[name] = fresh
-				}
-			}
-			if rows := d.Remove[name]; len(rows) > 0 {
-				rem := relFromTuples(s.u, "rem:"+name, r, rows)
-				next := r.Minus(name, rem)
-				rem.Free()
-				if next.SameTuples(r) {
-					next.Free()
-				} else {
-					removed := satInt64(r.Size()) - satInt64(next.Size())
-					txn.Stats.Removed += removed
-					s.ReplaceRelation(name, next)
-					changedShrunk[name] = true
-				}
-			}
-			// Recompute the surviving gains exactly: current minus undo.
-			if changedAdd[name] != nil || changedShrunk[name] {
-				if g := changedAdd[name]; g != nil {
-					g.Free()
-					delete(changedAdd, name)
-				}
-				gained := s.rels[name].Minus("Δ+"+name, txn.undo[name])
-				if gained.IsEmpty() {
-					gained.Free()
-				} else {
-					changedAdd[name] = gained
-				}
-				lost := txn.undo[name].Minus("Δ-"+name, s.rels[name])
-				changedShrunk[name] = !lost.IsEmpty()
-				lost.Free()
-			}
-		}
-		changedAny := make(map[string]bool)
-		for name := range changedAdd {
-			changedAny[name] = true
-		}
-		for name, shrunk := range changedShrunk {
-			if shrunk {
-				changedAny[name] = true
-			}
-		}
-		if len(changedAny) == 0 {
-			return nil // no effective change; fixpoint already holds
-		}
-
-		resilience.FaultPoint(resilience.FaultUpdateResolve)
-		// One forward pass in evaluation order: a stratum runs when an
-		// outside predicate it reads changed, and only then keeps its
-		// heads' values for undo — they are still the pre-update ones,
-		// since only the stratum itself writes them.
-		for i, st := range s.strata {
-			touched, fast := false, !s.opts.NoIncrementalization
-			for _, p := range st.reads {
-				if changedAny[p] {
-					touched = true
-					fast = fast && !st.negated[p] && !changedShrunk[p] && changedAdd[p] != nil
-				}
-			}
-			if !touched {
-				continue
-			}
-			for _, h := range st.preds {
-				txn.undo[h] = s.rels[h].Clone("undo:" + h)
-			}
-			txn.Stats.StrataResolved++
-			if fast {
-				inc.propagateStratum(i, st, changedAdd)
-				txn.Stats.StrataFast++
-			} else {
-				inc.recomputeStratum(i, st)
-				txn.Stats.StrataRecomputed++
-			}
-			// Classify each head's effective change against its
-			// pre-update value so downstream strata pick the right path.
-			for _, h := range st.preds {
-				old := txn.undo[h]
-				cur := s.rels[h]
-				gained := cur.Minus("Δ+"+h, old)
-				if gained.IsEmpty() {
-					gained.Free()
-				} else {
-					changedAdd[h] = gained
-					changedAny[h] = true
-				}
-				lost := old.Minus("Δ-"+h, cur)
-				if !lost.IsEmpty() {
-					changedShrunk[h] = true
-					changedAny[h] = true
-				}
-				lost.Free()
-			}
-		}
-		return nil
 	}()
-	if err != nil {
-		txn.Rollback()
-		return nil, err
+	defer resilience.Recover(&err)
+	resilience.FaultPoint(resilience.FaultUpdateApply)
+	ctl.Check()
+
+	// classify records name's change against its pre-update value, so
+	// the strata after it pick the right path, and returns the lost
+	// tuples (owned by the caller).
+	classify := func(name string) *rel.Relation {
+		old, cur := l.undo[name], s.rels[name]
+		if gained := cur.Minus("Δ+"+name, old); gained.IsEmpty() {
+			gained.Free()
+		} else {
+			changedAdd[name] = gained
+		}
+		lost := old.Minus("Δ-"+name, cur)
+		changedShrunk[name] = !lost.IsEmpty()
+		return lost
 	}
-	txn.Stats.Duration = time.Since(start)
-	return txn, nil
+	changed := func(p string) bool { return changedAdd[p] != nil || changedShrunk[p] }
+
+	inputs := make([]string, 0, len(d.Add)+len(d.Remove))
+	for _, side := range []map[string][][]uint64{d.Add, d.Remove} {
+		for name := range side {
+			if l.undo[name] == nil {
+				l.undo[name] = s.rels[name].Clone("undo:" + name)
+				inputs = append(inputs, name)
+			}
+		}
+	}
+	sort.Strings(inputs)
+	ApplyDeltaToRelations(s, d)
+	anyChanged := false
+	for _, name := range inputs {
+		lost := classify(name)
+		if g := changedAdd[name]; g != nil {
+			st.Added += satInt64(g.Size())
+		}
+		st.Removed += satInt64(lost.Size())
+		lost.Free()
+		anyChanged = anyChanged || changed(name)
+	}
+	if !anyChanged {
+		return st, nil // no effective change; fixpoint already holds
+	}
+
+	resilience.FaultPoint(resilience.FaultUpdateResolve)
+	// One forward pass in evaluation order: a stratum runs when an
+	// outside predicate it reads changed, and only then keeps its
+	// heads' values for undo — they are still the pre-update ones,
+	// since only the stratum itself writes them.
+	for i, stm := range s.strata {
+		touched, fast := false, !full && !s.opts.NoIncrementalization
+		for _, p := range stm.reads {
+			if changed(p) {
+				touched = true
+				fast = fast && !stm.negated[p] && !changedShrunk[p] && changedAdd[p] != nil
+			}
+		}
+		if !touched {
+			continue
+		}
+		for _, h := range stm.preds {
+			l.undo[h] = s.rels[h].Clone("undo:" + h)
+		}
+		st.StrataResolved++
+		if fast {
+			s.propagateStratum(i, stm, changedAdd)
+			st.StrataFast++
+		} else {
+			s.recomputeStratum(i, stm)
+			st.StrataRecomputed++
+		}
+		for _, h := range stm.preds {
+			classify(h).Free()
+		}
+	}
+	return st, nil
 }
 
 // propagateStratum runs the fast path for one stratum: every rule
@@ -537,8 +478,7 @@ func (inc *IncrementalSolver) Update(ctl *resilience.Controller, d Delta) (*Upda
 // changes because semi-naive evaluation is exactly this delta algebra:
 // any new derivation uses at least one gained tuple somewhere, and the
 // pass for that position (or a later frontier iteration) fires it.
-func (inc *IncrementalSolver) propagateStratum(idx int, st *stratum, changedAdd map[string]*rel.Relation) {
-	s := inc.s
+func (s *Solver) propagateStratum(idx int, st *stratum, changedAdd map[string]*rel.Relation) {
 	s.withStratum(idx, st, func(run *stratumRun) {
 		// One delta pass per (rule, changed outside position), in
 		// program order: a pass reads the heads the passes before it
@@ -565,57 +505,19 @@ func (inc *IncrementalSolver) propagateStratum(idx int, st *stratum, changedAdd 
 
 // recomputeStratum resets the stratum's heads to their fact baseline
 // and re-runs the stratum's full evaluation — the deletion fallback.
-func (inc *IncrementalSolver) recomputeStratum(idx int, st *stratum) {
-	s := inc.s
+func (s *Solver) recomputeStratum(idx int, st *stratum) {
 	for _, h := range st.preds {
-		old := s.rels[h]
-		base := s.u.NewRelation(h, old.Attrs()...)
-		base.AddTuples(inc.factTuples[h])
+		base := s.u.NewRelation(h, s.rels[h].Attrs()...)
+		base.AddTuples(s.facts[h])
 		s.ReplaceRelation(h, base)
 	}
 	s.solveStratum(idx, st)
 }
 
-// inputNames lists the relations no non-fact rule defines, in
-// declaration order — the relations Rebase copies verbatim (fills,
-// facts, and materialized inputs like IEC/vC alike).
-func (inc *IncrementalSolver) inputNames() []string {
-	var out []string
-	for _, rd := range inc.s.prog.Relations {
-		if !inc.defined[rd.Name] {
-			out = append(out, rd.Name)
-		}
-	}
-	return out
-}
-
-// copyRelations transfers the named relations from src to dst through
-// one shared BDD DAG dump. Both solvers must have been built from the
-// same program and options, which pins an identical variable layout.
-func copyRelations(src, dst *Solver, names []string) error {
-	roots := make([]bdd.Node, 0, len(names))
-	for _, n := range names {
-		roots = append(roots, src.rels[n].Root())
-	}
-	var buf bytes.Buffer
-	if err := src.u.M.WriteDAG(&buf, roots); err != nil {
-		return err
-	}
-	dstRoots, err := dst.u.M.ReadDAG(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return err
-	}
-	for i, n := range names {
-		old := dst.rels[n]
-		dst.ReplaceRelation(n, dst.u.NewRelationFromBDD(n, dstRoots[i], old.Attrs()...))
-	}
-	return nil
-}
-
 // ApplyDeltaToRelations applies a resolved delta directly to a
 // solver's relations (additions, then removals) with no re-solve —
-// the primitive Rebase and the differential tests' from-scratch oracle
-// share, via Options.PreSolve.
+// the primitive a live update and the differential tests' from-scratch
+// oracle share, the latter via Options.PreSolve.
 func ApplyDeltaToRelations(s *Solver, d Delta) {
 	names := make([]string, 0, len(d.Add))
 	for name := range d.Add {
@@ -632,46 +534,12 @@ func ApplyDeltaToRelations(s *Solver, d Delta) {
 	sort.Strings(names)
 	for _, name := range names {
 		r := s.rels[name]
-		rem := relFromTuples(s.u, "rem:"+name, r, d.Remove[name])
+		rem := s.u.NewRelation("rem:"+name, r.Attrs()...)
+		rem.AddTuples(d.Remove[name])
 		next := r.Minus(name, rem)
 		rem.Free()
 		s.ReplaceRelation(name, next)
 	}
-}
-
-// Rebase runs a full from-scratch re-solve of the program with the
-// delta applied — the bottom rung of the degradation ladder. The
-// current solver is left untouched: the new solver copies the live
-// input relations (facts included, prior updates included), applies
-// the delta, and solves under ctl. Adopt the returned solver on
-// success; the old one simply becomes garbage.
-func (inc *IncrementalSolver) Rebase(ctl *resilience.Controller, d Delta) (*Solver, error) {
-	if err := inc.validate(d); err != nil {
-		return nil, err
-	}
-	s := inc.s
-	opts := s.opts
-	opts.Control = ctl
-	inputs := inc.inputNames()
-	opts.PreSolve = func(ns *Solver) error {
-		// Input relations carry their live contents verbatim (the copy
-		// overwrites the facts applyFacts just re-asserted, which is
-		// what makes previously removed fact tuples stay removed);
-		// derived relations keep only their fact baseline.
-		if err := copyRelations(s, ns, inputs); err != nil {
-			return err
-		}
-		ApplyDeltaToRelations(ns, d)
-		return nil
-	}
-	ns, err := NewSolver(s.prog, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := ns.Solve(); err != nil {
-		return nil, err
-	}
-	return ns, nil
 }
 
 // ContentFingerprint identifies the contents of every declared
@@ -688,110 +556,4 @@ func (s *Solver) ContentFingerprint() (string, error) {
 		roots = append(roots, s.rels[rd.Name].Root())
 	}
 	return bdd.Fingerprint(s.u.M.RootHashes(roots)), nil
-}
-
-// LiveSolver is the full degradation ladder over one solver: resolve
-// the wire delta, try the incremental path under the caller's budget,
-// and fall back to a detached full re-solve when the budget trips.
-// It implements the serve layer's Updater contract: Begin prepares the
-// new state (the solver returned by Solver() reflects it), then
-// exactly one of Commit or Rollback finishes the update.
-type LiveSolver struct {
-	inc           *IncrementalSolver
-	pendingTxn    *UpdateTxn
-	pendingSolver *Solver
-}
-
-// NewLiveSolver wraps a solved solver for live updates.
-func NewLiveSolver(s *Solver) (*LiveSolver, error) {
-	inc, err := NewIncrementalSolver(s)
-	if err != nil {
-		return nil, err
-	}
-	return &LiveSolver{inc: inc}, nil
-}
-
-// Solver returns the solver reflecting the latest Begin (the pending
-// rebased solver during a degraded update, the live solver otherwise).
-func (l *LiveSolver) Solver() *Solver {
-	if l.pendingSolver != nil {
-		return l.pendingSolver
-	}
-	return l.inc.s
-}
-
-// Begin applies wd under ctl's budget. On return with nil error the
-// update is applied but uncommitted: Solver() holds the new fixpoint,
-// and the caller must Commit or Rollback. A budget violation or
-// cancellation on the incremental path degrades to a full re-solve
-// detached from the exhausted budget (Stats.Full reports it); other
-// errors abort with the solver already rolled back.
-func (l *LiveSolver) Begin(ctl *resilience.Controller, wd WireDelta) (UpdateStats, error) {
-	if l.pendingTxn != nil || l.pendingSolver != nil {
-		return UpdateStats{}, fmt.Errorf("datalog: update already pending (missing Commit/Rollback)")
-	}
-	if wd.Empty() {
-		return UpdateStats{}, rejectUpdatef("empty delta")
-	}
-	d, err := l.inc.ResolveWire(wd)
-	if err != nil {
-		return UpdateStats{}, err
-	}
-	start := time.Now()
-	txn, err := l.inc.Update(ctl, d)
-	if err == nil {
-		l.pendingTxn = txn
-		return txn.Stats, nil
-	}
-	if !errors.Is(err, resilience.ErrBudgetExceeded) && !errors.Is(err, resilience.ErrCanceled) {
-		return UpdateStats{}, err
-	}
-	// Degradation ladder: the incremental path exhausted its budget (the
-	// solver is already rolled back). Re-solve from scratch, detached
-	// from the tripped budget — a degraded update is only useful if it
-	// can finish (mirrors analysis.degrade).
-	ns, rerr := l.inc.Rebase(resilience.NewController(context.Background(), resilience.Budget{}), d)
-	if rerr != nil {
-		return UpdateStats{}, fmt.Errorf("datalog: full re-solve after budget degradation: %w", rerr)
-	}
-	l.pendingSolver = ns
-	st := UpdateStats{Full: true, Duration: time.Since(start)}
-	for _, rows := range d.Add {
-		st.Added += int64(len(rows))
-	}
-	for _, rows := range d.Remove {
-		st.Removed += int64(len(rows))
-	}
-	return st, nil
-}
-
-// Commit makes the pending update permanent. After a degraded (full
-// re-solve) update the live solver is replaced wholesale; the previous
-// one becomes garbage.
-func (l *LiveSolver) Commit() {
-	if l.pendingSolver != nil {
-		inc, err := NewIncrementalSolver(l.pendingSolver)
-		if err != nil {
-			// The rebased solver completed Solve and owns its relations;
-			// NewIncrementalSolver cannot fail on it.
-			panic(err)
-		}
-		l.inc = inc
-		l.pendingSolver = nil
-		l.pendingTxn = nil
-		return
-	}
-	if l.pendingTxn != nil {
-		l.pendingTxn.Commit()
-		l.pendingTxn = nil
-	}
-}
-
-// Rollback discards the pending update, restoring the pre-Begin state.
-func (l *LiveSolver) Rollback() {
-	if l.pendingTxn != nil {
-		l.pendingTxn.Rollback()
-		l.pendingTxn = nil
-	}
-	l.pendingSolver = nil
 }

@@ -101,6 +101,48 @@ func ctl() *resilience.Controller {
 	return resilience.NewController(context.Background(), resilience.Budget{})
 }
 
+// wire is d in its numeric wire form, for Begin.
+func wire(d Delta) WireDelta {
+	side := func(rows map[string][][]uint64) map[string][]WireTuple {
+		if rows == nil {
+			return nil
+		}
+		out := make(map[string][]WireTuple, len(rows))
+		for name, tuples := range rows {
+			for _, vals := range tuples {
+				wt := make(WireTuple, len(vals))
+				for i, v := range vals {
+					wt[i] = WireValue{Num: v}
+				}
+				out[name] = append(out[name], wt)
+			}
+		}
+		return out
+	}
+	return WireDelta{Add: side(d.Add), Remove: side(d.Remove)}
+}
+
+// newLive wraps s in a LiveSolver.
+func newLive(t *testing.T, s *Solver) *LiveSolver {
+	t.Helper()
+	ls, err := NewLiveSolver(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ls
+}
+
+// mustUpdate applies d through Begin and commits it.
+func mustUpdate(t *testing.T, ls *LiveSolver, c *resilience.Controller, d Delta) UpdateStats {
+	t.Helper()
+	st, err := ls.Begin(c, wire(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls.Commit()
+	return st
+}
+
 func mustFingerprint(t *testing.T, s *Solver) string {
 	t.Helper()
 	fp, err := s.ContentFingerprint()
@@ -112,10 +154,7 @@ func mustFingerprint(t *testing.T, s *Solver) string {
 
 func TestIncrementalAddOnlyFastPath(t *testing.T) {
 	s := newIncSolver(t, incOpts(), incInputs())
-	inc, err := NewIncrementalSolver(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ls := newLive(t, s)
 	// vP0(6,3) gives v6 (and so v5, assigned from it) its first
 	// points-to target: vP, hP, and vPany all grow monotonically, and
 	// the empty stratum — which negates the now-grown vPany — must
@@ -124,20 +163,16 @@ func TestIncrementalAddOnlyFastPath(t *testing.T) {
 		"vP0":    {{6, 3}},
 		"assign": {{0, 2}},
 	}}
-	txn, err := inc.Update(ctl(), d)
-	if err != nil {
-		t.Fatal(err)
+	st := mustUpdate(t, ls, ctl(), d)
+	if st.Added != 2 || st.Removed != 0 {
+		t.Fatalf("stats = %+v, want 2 added", st)
 	}
-	if txn.Stats.Added != 2 || txn.Stats.Removed != 0 {
-		t.Fatalf("stats = %+v, want 2 added", txn.Stats)
+	if st.StrataFast == 0 {
+		t.Fatalf("add-only delta took no fast stratum: %+v", st)
 	}
-	if txn.Stats.StrataFast == 0 {
-		t.Fatalf("add-only delta took no fast stratum: %+v", txn.Stats)
+	if st.StrataRecomputed == 0 {
+		t.Fatalf("negation stratum on grown vPany did not recompute: %+v", st)
 	}
-	if txn.Stats.StrataRecomputed == 0 {
-		t.Fatalf("negation stratum on grown vPany did not recompute: %+v", txn.Stats)
-	}
-	txn.Commit()
 	if got, want := mustFingerprint(t, s), oracleFingerprint(t, incOpts(), incInputs(), d); got != want {
 		t.Fatalf("incremental fingerprint %s != from-scratch %s", got, want)
 	}
@@ -145,25 +180,18 @@ func TestIncrementalAddOnlyFastPath(t *testing.T) {
 
 func TestIncrementalRemoval(t *testing.T) {
 	s := newIncSolver(t, incOpts(), incInputs())
-	inc, err := NewIncrementalSolver(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ls := newLive(t, s)
 	d := Delta{
 		Add:    map[string][][]uint64{"vP0": {{2, 3}}},
 		Remove: map[string][][]uint64{"assign": {{4, 3}}, "vP0": {{0, 0}}},
 	}
-	txn, err := inc.Update(ctl(), d)
-	if err != nil {
-		t.Fatal(err)
+	st := mustUpdate(t, ls, ctl(), d)
+	if st.Removed != 2 {
+		t.Fatalf("stats = %+v, want 2 removed", st)
 	}
-	if txn.Stats.Removed != 2 {
-		t.Fatalf("stats = %+v, want 2 removed", txn.Stats)
+	if st.StrataRecomputed == 0 {
+		t.Fatalf("removal delta recomputed no strata: %+v", st)
 	}
-	if txn.Stats.StrataRecomputed == 0 {
-		t.Fatalf("removal delta recomputed no strata: %+v", txn.Stats)
-	}
-	txn.Commit()
 	if got, want := mustFingerprint(t, s), oracleFingerprint(t, incOpts(), incInputs(), d); got != want {
 		t.Fatalf("incremental fingerprint %s != from-scratch %s", got, want)
 	}
@@ -172,23 +200,15 @@ func TestIncrementalRemoval(t *testing.T) {
 func TestIncrementalNoEffectiveChange(t *testing.T) {
 	s := newIncSolver(t, incOpts(), incInputs())
 	before := mustFingerprint(t, s)
-	inc, err := NewIncrementalSolver(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ls := newLive(t, s)
 	// Add a tuple that already exists and remove one that never did.
 	d := Delta{
 		Add:    map[string][][]uint64{"vP0": {{0, 0}}},
 		Remove: map[string][][]uint64{"assign": {{9, 9}}},
 	}
-	txn, err := inc.Update(ctl(), d)
-	if err != nil {
-		t.Fatal(err)
+	if st := mustUpdate(t, ls, ctl(), d); st.Added != 0 || st.Removed != 0 || st.StrataResolved != 0 {
+		t.Fatalf("no-op delta did work: %+v", st)
 	}
-	if txn.Stats.Added != 0 || txn.Stats.Removed != 0 || txn.Stats.StrataResolved != 0 {
-		t.Fatalf("no-op delta did work: %+v", txn.Stats)
-	}
-	txn.Commit()
 	if got := mustFingerprint(t, s); got != before {
 		t.Fatalf("no-op delta changed fingerprint %s -> %s", before, got)
 	}
@@ -198,10 +218,7 @@ func TestIncrementalRandomDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 12; trial++ {
 		s := newIncSolver(t, incOpts(), incInputs())
-		inc, err := NewIncrementalSolver(s)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ls := newLive(t, s)
 		d := Delta{Add: map[string][][]uint64{}, Remove: map[string][][]uint64{}}
 		for i := 0; i < 4; i++ {
 			tuple := [][]uint64{{uint64(rng.Intn(6)), uint64(rng.Intn(4))}}
@@ -214,11 +231,7 @@ func TestIncrementalRandomDifferential(t *testing.T) {
 				d.Add["assign"] = append(d.Add["assign"], [][]uint64{{uint64(rng.Intn(6)), uint64(rng.Intn(6))}}...)
 			}
 		}
-		txn, err := inc.Update(ctl(), d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		txn.Commit()
+		mustUpdate(t, ls, ctl(), d)
 		if got, want := mustFingerprint(t, s), oracleFingerprint(t, incOpts(), incInputs(), d); got != want {
 			t.Fatalf("trial %d: incremental fingerprint %s != from-scratch %s (delta %+v)", trial, got, want, d)
 		}
@@ -227,21 +240,17 @@ func TestIncrementalRandomDifferential(t *testing.T) {
 
 func TestIncrementalSequentialUpdates(t *testing.T) {
 	s := newIncSolver(t, incOpts(), incInputs())
-	inc, err := NewIncrementalSolver(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ls := newLive(t, s)
 	deltas := []Delta{
 		{Add: map[string][][]uint64{"vP0": {{3, 1}}}},
 		{Remove: map[string][][]uint64{"vP0": {{3, 1}, {1, 1}}}},
 		{Add: map[string][][]uint64{"assign": {{2, 5}}}, Remove: map[string][][]uint64{"store": {{1, 0, 2}}}},
 	}
 	for i, d := range deltas {
-		txn, err := inc.Update(ctl(), d)
-		if err != nil {
+		if _, err := ls.Begin(ctl(), wire(d)); err != nil {
 			t.Fatalf("delta %d: %v", i, err)
 		}
-		txn.Commit()
+		ls.Commit()
 	}
 	// Oracle: one from-scratch solve with the composed delta applied in
 	// sequence.
@@ -269,24 +278,20 @@ func TestIncrementalSequentialUpdates(t *testing.T) {
 	}
 }
 
-func TestUpdateTxnRollback(t *testing.T) {
+func TestUpdateRollback(t *testing.T) {
 	s := newIncSolver(t, incOpts(), incInputs())
 	before := mustFingerprint(t, s)
-	inc, err := NewIncrementalSolver(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	txn, err := inc.Update(ctl(), Delta{
+	ls := newLive(t, s)
+	if _, err := ls.Begin(ctl(), wire(Delta{
 		Add:    map[string][][]uint64{"vP0": {{4, 2}}},
 		Remove: map[string][][]uint64{"assign": {{3, 0}}},
-	})
-	if err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if mustFingerprint(t, s) == before {
 		t.Fatal("update had no visible effect before rollback")
 	}
-	txn.Rollback()
+	ls.Rollback()
 	if got := mustFingerprint(t, s); got != before {
 		t.Fatalf("rollback fingerprint %s != pre-update %s", got, before)
 	}
@@ -295,17 +300,16 @@ func TestUpdateTxnRollback(t *testing.T) {
 // TestUpdateFaultRollsBack aborts an update at each of its fault
 // points. The stratum.start fault fires in the second stratum the
 // update re-evaluates, after the first (vP's) has grown its head, so
-// the rollback must restore undo state taken stratum by stratum.
+// the rollback must restore undo state taken stratum by stratum. The
+// hook stays armed, so the unbudgeted re-run that a budget error
+// degrades to aborts as well, and Begin returns the error.
 func TestUpdateFaultRollsBack(t *testing.T) {
 	for _, point := range []string{resilience.FaultUpdateApply, resilience.FaultUpdateResolve, resilience.FaultStratumStart} {
 		t.Run(point, func(t *testing.T) {
 			s := newIncSolver(t, incOpts(), incInputs())
 			before := mustFingerprint(t, s)
 			vPBefore := s.Relation("vP").Size()
-			inc, err := NewIncrementalSolver(s)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ls := newLive(t, s)
 			starts := 0
 			restore := resilience.SetFaultHook(func(name string) {
 				if name != point {
@@ -315,13 +319,14 @@ func TestUpdateFaultRollsBack(t *testing.T) {
 					if starts++; starts < 2 {
 						return
 					}
-					if s.Relation("vP").Size().Cmp(vPBefore) == 0 {
+					if starts == 2 && s.Relation("vP").Size().Cmp(vPBefore) == 0 {
 						t.Error("the first re-evaluated stratum left vP unchanged")
 					}
 				}
 				resilience.Abort(&resilience.BudgetError{Resource: "nodes", Limit: 1, Used: 2})
 			})
-			_, err = inc.Update(ctl(), Delta{Add: map[string][][]uint64{"vP0": {{4, 2}}}})
+			d := wire(Delta{Add: map[string][][]uint64{"vP0": {{4, 2}}}})
+			_, err := ls.Begin(ctl(), d)
 			restore()
 			if !errors.Is(err, resilience.ErrBudgetExceeded) {
 				t.Fatalf("err = %v, want budget error", err)
@@ -330,21 +335,17 @@ func TestUpdateFaultRollsBack(t *testing.T) {
 				t.Fatalf("fault at %s left fingerprint %s != pre-update %s", point, got, before)
 			}
 			// The solver must still accept a clean update afterwards.
-			txn, err := inc.Update(ctl(), Delta{Add: map[string][][]uint64{"vP0": {{4, 2}}}})
-			if err != nil {
+			if _, err := ls.Begin(ctl(), d); err != nil {
 				t.Fatal(err)
 			}
-			txn.Commit()
+			ls.Commit()
 		})
 	}
 }
 
 func TestUpdateRejections(t *testing.T) {
 	s := newIncSolver(t, incOpts(), incInputs())
-	inc, err := NewIncrementalSolver(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ls := newLive(t, s)
 	cases := []struct {
 		name string
 		d    Delta
@@ -357,7 +358,7 @@ func TestUpdateRejections(t *testing.T) {
 	}
 	before := mustFingerprint(t, s)
 	for _, tc := range cases {
-		if _, err := inc.Update(ctl(), tc.d); !errors.Is(err, ErrUpdateRejected) {
+		if _, err := ls.Begin(ctl(), wire(tc.d)); !errors.Is(err, ErrUpdateRejected) {
 			t.Errorf("%s: err = %v, want ErrUpdateRejected", tc.name, err)
 		}
 	}
@@ -368,10 +369,7 @@ func TestUpdateRejections(t *testing.T) {
 
 func TestResolveWireNames(t *testing.T) {
 	s := newIncSolver(t, incOpts(), incInputs())
-	inc, err := NewIncrementalSolver(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ls := newLive(t, s)
 	var wd WireDelta
 	if err := json.Unmarshal([]byte(`{
 		"add":    {"vP0": [["v1", "h3"], ["vNew", 0]]},
@@ -379,7 +377,7 @@ func TestResolveWireNames(t *testing.T) {
 	}`), &wd); err != nil {
 		t.Fatal(err)
 	}
-	d, err := inc.ResolveWire(wd)
+	d, err := ls.resolve(wd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,14 +397,90 @@ func TestResolveWireNames(t *testing.T) {
 	bad := WireDelta{Remove: map[string][]WireTuple{
 		"vP0": {{{Name: "neverSeen", Named: true}, {Num: 0}}},
 	}}
-	if _, err := inc.ResolveWire(bad); !errors.Is(err, ErrUpdateRejected) {
+	if _, err := ls.resolve(bad); !errors.Is(err, ErrUpdateRejected) {
 		t.Fatalf("unknown removal name: err = %v, want ErrUpdateRejected", err)
 	}
 }
 
+// TestRejectedDeltaRegistersNoName: a delta is checked whole before
+// any of its names is registered, so a rejected one leaves the name
+// tables as they were, and repeated bad requests use up no slack.
+func TestRejectedDeltaRegistersNoName(t *testing.T) {
+	s := newIncSolver(t, incOpts(), incInputs())
+	ls := newLive(t, s)
+	for _, body := range []string{
+		`{"add":{"vP":[["ghost","h1"]]}}`,
+		`{"add":{"vP0":[["ghost","h1"]],"assign":[["ghost",99]]}}`,
+		`{"add":{"vP0":[["ghost","h1"]]},"remove":{"assign":[["v1","unseen"]]}}`,
+	} {
+		var wd WireDelta
+		if err := json.Unmarshal([]byte(body), &wd); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ls.Begin(ctl(), wd); !errors.Is(err, ErrUpdateRejected) {
+			t.Fatalf("%s: err = %v, want ErrUpdateRejected", body, err)
+		}
+		if v, ok := s.ElemIndex("V", "ghost"); ok {
+			t.Fatalf("%s: rejected delta registered ghost at V index %d", body, v)
+		}
+		if n := len(s.Universe().Domain("V").ElemNames()); n != len(incOpts().ElemNames["V"]) {
+			t.Fatalf("%s: V name table has %d names after a rejected delta", body, n)
+		}
+	}
+}
+
+// TestNamedValueOnUnnamedDomainRejected: a domain given no name table
+// has no way to tell a new name's index from the indices numeric
+// tuples already use, so a name there is refused, not mapped to 0.
+func TestNamedValueOnUnnamedDomainRejected(t *testing.T) {
+	opts := Options{ElemNames: map[string][]string{"V": incOpts().ElemNames["V"]}}
+	s := newIncSolver(t, opts, incInputs())
+	before := mustFingerprint(t, s)
+	ls := newLive(t, s)
+	wd := WireDelta{Add: map[string][]WireTuple{
+		"vP0": {{{Name: "v1", Named: true}, {Name: "newh", Named: true}}},
+	}}
+	if _, err := ls.Begin(ctl(), wd); !errors.Is(err, ErrUpdateRejected) {
+		t.Fatalf("name on H without a name table: err = %v, want ErrUpdateRejected", err)
+	}
+	if _, ok := s.ElemIndex("H", "newh"); ok {
+		t.Fatal("newh was registered on H")
+	}
+	if got := mustFingerprint(t, s); got != before {
+		t.Fatalf("rejected delta changed the content: %s -> %s", before, got)
+	}
+}
+
+// TestUpdateLeavesCallerElemNames: names an update registers belong to
+// the solver; the caller's Options.ElemNames is never written, whether
+// the update is rolled back or committed.
+func TestUpdateLeavesCallerElemNames(t *testing.T) {
+	opts := incOpts()
+	s := newIncSolver(t, opts, incInputs())
+	ls := newLive(t, s)
+	for i, finish := range []func(){ls.Rollback, ls.Commit} {
+		wd := WireDelta{Add: map[string][]WireTuple{
+			"vP0": {{{Name: fmt.Sprintf("vNew%d", i), Named: true}, {Name: "h1", Named: true}}},
+		}}
+		if _, err := ls.Begin(ctl(), wd); err != nil {
+			t.Fatal(err)
+		}
+		finish()
+		if !reflect.DeepEqual(opts.ElemNames, incOpts().ElemNames) {
+			t.Fatalf("update %d changed the caller's ElemNames to %v", i, opts.ElemNames)
+		}
+	}
+	if _, ok := s.ElemIndex("V", "vNew1"); !ok {
+		t.Fatal("the committed update's name is not registered")
+	}
+}
+
+// TestAddElemNameDomainFull: a new name needs a free index in its
+// domain; on a full domain the delta is rejected and nothing is
+// registered.
 func TestAddElemNameDomainFull(t *testing.T) {
 	opts := Options{ElemNames: map[string][]string{
-		"V": {"v0", "v1", "v2", "v3"},
+		"V": {"v0", "v1", "v2"},
 	}}
 	src := `
 .domain V 4 var.map
@@ -421,8 +495,24 @@ q(v) :- p(v).
 	if err := s.Solve(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AddElemName("V", "overflow"); err == nil {
-		t.Fatal("AddElemName on a full domain succeeded")
+	ls := newLive(t, s)
+	// One free index: the first new name fits, a second does not.
+	wd := WireDelta{Add: map[string][]WireTuple{"p": {
+		{{Name: "fits", Named: true}}, {{Name: "overflow", Named: true}},
+	}}}
+	if _, err := ls.Begin(ctl(), wd); !errors.Is(err, ErrUpdateRejected) {
+		t.Fatalf("two new names on a domain with room for one: err = %v, want ErrUpdateRejected", err)
+	}
+	if _, ok := s.ElemIndex("V", "fits"); ok {
+		t.Fatal("a name of the rejected delta was registered")
+	}
+	wd.Add["p"] = wd.Add["p"][:1]
+	if _, err := ls.Begin(ctl(), wd); err != nil {
+		t.Fatal(err)
+	}
+	ls.Commit()
+	if v, ok := s.ElemIndex("V", "fits"); !ok || v != 3 {
+		t.Fatalf("fits resolved to (%d, %v), want (3, true)", v, ok)
 	}
 }
 
@@ -454,48 +544,6 @@ func TestWireDeltaJSONRoundTrip(t *testing.T) {
 	}
 	if !(WireDelta{}).Empty() {
 		t.Fatal("zero delta not Empty")
-	}
-}
-
-func TestRebaseMatchesOracle(t *testing.T) {
-	s := newIncSolver(t, incOpts(), incInputs())
-	inc, err := NewIncrementalSolver(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First mutate the live solver so Rebase must copy live state, not
-	// the original fills.
-	txn, err := inc.Update(ctl(), Delta{Remove: map[string][][]uint64{"vP0": {{1, 1}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	txn.Commit()
-	d := Delta{Add: map[string][][]uint64{"assign": {{0, 2}}}}
-	ns, err := inc.Rebase(ctl(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Oracle: both deltas applied in sequence from scratch.
-	opts := incOpts()
-	opts.PreSolve = func(o *Solver) error {
-		ApplyDeltaToRelations(o, Delta{Remove: map[string][][]uint64{"vP0": {{1, 1}}}})
-		ApplyDeltaToRelations(o, d)
-		return nil
-	}
-	o, err := NewSolver(MustParse(incSrc), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, rows := range incInputs() {
-		for _, row := range rows {
-			o.Relation(name).AddTuple(row...)
-		}
-	}
-	if err := o.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := mustFingerprint(t, ns), mustFingerprint(t, o); got != want {
-		t.Fatalf("rebase fingerprint %s != oracle %s", got, want)
 	}
 }
 
@@ -533,35 +581,35 @@ func TestLiveSolverCommitAndRollback(t *testing.T) {
 	}
 }
 
-func TestLiveSolverDegradesToFullResolve(t *testing.T) {
-	s := newIncSolver(t, incOpts(), incInputs())
-	ls, err := NewLiveSolver(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A pre-canceled controller trips the incremental path immediately;
-	// the ladder must degrade to a detached full re-solve.
+// TestLiveSolverDegradesToFullResolve: an update whose incremental
+// path trips its budget is re-run unbudgeted on the same solver, every
+// stratum it reaches recomputed. It follows a live removal, so the
+// recompute must start from the live inputs, not the original fills;
+// its fingerprint must equal a from-scratch solve of both deltas.
+// canceledCtl is a controller whose context is already canceled, so the
+// incremental path trips at once and Begin degrades to a full re-solve.
+func canceledCtl() *resilience.Controller {
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	canceled := resilience.NewController(cctx, resilience.Budget{})
-	wd := WireDelta{Add: map[string][]WireTuple{"vP0": {{{Num: 4}, {Num: 2}}}}}
-	stats, err := ls.Begin(canceled, wd)
+	return resilience.NewController(cctx, resilience.Budget{})
+}
+
+func TestLiveSolverDegradesToFullResolve(t *testing.T) {
+	s := newIncSolver(t, incOpts(), incInputs())
+	ls := newLive(t, s)
+	d := Delta{Add: map[string][][]uint64{"vP0": {{4, 2}}, "assign": {{0, 2}}}}
+	stats, err := ls.Begin(canceledCtl(), wire(d))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Full {
-		t.Fatalf("stats = %+v, want Full", stats)
+	if !stats.Full || stats.Added != 2 || stats.StrataFast != 0 || stats.StrataRecomputed == 0 {
+		t.Fatalf("stats = %+v, want Full, 2 added, every reached stratum recomputed", stats)
 	}
-	old := ls.Solver()
 	ls.Commit()
-	if ls.Solver() == old && old == s {
-		t.Fatal("degraded commit did not adopt the rebased solver")
-	}
-	d := Delta{Add: map[string][][]uint64{"vP0": {{4, 2}}}}
 	if got, want := mustFingerprint(t, ls.Solver()), oracleFingerprint(t, incOpts(), incInputs(), d); got != want {
 		t.Fatalf("degraded fingerprint %s != from-scratch %s", got, want)
 	}
-	// The adopted solver keeps accepting incremental updates.
+	// The solver keeps accepting incremental updates.
 	wd2 := WireDelta{Add: map[string][]WireTuple{"assign": {{{Num: 1}, {Num: 4}}}}}
 	stats, err = ls.Begin(ctl(), wd2)
 	if err != nil {
@@ -571,6 +619,44 @@ func TestLiveSolverDegradesToFullResolve(t *testing.T) {
 		t.Fatal("post-degradation update unexpectedly degraded")
 	}
 	ls.Commit()
+}
+
+// TestRebaseMatchesOracle checks that a degraded full re-solve starts from
+// the live relations, not the original fills: after a committed live
+// removal it must match both deltas applied in sequence from scratch.
+func TestRebaseMatchesOracle(t *testing.T) {
+	s := newIncSolver(t, incOpts(), incInputs())
+	ls := newLive(t, s)
+	removal := Delta{Remove: map[string][][]uint64{"vP0": {{1, 1}}}}
+	mustUpdate(t, ls, ctl(), removal)
+	d := Delta{Add: map[string][][]uint64{"assign": {{0, 2}}}}
+	stats, err := ls.Begin(canceledCtl(), wire(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.Full {
+		t.Fatalf("stats = %+v, want Full", stats)
+	}
+	ls.Commit()
+	opts := incOpts()
+	opts.PreSolve = func(o *Solver) error {
+		ApplyDeltaToRelations(o, removal)
+		ApplyDeltaToRelations(o, d)
+		return nil
+	}
+	o, err := NewSolver(MustParse(incSrc), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rows := range incInputs() {
+		o.Relation(name).AddTuples(rows)
+	}
+	if err := o.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mustFingerprint(t, ls.Solver()), mustFingerprint(t, o); got != want {
+		t.Fatalf("rebase fingerprint %s != oracle %s", got, want)
+	}
 }
 
 // spanNames is a tracer that records the name of every span opened.
@@ -595,21 +681,14 @@ func TestUpdateTraceSpans(t *testing.T) {
 	if err := s.Solve(); err != nil {
 		t.Fatal(err)
 	}
-	inc, err := NewIncrementalSolver(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ls := newLive(t, s)
 	for _, d := range []Delta{
 		{Add: map[string][][]uint64{"e": {{3, 4}}}},
 		{Remove: map[string][][]uint64{"e": {{1, 2}}}},
 	} {
 		before := s.Stats().Iterations
 		rec.names = nil
-		txn, err := inc.Update(nil, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		txn.Commit()
+		mustUpdate(t, ls, nil, d)
 		after := s.Stats().Iterations
 		if after == before {
 			t.Fatalf("update %+v ran no fixpoint iteration", d)

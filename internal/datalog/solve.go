@@ -84,8 +84,8 @@ type Options struct {
 	// before the first stratum evaluates — the one point where input
 	// relations hold their complete pre-fixpoint contents (fills and
 	// facts alike), so a caller can apply an input-tuple delta there and
-	// get exactly the semantics of IncrementalSolver.Update's edits to a
-	// live solver.
+	// get exactly the semantics of LiveSolver.Begin's edits to a live
+	// solver.
 	PreSolve func(*Solver) error
 }
 
@@ -150,7 +150,12 @@ type Solver struct {
 	strata   []*stratum
 	compiled map[*Rule]*compiledRule
 	elemIdx  map[string]map[string]uint64
-	solved   bool
+	// facts holds the rows the program's fact rules assert, by relation,
+	// as applyFacts resolved them: what a derived relation holds before
+	// any stratum runs, and what a live update's stratum recompute
+	// resets it to.
+	facts  map[string][][]uint64
+	solved bool
 	// queryBase marks relations a QueryBase bound in from a frozen
 	// snapshot: they are read-only inputs the solver does not own.
 	queryBase map[string]bool
@@ -546,6 +551,7 @@ func (s *Solver) applyFacts() error {
 	}
 	rows := make(map[string][][]uint64)
 	var preds []string
+	s.facts = rows
 	for _, rule := range s.prog.Rules {
 		if !rule.IsFact() {
 			continue

@@ -71,8 +71,9 @@ type Config struct {
 	// Nil disables updates (501).
 	Updater Updater
 	// UpdateTimeout / UpdateMaxNodes bound each update's incremental
-	// re-solve (per-update resilience.Controller); exceeding them
-	// degrades to a full background re-solve. Defaults 2m, unlimited.
+	// re-solve (per-update resilience.Controller); exceeding them rolls
+	// the update back and re-runs it unbudgeted, recomputing every
+	// stratum it reaches. Defaults 2m, unlimited.
 	UpdateTimeout  time.Duration
 	UpdateMaxNodes int
 }

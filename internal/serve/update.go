@@ -54,16 +54,17 @@ type UpdateResult struct {
 const maxPatchGrowth = 4
 
 // ApplyUpdate runs the full live-update lifecycle: apply the delta to
-// the live solver (incremental re-solve, degrading to a full re-solve
-// on budget exhaustion), publish the new state to the replicas, and
-// atomically swap it in as the next generation. Publishing normally
-// patches the serving replicas in place: the nodes the update created
-// are dumped as a delta, and each worker reads it between jobs and
-// builds the new generation's relations and query base beside the
-// serving ones. It falls back to a full snapshot hydrated into a new
-// pool where patching cannot apply (see canPatch). In-flight requests
-// finish on the generation they started on; the result cache is
-// generation-keyed and flushed at the swap.
+// the live solver (incremental re-solve, degrading to an unbudgeted
+// recompute of the affected strata on budget exhaustion), publish the
+// new state to the replicas, and atomically swap it in as the next
+// generation. Publishing normally patches the serving replicas in
+// place: the nodes the update created are dumped as a delta, and each
+// worker reads it between jobs and builds the new generation's
+// relations and query base beside the serving ones. It falls back to a
+// full snapshot hydrated into a new pool where patching cannot apply
+// (see canPatch). In-flight requests finish on the generation they
+// started on; the result cache is generation-keyed and flushed at the
+// swap.
 //
 // Any failure — rejection, budget, fault injection, hydration error —
 // leaves the server exactly on the previous generation: the solver
@@ -122,7 +123,7 @@ func (s *Server) applyUpdateLocked(ctx context.Context, wd datalog.WireDelta) (U
 		defer resilience.Recover(&err)
 		resilience.FaultPoint(resilience.FaultSnapshotHydrate)
 		sv := up.Solver()
-		if s.canPatch(sv) {
+		if s.canPatch() {
 			publish = "patch"
 			ng, deltaNodes, err = s.publishPatch(sv, old)
 		} else {
@@ -171,15 +172,12 @@ func (s *Server) applyUpdateLocked(ctx context.Context, wd datalog.WireDelta) (U
 	}, nil
 }
 
-// canPatch reports whether the next generation of sv can be published
-// by patching the serving replicas: the writer must hold the ids the
-// replicas hold (no publish failed since the last full one), be bound
-// to sv's manager (a degraded update's full re-solve returns a solver
-// on a new one), and have issued at most 1/maxPatchGrowth of the last
-// full dump's ids since it.
-func (s *Server) canPatch(sv *datalog.Solver) bool {
-	return s.dw != nil && s.dw.Manager() == sv.Universe().M &&
-		s.dw.Len()-s.fullIDs <= s.fullIDs/maxPatchGrowth
+// canPatch reports whether the next generation can be published by
+// patching the serving replicas: the writer must hold the ids the
+// replicas hold (no publish failed since the last full one) and have
+// issued at most 1/maxPatchGrowth of the last full dump's ids since it.
+func (s *Server) canPatch() bool {
+	return s.dw != nil && s.dw.Len()-s.fullIDs <= s.fullIDs/maxPatchGrowth
 }
 
 // publishFull snapshots sv in full through a new writer and hydrates a

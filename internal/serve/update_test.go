@@ -186,8 +186,9 @@ func TestUpdateFaultMatrix(t *testing.T) {
 
 			// A plain panic models an unclassified internal failure: no
 			// degradation ladder applies, so the update must fail and roll
-			// back. (Budget faults at apply/resolve instead degrade to a
-			// full re-solve — TestUpdateBudgetDegradesToFull covers that.)
+			// back. (Budget faults at apply/resolve instead degrade to an
+			// unbudgeted recompute — TestUpdateBudgetDegradesToFull covers
+			// that.)
 			restore := resilience.SetFaultHook(func(name string) {
 				if name == point {
 					panic("injected fault at " + name)
@@ -328,8 +329,8 @@ func TestUpdateRejectionsAndConflicts(t *testing.T) {
 }
 
 // TestUpdateBudgetDegradesToFull forces the incremental path over
-// budget and asserts the update still lands via the full re-solve rung
-// of the degradation ladder.
+// budget and asserts the update still lands through its degraded,
+// unbudgeted recompute of the strata it reaches.
 func TestUpdateBudgetDegradesToFull(t *testing.T) {
 	s, hs, _ := liveServer(t, Config{Replicas: 1, UpdateTimeout: time.Nanosecond})
 	code, body := post(t, hs.URL+"/update", `{"add":{"vP0":[["v6","h3"]]}}`)
@@ -353,8 +354,8 @@ func TestUpdateBudgetDegradesToFull(t *testing.T) {
 	if got := attrValues(t, body, "heap"); len(got) != 1 || got[0] != "h3" {
 		t.Fatalf("post-degraded answer = %v, want [h3]", got)
 	}
-	// The adopted solver accepts further updates (still degraded here:
-	// the 1ns budget applies to every update in this config).
+	// The solver accepts further updates (still degraded here: the 1ns
+	// budget applies to every update in this config).
 	code, body = post(t, hs.URL+"/update", `{"add":{"vP0":[["v7","h2"]]}}`)
 	if code != 200 {
 		t.Fatalf("follow-up update: %d %s", code, body)
